@@ -13,9 +13,19 @@ import (
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
-	"mdes/internal/rumap"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
+
+// newProber compiles m's probe plan into a fresh reservation table.
+func newProber(tb testing.TB, m *lowlevel.MDES) *probeplan.Prober {
+	tb.Helper()
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return probeplan.NewProber(plan)
+}
 
 // issueStream builds a deterministic (class, arrival) stream for ablation
 // scheduling runs.
@@ -31,9 +41,9 @@ func issueStream(m *lowlevel.MDES, n int, seed int64) ([]int, []int) {
 }
 
 // BenchmarkAblation_Automaton compares hazard detection through the
-// collision automaton against the reservation-table RU map on identical
-// issue streams (fully optimized AND/OR SuperSPARC). It reports the
-// automaton's state count and the RU map's checks for the same work.
+// collision automaton against the reservation tables on identical issue
+// streams (fully optimized AND/OR SuperSPARC). It reports the automaton's
+// state count and the tables' checks for the same work.
 func BenchmarkAblation_Automaton(b *testing.B) {
 	m, err := machines.Load(machines.SuperSPARC)
 	if err != nil {
@@ -46,7 +56,7 @@ func BenchmarkAblation_Automaton(b *testing.B) {
 	b.Run("reservation-tables", func(b *testing.B) {
 		var checks int64
 		for i := 0; i < b.N; i++ {
-			ru := rumap.New(ll.NumResources)
+			ru := newProber(b, ll)
 			var c stats.Counters
 			floor := 0
 			for k, class := range classes {
@@ -115,7 +125,7 @@ func BenchmarkAblation_Eichenberger(b *testing.B) {
 	}
 	checksPerOption := func(ll *lowlevel.MDES) float64 {
 		classes, arrivals := issueStream(ll, 5000, 13)
-		ru := rumap.New(ll.NumResources)
+		ru := newProber(b, ll)
 		var c stats.Counters
 		floor := 0
 		for k, class := range classes {

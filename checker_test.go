@@ -23,26 +23,66 @@ func newCheckerEngine(t testing.TB, name mdes.BuiltinName, kind mdes.CheckerKind
 	return eng
 }
 
-// Every checker backend is a drop-in replacement for the default RU map:
-// the greedy list scheduler must produce byte-identical schedules (same
-// per-op issue cycles, same lengths) and identical attempt/conflict
-// counters on every built-in machine, whichever backend performs the
-// conflict probes. ResourceChecks legitimately differ — that counter
-// measures backend work, which is the point of the ablation.
+// schedulesEqual fails the test unless got matches want block for block
+// and op for op.
+func schedulesEqual(t *testing.T, what string, got, want []*mdes.Result) {
+	t.Helper()
+	for bi, r := range got {
+		if r.Length != want[bi].Length {
+			t.Fatalf("%s block %d: length %d, reference %d", what, bi, r.Length, want[bi].Length)
+		}
+		for oi, c := range r.Issue {
+			if c != want[bi].Issue[oi] {
+				t.Fatalf("%s block %d op %d: cycle %d, reference %d", what, bi, oi, c, want[bi].Issue[oi])
+			}
+		}
+	}
+}
+
+// checkerReferences schedules blocks serially on the two references every
+// backend must reproduce: the unoptimized OR-form description — the flat
+// tables the optimizer starts from, as the benchmark's reference does —
+// and the §10 automaton, which shares no code with the reservation tables.
+func checkerReferences(t *testing.T, name mdes.BuiltinName, blocks []*mdes.Block) map[string][]*mdes.Result {
+	t.Helper()
+	machine, err := mdes.Builtin(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := mdes.NewEngine(mdes.Compile(machine, mdes.FormOR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := map[string][]*mdes.Result{}
+	for ref, eng := range map[string]*mdes.Engine{
+		"or/none":   flat,
+		"automaton": newCheckerEngine(t, name, mdes.CheckerAutomaton),
+	} {
+		results, _, err := eng.ScheduleBlocks(context.Background(), blocks, 1)
+		if err != nil {
+			t.Fatalf("%s reference %s: %v", name, ref, err)
+		}
+		refs[ref] = results
+	}
+	return refs
+}
+
+// Every checker backend must produce byte-identical schedules (same
+// per-op issue cycles, same lengths) on every built-in machine, equal to
+// both references, and the same attempt/conflict counters as the flat
+// OR-form tables. ResourceChecks legitimately differ — that counter
+// measures backend and description work, which is the point of the
+// ablation.
 func TestCheckerBackendsEquivalent(t *testing.T) {
 	for _, name := range []mdes.BuiltinName{mdes.PA7100, mdes.Pentium, mdes.SuperSPARC, mdes.K5} {
 		blocks := testBlocks(t, name, 2000)
-
-		ref := newCheckerEngine(t, name, mdes.CheckerRUMap)
-		want, wantTotal, err := ref.ScheduleBlocks(context.Background(), blocks, 1)
-		if err != nil {
-			t.Fatal(err)
+		refs := checkerReferences(t, name, blocks)
+		var flatTotal mdes.Counters
+		for _, r := range refs["or/none"] {
+			flatTotal.Add(r.Counters)
 		}
 
 		for _, kind := range mdes.CheckerKinds() {
-			if kind == mdes.CheckerRUMap {
-				continue
-			}
 			eng := newCheckerEngine(t, name, kind)
 			if eng.CheckerKind() != kind {
 				t.Fatalf("%s: engine reports kind %s, want %s", name, eng.CheckerKind(), kind)
@@ -51,22 +91,13 @@ func TestCheckerBackendsEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, kind, err)
 			}
-			if total.Attempts != wantTotal.Attempts || total.Conflicts != wantTotal.Conflicts {
-				t.Fatalf("%s/%s: attempts=%d conflicts=%d, rumap attempts=%d conflicts=%d",
+			if total.Attempts != flatTotal.Attempts || total.Conflicts != flatTotal.Conflicts {
+				t.Fatalf("%s/%s: attempts=%d conflicts=%d, flat OR tables attempts=%d conflicts=%d",
 					name, kind, total.Attempts, total.Conflicts,
-					wantTotal.Attempts, wantTotal.Conflicts)
+					flatTotal.Attempts, flatTotal.Conflicts)
 			}
-			for bi, r := range got {
-				if r.Length != want[bi].Length {
-					t.Fatalf("%s/%s block %d: length %d, rumap %d",
-						name, kind, bi, r.Length, want[bi].Length)
-				}
-				for oi, c := range r.Issue {
-					if c != want[bi].Issue[oi] {
-						t.Fatalf("%s/%s block %d op %d: cycle %d, rumap %d",
-							name, kind, bi, oi, c, want[bi].Issue[oi])
-					}
-				}
+			for ref, want := range refs {
+				schedulesEqual(t, fmt.Sprintf("%s/%s vs %s", name, kind, ref), got, want)
 			}
 		}
 	}
@@ -81,12 +112,7 @@ func TestCheckerBackendsEquivalent(t *testing.T) {
 func TestCheckerBackendsEquivalentParallel(t *testing.T) {
 	for _, name := range []mdes.BuiltinName{mdes.PA7100, mdes.Pentium, mdes.SuperSPARC, mdes.K5} {
 		blocks := testBlocks(t, name, 2000)
-
-		ref := newCheckerEngine(t, name, mdes.CheckerRUMap)
-		want, _, err := ref.ScheduleBlocks(context.Background(), blocks, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refs := checkerReferences(t, name, blocks)
 
 		for _, kind := range mdes.CheckerKinds() {
 			eng := newCheckerEngine(t, name, kind)
@@ -94,27 +120,17 @@ func TestCheckerBackendsEquivalentParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, kind, err)
 			}
-			for bi, r := range got {
-				if r.Length != want[bi].Length {
-					t.Fatalf("%s/%s block %d: length %d, rumap serial %d",
-						name, kind, bi, r.Length, want[bi].Length)
-				}
-				for oi, c := range r.Issue {
-					if c != want[bi].Issue[oi] {
-						t.Fatalf("%s/%s block %d op %d: cycle %d, rumap serial %d",
-							name, kind, bi, oi, c, want[bi].Issue[oi])
-					}
-				}
+			for ref, want := range refs {
+				schedulesEqual(t, fmt.Sprintf("%s/%s parallel vs %s", name, kind, ref), got, want)
 			}
 		}
 	}
 }
 
 // BenchmarkChecker is the backend ablation: the same workload scheduled
-// through each conflict-checker backend. The rumap case must stay within
-// noise of the pre-refactor scheduler (the interface is devirtualized for
-// the default backend); the automaton case trades table-build time for
-// memoized O(1) probes.
+// through each conflict-checker backend. The probe-plan case is the
+// default engine's hot path; the automaton case trades table-build time
+// for memoized O(1) probes.
 func BenchmarkChecker(b *testing.B) {
 	for _, name := range []mdes.BuiltinName{mdes.SuperSPARC, mdes.K5} {
 		blocks := testBlocks(b, name, 2000)

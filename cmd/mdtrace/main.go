@@ -9,7 +9,7 @@
 //	mdtrace record -machine k5 -checker probeplan -o k5.mdtr
 //	mdtrace dump k5.mdtr
 //	mdtrace replay k5.mdtr
-//	mdtrace replay -checker rumap k5.mdtr   # cross-backend equivalence
+//	mdtrace replay -checker automaton k5.mdtr   # cross-backend equivalence
 //	mdtrace diff a.mdtr b.mdtr
 package main
 

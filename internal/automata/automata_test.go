@@ -8,9 +8,19 @@ import (
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
-	"mdes/internal/rumap"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
+
+// newProber compiles ll's probe plan into a fresh reservation table.
+func newProber(t *testing.T, ll *lowlevel.MDES) *probeplan.Prober {
+	t.Helper()
+	plan, err := probeplan.Compile(ll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probeplan.NewProber(plan)
+}
 
 func compiled(t *testing.T, name machines.Name) *lowlevel.MDES {
 	t.Helper()
@@ -94,9 +104,9 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
-// The automaton must agree exactly with the RU-map checker: same
+// The automaton must agree exactly with the reservation tables: same
 // feasibility on every query of a random issue sequence.
-func TestAgreesWithRUMap(t *testing.T) {
+func TestAgreesWithProber(t *testing.T) {
 	for _, name := range machines.All {
 		ll := compiled(t, name)
 		a, err := New(ll)
@@ -104,7 +114,7 @@ func TestAgreesWithRUMap(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		r := rand.New(rand.NewSource(9))
-		ru := rumap.New(ll.NumResources)
+		ru := newProber(t, ll)
 		var c stats.Counters
 		st := a.Start()
 		cycle := 0
@@ -118,7 +128,7 @@ func TestAgreesWithRUMap(t *testing.T) {
 			next, okA := a.TryIssue(st, class)
 			sel, okR := ru.Check(ll.Constraints[class], cycle, &c)
 			if okA != okR {
-				t.Fatalf("%s step %d: automaton %v, RU map %v (class %s)",
+				t.Fatalf("%s step %d: automaton %v, reservation tables %v (class %s)",
 					name, step, okA, okR, ll.Constraints[class].Name)
 			}
 			if okA {
@@ -130,7 +140,7 @@ func TestAgreesWithRUMap(t *testing.T) {
 }
 
 // Greedy schedules through the automaton match greedy schedules through
-// the RU map cycle for cycle.
+// the reservation tables cycle for cycle.
 func TestGreedySchedulesMatch(t *testing.T) {
 	ll := compiled(t, machines.SuperSPARC)
 	a, _ := New(ll)
@@ -142,10 +152,10 @@ func TestGreedySchedulesMatch(t *testing.T) {
 		items = append(items, item{class: r.Intn(len(ll.Constraints)), arrival: i / 3})
 	}
 
-	// RU map baseline. The automaton can never revisit a past cycle (the
-	// window shifts forward — the limitation §10 notes for unscheduling),
-	// so the baseline issues in non-decreasing cycles too.
-	ru := rumap.New(ll.NumResources)
+	// Reservation-table baseline. The automaton can never revisit a past
+	// cycle (the window shifts forward — the limitation §10 notes for
+	// unscheduling), so the baseline issues in non-decreasing cycles too.
+	ru := newProber(t, ll)
 	var c stats.Counters
 	baseline := make([]int, len(items))
 	floor := 0

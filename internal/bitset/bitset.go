@@ -49,9 +49,6 @@ func (s Set) Len() int { return s.n }
 // Words returns the number of underlying words.
 func (s Set) Words() int { return len(s.words) }
 
-// Word returns the i'th underlying word.
-func (s Set) Word(i int) uint64 { return s.words[i] }
-
 // Set sets bit i.
 func (s *Set) Set(i int) {
 	s.check(i)
@@ -140,8 +137,8 @@ func (s *Set) AndNotMask(w int, mask uint64) {
 	WordAndNot(s.words, w, mask)
 }
 
-// Raw-word kernels. The RU map keeps rows as Sets while the flat probe
-// plan keeps a single row-major []uint64; both probe with the same three
+// Raw-word kernels. The modulo map keeps rows as Sets while the flat
+// probe plan keeps a single row-major []uint64; both probe with the same
 // single-word operations, shared here so the packed-check semantics have
 // exactly one definition.
 

@@ -1,14 +1,14 @@
 // Package check is the pluggable conflict-detection layer: one interface
 // behind which every answer to "can this operation issue at cycle c?" lives.
 //
-// The paper's contribution is making that inner-loop question fast; this
-// repository grew three independent implementations of it — the packed
-// AND/OR-tree RU map (internal/rumap), the §10 finite-state-automaton
-// baseline (internal/automata), and the modulo scheduler's wrapped map.
-// This package unifies them behind the Checker interface so schedulers,
-// the query layer, and the Engine select a backend by Kind instead of
-// hard-coding a representation, and so future backends (sharded maps,
-// SIMD masks, remote query services) plug into the same seam.
+// The paper's contribution is making that inner-loop question fast. The
+// reservation-table answer is the flat probe plan (internal/probeplan),
+// the engine every scheduler, the query layer and the Engine use by
+// default; the §10 finite-state-automaton baseline (internal/automata)
+// stays selectable as the paper's comparison, and the modulo scheduler
+// keeps its own wrapped map. This package puts them behind the Checker
+// interface so consumers select a backend by Kind instead of hard-coding
+// a representation.
 //
 // Backends are not interchangeable in every role: the automaton answers
 // probes fast but cannot release a reservation or attribute a conflict to
@@ -23,7 +23,6 @@ import (
 	"mdes/internal/automata"
 	"mdes/internal/lowlevel"
 	"mdes/internal/probeplan"
-	"mdes/internal/rumap"
 	"mdes/internal/stats"
 )
 
@@ -31,43 +30,38 @@ import (
 type Kind int
 
 const (
-	// KindRUMap is the default backend: the paper's packed AND/OR-tree
-	// reservation-table check against the per-cycle RU map.
-	KindRUMap Kind = iota
+	// KindProbePlan is the default (zero) backend: the paper's packed
+	// AND/OR-tree reservation-table check, with the description compiled
+	// once into contiguous span arrays of packed probe words
+	// (internal/probeplan), walked by slice iteration with window probing
+	// and arena-backed selections.
+	KindProbePlan Kind = iota
 	// KindAutomaton is the §10 related-work backend: memoized transitions
 	// of a lazily-built collision DFA shared across all contexts.
 	KindAutomaton
-	// KindProbePlan is the flat-plan backend: the description compiled
-	// once into contiguous span arrays of packed probe words
-	// (internal/probeplan), walked by slice iteration with batch
-	// window probing and arena-backed selections.
-	KindProbePlan
-	numKinds
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindRUMap:
-		return "rumap"
-	case KindAutomaton:
-		return "automaton"
 	case KindProbePlan:
 		return "probeplan"
+	case KindAutomaton:
+		return "automaton"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Kinds returns every selectable backend, default first.
-func Kinds() []Kind { return []Kind{KindRUMap, KindAutomaton, KindProbePlan} }
+func Kinds() []Kind { return []Kind{KindProbePlan, KindAutomaton} }
 
-// ParseKind resolves a backend name ("rumap", "automaton", "probeplan").
+// ParseKind resolves a backend name ("probeplan", "automaton").
 func ParseKind(s string) (Kind, error) {
 	for _, k := range Kinds() {
 		if s == k.String() {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("check: unknown checker backend %q (valid: rumap, automaton, probeplan)", s)
+	return 0, fmt.Errorf("check: unknown checker backend %q (valid: probeplan, automaton)", s)
 }
 
 // Capabilities reports what a backend can and cannot do, so consumers gate
@@ -93,37 +87,29 @@ type Capabilities struct {
 	// Modulo reports that issue cycles wrap modulo the initiation
 	// interval (the modulo-map backend used by software pipelining).
 	Modulo bool
-	// Batch reports that the backend also implements BatchProber:
-	// schedulers may test a whole window of candidate issue cycles in
-	// one CheckWindow pass instead of re-entering Check per cycle.
-	Batch bool
 }
 
 // Caps returns the static capability report for a selectable Kind.
 func Caps(k Kind) Capabilities {
-	switch k {
-	case KindAutomaton:
+	if k == KindAutomaton {
 		return Capabilities{Backend: "automaton", MonotonicOnly: true}
-	case KindProbePlan:
-		return Capabilities{Backend: "probeplan", CanRelease: true, CanExplain: true, Batch: true}
-	default:
-		return Capabilities{Backend: "rumap", CanRelease: true, CanExplain: true}
 	}
+	return Capabilities{Backend: "probeplan", CanRelease: true, CanExplain: true}
 }
 
 // Selection identifies the per-tree option choices of one successful
 // Check, so the reservation can be applied and (on backends that support
-// it) later released. The embedded rumap.Selection carries the constraint,
-// issue cycle, and chosen option indices for every backend; next is the
-// automaton backend's successor state.
+// it) later released. The embedded probeplan.Selection carries the
+// constraint, issue cycle, and chosen option indices for every backend;
+// next is the automaton backend's successor state.
 type Selection struct {
-	rumap.Selection
+	probeplan.Selection
 	next int
 }
 
 // Conflict attributes one failed Check to the blocking resource slot and
-// its HMDES provenance (see rumap.Conflict).
-type Conflict = rumap.Conflict
+// its HMDES provenance (see probeplan.Conflict).
+type Conflict = probeplan.Conflict
 
 // Checker answers issue-time resource-constraint probes for one borrowed
 // context over one frozen compiled MDES. A Checker holds per-client
@@ -155,25 +141,12 @@ type Checker interface {
 	Capabilities() Capabilities
 }
 
-// BatchProber is the optional multi-cycle probing capability: backends
-// whose Capabilities report Batch == true also implement it. CheckWindow
-// tests the half-open window of candidate issue cycles [lo, hi) in one
-// pass and returns the first satisfiable cycle with its Selection. It is
-// accounting-equivalent to calling Check at lo, lo+1, … and stopping at
-// the first success — identical Attempts, OptionsChecked, ResourceChecks
-// and Conflicts — so batch and serial scheduling produce byte-identical
-// schedules and metrics.
-type BatchProber interface {
-	CheckWindow(con *lowlevel.Constraint, lo, hi int, c *stats.Counters) (Selection, int, bool)
-}
-
 // Factory builds per-context Checker instances of one Kind for one frozen
 // compiled MDES, owning whatever state the backend shares across contexts
 // (the automaton's memoized DFA). One Factory serves any number of
 // concurrent contexts.
 type Factory struct {
 	kind Kind
-	mdes *lowlevel.MDES
 
 	// shared is the lazily-populated DFA every automaton checker walks.
 	shared *automata.Shared
@@ -191,8 +164,14 @@ type Factory struct {
 // a description whose constraints carry their compiled indices (hand-built
 // or sliced views cannot be planned).
 func NewFactory(m *lowlevel.MDES, kind Kind) (*Factory, error) {
-	f := &Factory{kind: kind, mdes: m}
+	f := &Factory{kind: kind}
 	switch kind {
+	case KindProbePlan:
+		plan, err := probeplan.Compile(m)
+		if err != nil {
+			return nil, err
+		}
+		f.plan = plan
 	case KindAutomaton:
 		sh, err := automata.NewShared(m)
 		if err != nil {
@@ -203,12 +182,8 @@ func NewFactory(m *lowlevel.MDES, kind Kind) (*Factory, error) {
 		for i, con := range m.Constraints {
 			f.classOf[con] = i
 		}
-	case KindProbePlan:
-		plan, err := probeplan.Compile(m)
-		if err != nil {
-			return nil, err
-		}
-		f.plan = plan
+	default:
+		return nil, fmt.Errorf("check: unknown checker backend %s", kind)
 	}
 	return f, nil
 }
@@ -221,12 +196,8 @@ func (f *Factory) Capabilities() Capabilities { return Caps(f.kind) }
 
 // New returns a fresh per-context checker instance.
 func (f *Factory) New() Checker {
-	switch f.kind {
-	case KindAutomaton:
+	if f.kind == KindAutomaton {
 		return &Automaton{shared: f.shared, classOf: f.classOf}
-	case KindProbePlan:
-		return NewProbePlan(f.plan)
-	default:
-		return NewRUMap(f.mdes.NumResources)
 	}
+	return NewProbePlan(f.plan)
 }

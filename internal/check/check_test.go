@@ -48,9 +48,12 @@ func compile(t *testing.T, src string) *lowlevel.MDES {
 }
 
 func TestCapabilityMatrix(t *testing.T) {
-	ru := Caps(KindRUMap)
-	if !ru.CanRelease || !ru.CanExplain || ru.MonotonicOnly || ru.Modulo {
-		t.Fatalf("rumap caps = %+v", ru)
+	pp := Caps(KindProbePlan)
+	if !pp.CanRelease || !pp.CanExplain || pp.MonotonicOnly || pp.Modulo {
+		t.Fatalf("probeplan caps = %+v", pp)
+	}
+	if Kind(0) != KindProbePlan || Kinds()[0] != KindProbePlan {
+		t.Fatalf("the zero Kind and the first listed backend must be probeplan")
 	}
 	au := Caps(KindAutomaton)
 	if au.CanRelease || au.CanExplain || !au.MonotonicOnly {
@@ -69,8 +72,10 @@ func TestParseKindRoundTrip(t *testing.T) {
 			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), got, err)
 		}
 	}
-	if _, err := ParseKind("bitmap"); err == nil {
-		t.Fatalf("ParseKind accepted unknown backend")
+	for _, name := range []string{"bitmap", "rumap"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Fatalf("ParseKind accepted unknown backend %q", name)
+		}
 	}
 }
 
@@ -80,7 +85,7 @@ func TestFactoryRejectsIneligibleAutomaton(t *testing.T) {
 		t.Fatalf("automaton factory accepted negative usage times")
 	}
 	// The same description is fine for the default backend.
-	if _, err := NewFactory(ll, KindRUMap); err != nil {
+	if _, err := NewFactory(ll, KindProbePlan); err != nil {
 		t.Fatal(err)
 	}
 }

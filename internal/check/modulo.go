@@ -6,7 +6,6 @@ import (
 
 	"mdes/internal/bitset"
 	"mdes/internal/lowlevel"
-	"mdes/internal/rumap"
 	"mdes/internal/stats"
 )
 
@@ -201,7 +200,7 @@ func (m *Modulo) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 	return sel, true
 }
 
-// CheckWindow implements BatchProber: probe [lo, hi) in one pass and
+// CheckWindow probes [lo, hi) in one pass and
 // return the first satisfiable cycle. Accounting-equivalent to a serial
 // Check loop stopping at the first success, but failed cycles allocate
 // nothing — the Selection is built only for the winning cycle, which is
@@ -404,7 +403,7 @@ func (m *Modulo) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
 					if src == "" {
 						src = tree.Src
 					}
-					return rumap.Conflict{Res: int(u.Res), Time: int(u.Time), Tree: tree.Name, Src: src}, true
+					return Conflict{Res: int(u.Res), Time: int(u.Time), Tree: tree.Name, Src: src}, true
 				}
 			}
 			return Conflict{}, false
@@ -416,11 +415,9 @@ func (m *Modulo) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
 // Capabilities implements Checker. The modulo backend is not a selectable
 // acyclic Kind: it wraps cycles, so only modulo schedulers use it.
 func (m *Modulo) Capabilities() Capabilities {
-	return Capabilities{Backend: "modmap", CanRelease: true, CanExplain: true, Modulo: true, Batch: true}
+	return Capabilities{Backend: "modmap", CanRelease: true, CanExplain: true, Modulo: true}
 }
 
 // Modulo implements the Checker interface.
 var _ Checker = (*Modulo)(nil)
-var _ Checker = (*RUMap)(nil)
 var _ Checker = (*Automaton)(nil)
-var _ BatchProber = (*Modulo)(nil)

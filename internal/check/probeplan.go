@@ -7,14 +7,13 @@ import (
 )
 
 // ProbePlan is the flat-plan checker backend: a thin adapter over
-// probeplan.Prober. Consumers that know they hold this backend may use
-// Prober directly — the devirtualized fast path the schedulers take,
-// exactly as they do with RUMap.Map.
+// probeplan.Prober. Consumers that know they hold this backend use Prober
+// directly — the devirtualized path resctx.Context takes.
 //
-// Unlike the RU map, Selections borrow their Chosen slices from the
-// prober's arena and stay valid only until the next Reset; the schedulers
-// and the query layer both reset per unit of work, so this is invisible
-// to them, but callers must not retain Selections across Resets.
+// Selections borrow their Chosen slices from the prober's arena and stay
+// valid only until the next Reset; the schedulers and the query layer
+// both reset per unit of work, so this is invisible to them, but callers
+// must not retain Selections across Resets.
 type ProbePlan struct {
 	pp *probeplan.Prober
 }
@@ -31,12 +30,6 @@ func (p *ProbePlan) Prober() *probeplan.Prober { return p.pp }
 func (p *ProbePlan) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (Selection, bool) {
 	sel, ok := p.pp.Check(con, issue, c)
 	return Selection{Selection: sel}, ok
-}
-
-// CheckWindow implements BatchProber.
-func (p *ProbePlan) CheckWindow(con *lowlevel.Constraint, lo, hi int, c *stats.Counters) (Selection, int, bool) {
-	sel, issue, ok := p.pp.CheckWindow(con, lo, hi, c)
-	return Selection{Selection: sel}, issue, ok
 }
 
 // Reserve implements Checker.
@@ -57,4 +50,3 @@ func (p *ProbePlan) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool
 func (p *ProbePlan) Capabilities() Capabilities { return Caps(KindProbePlan) }
 
 var _ Checker = (*ProbePlan)(nil)
-var _ BatchProber = (*ProbePlan)(nil)

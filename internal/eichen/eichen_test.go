@@ -8,7 +8,7 @@ import (
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
-	"mdes/internal/rumap"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
 
@@ -162,7 +162,11 @@ func TestReducePreservesSchedules(t *testing.T) {
 			items = append(items, item{class: r.Intn(len(base.Constraints)), arrival: i / 2})
 		}
 		run := func(m *lowlevel.MDES) []int {
-			ru := rumap.New(m.NumResources)
+			plan, err := probeplan.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ru := probeplan.NewProber(plan)
 			var c stats.Counters
 			issues := make([]int, len(items))
 			for i, it := range items {

@@ -12,7 +12,7 @@ import (
 	"mdes/internal/machines"
 	"mdes/internal/modsched"
 	"mdes/internal/opt"
-	"mdes/internal/rumap"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 	"mdes/internal/textutil"
 )
@@ -81,8 +81,12 @@ func RunExtensions(p Params) (*ExtensionsReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan, err := probeplan.Compile(ll)
+	if err != nil {
+		return nil, err
+	}
+	pp := probeplan.NewProber(plan)
 	r := rand.New(rand.NewSource(p.Seed))
-	ru := rumap.New(ll.NumResources)
 	var c stats.Counters
 	st := a.Start()
 	cycle := 0
@@ -91,13 +95,13 @@ func RunExtensions(p Params) (*ExtensionsReport, error) {
 		class := r.Intn(len(ll.Constraints))
 		for {
 			next, okA := a.TryIssue(st, class)
-			sel, okR := ru.Check(ll.Constraints[class], cycle, &c)
+			sel, okR := pp.Check(ll.Constraints[class], cycle, &c)
 			if okA != okR {
 				return nil, fmt.Errorf("extensions: automaton and tables disagree")
 			}
 			if okA {
 				st = next
-				ru.Reserve(sel)
+				pp.Reserve(sel)
 				break
 			}
 			st = a.Advance(st)

@@ -69,7 +69,7 @@ type Option struct {
 	// derive new options. After CSE an option merged from several
 	// identical sources keeps the first source's name. The scheduler hot
 	// path never reads Src; only the slow-path conflict attribution
-	// (rumap.ExplainConflict) and reporting tools do.
+	// (probeplan.Prober.Explain) and reporting tools do.
 	Src string
 }
 

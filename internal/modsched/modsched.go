@@ -97,9 +97,11 @@ type Scheduler struct {
 }
 
 // New returns a modulo scheduler for the compiled description, backed by
-// a standalone context.
+// a standalone context. The modulo map is private to each Schedule call,
+// so the context carries only the counters (and, when borrowed from a
+// pool, the observability buffer).
 func New(m *lowlevel.MDES) *Scheduler {
-	return NewWithContext(m, resctx.New(m.NumResources))
+	return NewWithContext(m, &resctx.Context{})
 }
 
 // NewWithContext returns a modulo scheduler over the shared compiled

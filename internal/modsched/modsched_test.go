@@ -10,8 +10,8 @@ import (
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
+	"mdes/internal/probeplan"
 	"mdes/internal/resctx"
-	"mdes/internal/rumap"
 	"mdes/internal/stats"
 )
 
@@ -296,12 +296,17 @@ func TestModuloAttemptsExceedListScheduling(t *testing.T) {
 }
 
 // replayIterations re-executes a modulo schedule for several overlapped
-// iterations against a plain RU map and asserts no resource slot is ever
-// double-booked — the property the modulo reservation map guarantees by
-// construction, validated here independently.
+// iterations against plain acyclic reservation tables and asserts no
+// resource slot is ever double-booked — the property the modulo
+// reservation map guarantees by construction, validated here
+// independently.
 func replayIterations(t *testing.T, m *lowlevel.MDES, l *Loop, sched *Schedule, iterations int) {
 	t.Helper()
-	ru := rumap.New(m.NumResources)
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ru := probeplan.NewProber(plan)
 	var c stats.Counters
 	for it := 0; it < iterations; it++ {
 		base := it * sched.II
@@ -499,10 +504,10 @@ func TestTimingLatencyAdapter(t *testing.T) {
 // up front with an actionable error.
 func TestNewWithKindCapabilityGate(t *testing.T) {
 	ll := pipeMDES(t, opt.LevelFull)
-	cx := resctx.New(ll.NumResources)
+	cx := &resctx.Context{}
 
-	if _, err := NewWithKind(ll, cx, check.KindRUMap); err != nil {
-		t.Fatalf("rumap backend refused: %v", err)
+	if _, err := NewWithKind(ll, cx, check.KindProbePlan); err != nil {
+		t.Fatalf("probeplan backend refused: %v", err)
 	}
 	_, err := NewWithKind(ll, cx, check.KindAutomaton)
 	if err == nil {

@@ -227,7 +227,7 @@ func TestSnapshotRecentOrderAndMeta(t *testing.T) {
 
 func TestWriteDumpAndPrometheus(t *testing.T) {
 	r := NewRecorder(Config{})
-	r.SetMeta("K5", "deadbeef00000000", "rumap")
+	r.SetMeta("K5", "deadbeef00000000", "automaton")
 	mergeEntries(r,
 		Entry{Block: 1, Phase: obs.PhaseList, WallNs: 1000, Attempts: 10},
 		Entry{Block: 2, Phase: obs.PhaseOpDriven, WallNs: 2000, Attempts: 20})

@@ -8,7 +8,7 @@ import (
 
 func testSnapshot() Snapshot {
 	p := New(testMDES())
-	p.SetMeta("toy", "0123456789abcdef", "rumap")
+	p.SetMeta("toy", "0123456789abcdef", "probeplan")
 	p.SetWorkload("seeded ops=100 seed=1")
 	l := p.NewLocal()
 	l.Success(0, []int{1, 0})

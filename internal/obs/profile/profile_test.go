@@ -209,11 +209,11 @@ func TestConcurrentMerge(t *testing.T) {
 
 func TestMetaStamps(t *testing.T) {
 	p := New(testMDES())
-	p.SetMeta("toy", "deadbeefdeadbeef", "rumap")
+	p.SetMeta("toy", "deadbeefdeadbeef", "probeplan")
 	p.SetWorkload("seeded ops=100 seed=1")
 	m := p.Meta()
 	if m.Machine != "toy" || m.MachineHash != "deadbeefdeadbeef" ||
-		m.Checker != "rumap" || m.Workload != "seeded ops=100 seed=1" {
+		m.Checker != "probeplan" || m.Workload != "seeded ops=100 seed=1" {
 		t.Fatalf("meta = %+v", m)
 	}
 }

@@ -6,9 +6,19 @@ import (
 
 	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
-	"mdes/internal/rumap"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
+
+// newProber compiles m's probe plan into a fresh reservation table; the
+// plan is a snapshot, so compile after the passes under test have run.
+func newProber(m *lowlevel.MDES) *probeplan.Prober {
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		panic(err)
+	}
+	return probeplan.NewProber(plan)
+}
 
 // greedySchedule places a stream of operations with a simple greedy policy
 // (each op at the earliest feasible cycle at or after its arrival cycle)
@@ -17,7 +27,7 @@ import (
 // execution constraints described in the machine descriptions are being
 // preserved" (§4).
 func greedySchedule(m *lowlevel.MDES, opStream []int, arrivals []int) []int {
-	ru := rumap.New(m.NumResources)
+	ru := newProber(m)
 	var c stats.Counters
 	issues := make([]int, len(opStream))
 	for i, opIdx := range opStream {
@@ -135,7 +145,7 @@ func TestOptimizationReducesChecks(t *testing.T) {
 	run := func(form lowlevel.Form, lvl Level) stats.Counters {
 		m := lowlevel.Compile(mach, form)
 		Apply(m, lvl, Forward)
-		ru := rumap.New(m.NumResources)
+		ru := newProber(m)
 		var c stats.Counters
 		for i, opIdx := range stream {
 			cycle := arrivals[i]

@@ -7,7 +7,6 @@ import (
 	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
-	"mdes/internal/rumap"
 	"mdes/internal/stats"
 )
 
@@ -65,7 +64,7 @@ func TestFactorPreservesSchedules(t *testing.T) {
 			items = append(items, item{class: r.Intn(len(flat.Constraints)), arrival: i / 3})
 		}
 		run := func(m *lowlevel.MDES) []int {
-			ru := rumap.New(m.NumResources)
+			ru := newProber(m)
 			var c stats.Counters
 			issues := make([]int, len(items))
 			for i, it := range items {
@@ -195,7 +194,7 @@ func TestFactorThenOptimizeChecksMatchAuthored(t *testing.T) {
 		items = append(items, item{class: r.Intn(len(authored.Constraints)), arrival: i / 4})
 	}
 	run := func(m *lowlevel.MDES) stats.Counters {
-		ru := rumap.New(m.NumResources)
+		ru := newProber(m)
 		var c stats.Counters
 		for _, it := range items {
 			name := authored.Constraints[it.class].Name

@@ -9,9 +9,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"mdes/internal/check"
 	"mdes/internal/lowlevel"
 	"mdes/internal/mdgen"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
 
@@ -27,7 +27,7 @@ func compileSeed(t *testing.T, seed int64) *lowlevel.MDES {
 
 // randomBusy reserves a random scatter of slots, simulating an arbitrary
 // point in a schedule.
-func randomBusy(r *rand.Rand, m *lowlevel.MDES, ck check.Checker, window int) {
+func randomBusy(r *rand.Rand, m *lowlevel.MDES, ck *probeplan.Prober, window int) {
 	var c stats.Counters
 	for tries := 0; tries < 12; tries++ {
 		opIdx := r.Intn(len(m.Operations))
@@ -63,7 +63,7 @@ func TestPruneDominatedPreservesFeasibility(t *testing.T) {
 			var got []bool
 			var c stats.Counters
 			for _, st := range states {
-				ck := check.NewRUMap(m.NumResources)
+				ck := newProber(m)
 				randomBusy(rand.New(rand.NewSource(st)), m, ck, 6)
 				for op := range m.Operations {
 					for issue := 0; issue < 8; issue++ {

@@ -6,17 +6,17 @@ import (
 
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
-	"mdes/internal/rumap"
+	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
 
-// The oracle must agree with the RU map on every probe of an exhaustive
-// (op × cycle ∈ [-maxlen, 2·maxlen]) sweep over the four hand-written
-// machines — first on an empty machine, then after replaying identical
-// random placement histories into both. maxlen is the magnitude envelope
-// of the machine's usage times, so the sweep covers the negative
+// The oracle must agree with the probe-plan prober on every probe of an
+// exhaustive (op × cycle ∈ [-maxlen, 2·maxlen]) sweep over the four
+// hand-written machines — first on an empty machine, then after replaying
+// identical random placement histories into both. maxlen is the magnitude
+// envelope of the machine's usage times, so the sweep covers the negative
 // decode-stage window and the cycles beyond every reservation.
-func TestOracleAgreesWithRUMapExhaustively(t *testing.T) {
+func TestOracleAgreesWithProberExhaustively(t *testing.T) {
 	for _, name := range machines.All {
 		mach, err := machines.Load(name)
 		if err != nil {
@@ -24,7 +24,11 @@ func TestOracleAgreesWithRUMapExhaustively(t *testing.T) {
 		}
 		orc := New(mach)
 		m := orc.MDES() // the same unoptimized FormOR compile the oracle interprets
-		ru := rumap.New(m.NumResources)
+		plan, err := probeplan.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ru := probeplan.NewProber(plan)
 		var c stats.Counters
 
 		lo, hi := orc.TimeBounds()
@@ -43,7 +47,7 @@ func TestOracleAgreesWithRUMapExhaustively(t *testing.T) {
 					_, got := ru.Check(con, cycle, &c)
 					want := orc.Probe(opIdx, cycle)
 					if got != want {
-						t.Fatalf("%s/%s: op %s cycle %d: rumap=%v oracle=%v",
+						t.Fatalf("%s/%s: op %s cycle %d: prober=%v oracle=%v",
 							name, stage, m.Operations[opIdx].Name, cycle, got, want)
 					}
 				}
@@ -71,21 +75,24 @@ func TestOracleAgreesWithRUMapExhaustively(t *testing.T) {
 				}
 				ru.Reserve(sel)
 				if !orc.Place(opIdx, cycle) {
-					t.Fatalf("%s: oracle rejected a placement rumap accepted", name)
+					t.Fatalf("%s: oracle rejected a placement the prober accepted", name)
 				}
 				placed++
 				cycle += r.Intn(2)
 			}
 			// Reservation snapshots must be identical slot for slot: the
 			// greedy option choice itself, not just its feasibility, agrees.
-			got := ru.ReservedSlots()
+			got := map[[2]int]bool{}
+			for _, s := range ru.AppendReservedSlots(nil) {
+				got[s] = true
+			}
 			want := orc.Slots()
 			if len(got) != len(want) {
-				t.Fatalf("%s trial %d: rumap holds %d slots, oracle %d", name, trial, len(got), len(want))
+				t.Fatalf("%s trial %d: prober holds %d slots, oracle %d", name, trial, len(got), len(want))
 			}
 			for _, s := range want {
 				if !got[[2]int{s.Res, s.Cycle}] {
-					t.Fatalf("%s trial %d: oracle slot (r%d,c%d) missing from rumap", name, trial, s.Res, s.Cycle)
+					t.Fatalf("%s trial %d: oracle slot (r%d,c%d) missing from the prober", name, trial, s.Res, s.Cycle)
 				}
 			}
 			sweep("history")

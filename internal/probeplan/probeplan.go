@@ -1,19 +1,20 @@
 // Package probeplan compiles a frozen low-level MDES into a flat probe
 // program: every constraint's AND-of-OR-trees is lowered into contiguous
 // span arrays of packed probe words that the checker walks by slice
-// iteration, with no per-node pointer chasing on the hot path.
+// iteration, with no per-node pointer chasing on the hot path. The
+// Prober over a plan is the repository's reservation-table engine: the
+// per-cycle resource-usage (RU) map of paper §6 and the check/reserve
+// algorithms for OR-trees and AND/OR-trees.
 //
 // The compilation is a pure re-layout, not a re-optimization: each option
 // emits exactly the probe sequence the description already carries — one
 // word per CycleMask when the option is bit-vector packed, one single-bit
-// word per scalar Usage otherwise — so a probe-plan Check performs the
-// same Attempts, OptionsChecked, ResourceChecks and Conflicts accounting
-// as the RU-map reference walk, and the differential harness can require
-// byte-identical schedules *and* identical probe counts across the two
-// backends. What changes is only where the bytes live: spans index into
-// three flat arrays (constraint → trees → options → words) instead of
-// `[]*Tree` / `[]*Option` pointer graphs, and the reservation window is a
-// single row-major []uint64 instead of a slice of bitsets.
+// word per scalar Usage otherwise — so a Check performs the paper's
+// Attempts, OptionsChecked, ResourceChecks and Conflicts accounting of
+// the description as optimized. What changes is only where the bytes
+// live: spans index into three flat arrays (constraint → trees → options
+// → words) instead of `[]*Tree` / `[]*Option` pointer graphs, and the
+// reservation window is a single row-major []uint64.
 package probeplan
 
 import (
@@ -142,9 +143,8 @@ func (p *Plan) NumWords() int { return len(p.words) }
 func (p *Plan) MaxTrees() int { return p.maxTrees }
 
 // spanFor maps a constraint pointer to its tree span, panicking when the
-// pointer is not the plan's constraint at its recorded index — the same
-// contract violation rumap surfaces as a double-reservation panic, caught
-// here before any probe trusts a stale Index.
+// pointer is not the plan's constraint at its recorded index, so no probe
+// ever trusts a stale Index.
 func (p *Plan) spanFor(con *lowlevel.Constraint) (lo, hi int32) {
 	ci := con.Index
 	if ci < 0 || ci >= len(p.cons) || p.cons[ci] != con {

@@ -1,13 +1,15 @@
 package probeplan
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
 	"mdes/internal/opt"
-	"mdes/internal/rumap"
+	"mdes/internal/oracle"
 	"mdes/internal/stats"
 )
 
@@ -46,6 +48,23 @@ machine Neg {
         use ALU @ 0;
     }
     operation ADD class alu latency 1;
+}
+`
+
+// miniSrc is a load with three independent OR-trees, one of them at a
+// negative usage time.
+const miniSrc = `
+machine Mini {
+    resource Decoder[3];
+    resource M;
+    resource WrPt[2];
+
+    class load {
+        use M @ 0;
+        one_of WrPt @ 1;
+        one_of Decoder[0..2] @ -1;
+    }
+    operation LD class load latency 1;
 }
 `
 
@@ -115,75 +134,265 @@ func TestCompileEmitsDescriptionVerbatim(t *testing.T) {
 	}
 }
 
-// Check must agree with the RU-map reference walk probe for probe — the
-// same answers and the exact same counter accounting — across a mixed
-// sequence of reserves and releases on both forms and both packing levels.
-func TestCheckMatchesRUMap(t *testing.T) {
+// Check must agree with the oracle's naive interpretation of the
+// unoptimized tables probe for probe, and reserve exactly the oracle's
+// greedy slots, across a mixed sequence of reserves and releases on both
+// forms and both packing levels.
+func TestCheckMatchesOracle(t *testing.T) {
+	mach, err := hmdes.Load("test", tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, form := range []lowlevel.Form{lowlevel.FormOR, lowlevel.FormAndOr} {
 		for _, packed := range []bool{false, true} {
-			ll := compile(t, tinySrc, form)
+			ll := lowlevel.Compile(mach, form)
 			if packed {
 				opt.PackBitVectors(ll)
 			}
-			p := mustPlan(t, ll)
-			pb := NewProber(p)
-			ru := rumap.New(ll.NumResources)
+			pb := NewProber(mustPlan(t, ll))
+			orc := oracle.New(mach)
 
-			var cp, cr stats.Counters
-			var selsP, selsR []rumap.Selection
-			step := func(ci, cycle int) {
-				con := ll.Constraints[ci]
-				sp, okP := pb.Check(con, cycle, &cp)
-				sr, okR := ru.Check(con, cycle, &cr)
-				if okP != okR {
-					t.Fatalf("form=%v packed=%v con=%d cycle=%d: probeplan=%v rumap=%v",
-						form, packed, ci, cycle, okP, okR)
+			var c stats.Counters
+			var sels []Selection
+			step := func(op, cycle int) {
+				sel, ok := pb.Check(ll.ConstraintFor(op, false), cycle, &c)
+				if want := orc.Probe(op, cycle); ok != want {
+					t.Fatalf("form=%v packed=%v op=%d cycle=%d: prober=%v oracle=%v",
+						form, packed, op, cycle, ok, want)
 				}
-				if cp != cr {
-					t.Fatalf("form=%v packed=%v con=%d cycle=%d: counters diverged: plan=%+v rumap=%+v",
-						form, packed, ci, cycle, cp, cr)
+				if ok {
+					pb.Reserve(sel)
+					orc.Place(op, cycle)
+					sels = append(sels, sel)
 				}
-				if okP {
-					if len(sp.Chosen) != len(sr.Chosen) {
-						t.Fatalf("selection widths diverged: %d vs %d", len(sp.Chosen), len(sr.Chosen))
+			}
+			sameSlots := func(stage string) {
+				got := map[[2]int]bool{}
+				for _, s := range pb.AppendReservedSlots(nil) {
+					got[s] = true
+				}
+				want := orc.Slots()
+				if len(got) != len(want) {
+					t.Fatalf("form=%v packed=%v %s: prober holds %d slots, oracle %d",
+						form, packed, stage, len(got), len(want))
+				}
+				for _, s := range want {
+					if !got[[2]int{s.Res, s.Cycle}] {
+						t.Fatalf("form=%v packed=%v %s: oracle slot %v missing from the prober",
+							form, packed, stage, s)
 					}
-					for i := range sp.Chosen {
-						if sp.Chosen[i] != sr.Chosen[i] {
-							t.Fatalf("choice %d diverged: %d vs %d", i, sp.Chosen[i], sr.Chosen[i])
-						}
-					}
-					pb.Reserve(sp)
-					ru.Reserve(sr)
-					selsP = append(selsP, sp)
-					selsR = append(selsR, sr)
 				}
 			}
 			// Saturate cycle 0, spill into later cycles, release, re-probe.
 			for i := 0; i < 6; i++ {
-				step(i%len(ll.Constraints), i/2)
+				step(i%len(ll.Operations), i/2)
 			}
-			for i := range selsP {
-				pb.Release(selsP[i])
-				ru.Release(selsR[i])
+			sameSlots("reserved")
+			for i := len(sels) - 1; i >= 0; i-- {
+				pb.Release(sels[i])
+				orc.Unplace()
 			}
+			sameSlots("released")
 			step(0, 0)
+			sameSlots("re-reserved")
+		}
+	}
+}
 
-			// The reserved-slot sets must match exactly.
-			got := pb.AppendReservedSlots(nil)
-			want := ru.AppendReservedSlots(nil)
-			if len(got) != len(want) {
-				t.Fatalf("slot counts diverged: %d vs %d", len(got), len(want))
+// The greedy walk takes each OR-tree's lowest-numbered free option: the
+// first ADD gets Decoder[0], and an LD sharing its cycle falls back to
+// Decoder[1].
+func TestGreedyPicksLowestNumbered(t *testing.T) {
+	ll := compile(t, tinySrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	var c stats.Counters
+	decoderChoice := func(sel Selection) int {
+		for ti, tree := range sel.Constraint.Trees {
+			if len(tree.Options) == 2 {
+				return sel.Chosen[ti]
 			}
-			wantSet := map[[2]int]bool{}
-			for _, s := range want {
-				wantSet[s] = true
+		}
+		t.Fatalf("constraint %s has no two-option decoder tree", sel.Constraint.Name)
+		return -1
+	}
+	add, ok := pb.Check(ll.ConstraintFor(ll.OpIndex["ADD"], false), 0, &c)
+	if !ok {
+		t.Fatal("ADD failed on an empty window")
+	}
+	pb.Reserve(add)
+	if got := decoderChoice(add); got != 0 {
+		t.Fatalf("ADD chose decoder option %d, want 0", got)
+	}
+	ld, ok := pb.Check(ll.ConstraintFor(ll.OpIndex["LD"], false), 0, &c)
+	if !ok {
+		t.Fatal("LD failed beside ADD")
+	}
+	if got := decoderChoice(ld); got != 1 {
+		t.Fatalf("LD chose decoder option %d, want the fallback 1", got)
+	}
+}
+
+// A check counts one option per option tried and one resource check per
+// probe word, and a failed check stops at the first OR-tree with no free
+// option.
+func TestCountsShortCircuit(t *testing.T) {
+	ll := compile(t, miniSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.Constraints[0]
+	var c stats.Counters
+	sel, ok := pb.Check(con, 0, &c)
+	if !ok {
+		t.Fatal("empty window check failed")
+	}
+	// First option of each of the three trees is free: 3 options, 3 checks.
+	if c != (stats.Counters{Attempts: 1, OptionsChecked: 3, ResourceChecks: 3}) {
+		t.Fatalf("successful attempt cost %+v", c)
+	}
+	pb.Reserve(sel)
+	before := c
+	if _, ok := pb.Check(con, 0, &c); ok {
+		t.Fatal("second load at the same cycle did not conflict on M")
+	}
+	// The M tree has one single-usage option: the failed check costs
+	// exactly one option and one resource check.
+	if c.OptionsChecked-before.OptionsChecked != 1 || c.ResourceChecks-before.ResourceChecks != 1 || c.Conflicts != 1 {
+		t.Fatalf("failed attempt cost: %+v -> %+v", before, c)
+	}
+}
+
+// Packed options probe one word per cycle mask, reserve every bit of
+// each mask, and release them all.
+func TestPackedOptionChecks(t *testing.T) {
+	ll := compile(t, tinySrc, lowlevel.FormOR)
+	opt.PackBitVectors(ll)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.ConstraintFor(ll.OpIndex["LD"], false)
+	first := con.Trees[0].Options[0]
+	if first.Masks == nil {
+		t.Fatal("LD's first option was not packed")
+	}
+	var c stats.Counters
+	sel, ok := pb.Check(con, 0, &c)
+	if !ok || sel.Chosen[0] != 0 {
+		t.Fatalf("packed LD on an empty window: ok=%v sel=%v", ok, sel.Chosen)
+	}
+	if c.OptionsChecked != 1 || c.ResourceChecks != int64(len(first.Masks)) {
+		t.Fatalf("packed checks = %+v, want 1 option and %d words", c, len(first.Masks))
+	}
+	pb.Reserve(sel)
+	for _, u := range first.ExpandedUsages() {
+		if !pb.Busy(int(u.Res), int(u.Time)) {
+			t.Fatalf("packed reserve missed r%d@%d", u.Res, u.Time)
+		}
+	}
+	if got := len(pb.AppendReservedSlots(nil)); got != len(first.ExpandedUsages()) {
+		t.Fatalf("packed reserve holds %d slots, option has %d usages", got, len(first.ExpandedUsages()))
+	}
+	// LD holds MEM at 0 and 1, so it conflicts until cycle 2.
+	if _, ok := pb.Check(con, 1, &c); ok {
+		t.Fatal("packed LD overlapped itself")
+	}
+	if _, ok := pb.Check(con, 2, &c); !ok {
+		t.Fatal("packed LD two cycles later conflicted")
+	}
+	pb.Release(sel)
+	if slots := pb.AppendReservedSlots(nil); len(slots) != 0 {
+		t.Fatalf("release left slots: %v", slots)
+	}
+}
+
+// Explain names the blocking slot of the first unsatisfiable tree's
+// preferred option, with the tree and the HMDES provenance it came from.
+func TestExplainConflictAttribution(t *testing.T) {
+	ll := compile(t, miniSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.Constraints[0]
+	var c stats.Counters
+
+	if _, found := pb.Explain(con, 0); found {
+		t.Fatal("empty window reported a conflict")
+	}
+	sel, ok := pb.Check(con, 0, &c)
+	if !ok {
+		t.Fatal("empty window check failed")
+	}
+	pb.Reserve(sel)
+
+	mRes := -1
+	for i, name := range ll.ResourceNames {
+		if name == "M" {
+			mRes = i
+		}
+	}
+	blocked := con.Trees[0]
+	// Once through the failed Check's stash, once through the re-walk.
+	for _, stashed := range []bool{true, false} {
+		if stashed {
+			if _, ok := pb.Check(con, 0, &c); ok {
+				t.Fatal("second load at the same cycle did not conflict")
 			}
-			for _, s := range got {
-				if !wantSet[s] {
-					t.Fatalf("probeplan holds slot %v the rumap does not", s)
+		}
+		conf, found := pb.Explain(con, 0)
+		if !found {
+			t.Fatalf("stashed=%v: reserved window reported no conflict", stashed)
+		}
+		if conf.Res != mRes || conf.Time != 0 {
+			t.Fatalf("stashed=%v: conflict = %+v, want res M (%d) at time 0", stashed, conf, mRes)
+		}
+		if conf.Tree == "" || conf.Tree != blocked.Name || conf.Src == "" || conf.Src != blocked.Options[0].Src {
+			t.Fatalf("stashed=%v: conflict provenance %q/%q, want %q/%q",
+				stashed, conf.Tree, conf.Src, blocked.Name, blocked.Options[0].Src)
+		}
+		if ti, res := pb.BlockerTreeRes(con, 0); ti != 0 || res != mRes {
+			t.Fatalf("stashed=%v: BlockerTreeRes = (%d, %d), want (0, %d)", stashed, ti, res, mRes)
+		}
+		pb.Release(sel) // Release and Reserve both invalidate the stash
+		pb.Reserve(sel)
+	}
+}
+
+// Property: for any random issue sequence, OR-form and AND/OR-form checks
+// of the same class agree on feasibility, and when feasible they reserve
+// exactly the same slots (the paper's "exact same schedule" guarantee).
+func TestQuickFormsEquivalent(t *testing.T) {
+	orM := compile(t, miniSrc, lowlevel.FormOR)
+	aoM := compile(t, miniSrc, lowlevel.FormAndOr)
+	orPlan, aoPlan := mustPlan(t, orM), mustPlan(t, aoM)
+
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		orP, aoP := NewProber(orPlan), NewProber(aoPlan)
+		var c1, c2 stats.Counters
+		for i := 0; i < 12; i++ {
+			issue := r.Intn(6) - 2
+			s1, ok1 := orP.Check(orM.Constraints[0], issue, &c1)
+			s2, ok2 := aoP.Check(aoM.Constraints[0], issue, &c2)
+			if ok1 != ok2 {
+				return false
+			}
+			if !ok1 {
+				continue
+			}
+			orP.Reserve(s1)
+			aoP.Reserve(s2)
+			a := map[[2]int]bool{}
+			for _, s := range orP.AppendReservedSlots(nil) {
+				a[s] = true
+			}
+			b := aoP.AppendReservedSlots(nil)
+			if len(a) != len(b) {
+				return false
+			}
+			for _, s := range b {
+				if !a[s] {
+					return false
 				}
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -216,7 +425,7 @@ func TestCheckWindowMatchesSerial(t *testing.T) {
 
 		okS := false
 		atS := 0
-		var selS rumap.Selection
+		var selS Selection
 		for cycle := w[0]; cycle < w[1]; cycle++ {
 			if sel, ok := serial.Check(con, cycle, &cs); ok {
 				selS, atS, okS = sel, cycle, true
@@ -239,8 +448,6 @@ func TestCheckWindowMatchesSerial(t *testing.T) {
 	}
 }
 
-// Reserving a pre-issue slot must grow the window downward without
-// disturbing existing reservations.
 func TestNegativeCycleGrowth(t *testing.T) {
 	ll := compile(t, negSrc, lowlevel.FormAndOr)
 	p := mustPlan(t, ll)
@@ -274,6 +481,266 @@ func TestNegativeCycleGrowth(t *testing.T) {
 	}
 }
 
+// Reservations above and below the first one grow the window in both
+// directions; every slot keeps its absolute cycle, a second reservation
+// of a held slot is refused, and Reset clears them all.
+func TestRowGrowthBothDirections(t *testing.T) {
+	ll := compile(t, negSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.Constraints[0]
+	if pb.Busy(1, 5) {
+		t.Fatal("empty window reports a reservation")
+	}
+	var c stats.Counters
+	for _, issue := range []int{0, 10, -7} {
+		sel, ok := pb.Check(con, issue, &c)
+		if !ok {
+			t.Fatalf("probe at %d failed", issue)
+		}
+		pb.Reserve(sel)
+	}
+	// Decoder (res 0) is used one cycle before issue, ALU (res 1) at issue.
+	for _, issue := range []int{0, 10, -7} {
+		if !pb.Busy(0, issue-1) || !pb.Busy(1, issue) {
+			t.Fatalf("reservation at %d lost after growth", issue)
+		}
+	}
+	if _, ok := pb.Check(con, 10, &c); ok {
+		t.Fatal("second reservation of ALU@10 accepted")
+	}
+	pb.Reset()
+	if pb.Busy(1, 10) || pb.Busy(1, -7) || len(pb.AppendReservedSlots(nil)) != 0 {
+		t.Fatal("Reset did not clear the window")
+	}
+}
+
+// The window grows downward by prepending doubled row blocks; every
+// reservation made before the growth must keep its absolute cycle through
+// the base shift. This drives the growth path far past the original base
+// and then exercises Release, Busy and snapshots against it.
+func TestNegativeWindowGrowthKeepsReservations(t *testing.T) {
+	ll := compile(t, miniSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.Constraints[0]
+	var c stats.Counters
+
+	// Anchor a reservation near cycle 0 (its Decoder usage sits at -1).
+	sel0, ok := pb.Check(con, 0, &c)
+	if !ok {
+		t.Fatal("anchor check failed")
+	}
+	pb.Reserve(sel0)
+	before := pb.AppendReservedSlots(nil)
+
+	// Force several rounds of downward doubling, far below the base.
+	var deep []Selection
+	for _, issue := range []int{-3, -17, -90, -400} {
+		sel, ok := pb.Check(con, issue, &c)
+		if !ok {
+			t.Fatalf("check at %d failed", issue)
+		}
+		pb.Reserve(sel)
+		deep = append(deep, sel)
+	}
+	for _, s := range before {
+		if !pb.Busy(s[0], s[1]) {
+			t.Fatalf("slot %v lost after downward growth", s)
+		}
+	}
+	if pb.Busy(0, -2) || pb.Busy(0, -399) {
+		t.Fatal("phantom reservation in grown rows")
+	}
+
+	// Releasing the deep reservations clears exactly their slots.
+	for _, sel := range deep {
+		pb.Release(sel)
+	}
+	after := pb.AppendReservedSlots(nil)
+	if len(after) != len(before) {
+		t.Fatalf("slots after deep release = %v, want %v", after, before)
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("anchor slot %v moved to %v across growth", before[i], after[i])
+		}
+	}
+	if _, ok := pb.Check(con, -400, &c); !ok {
+		t.Fatal("deep cycle not reusable after release")
+	}
+}
+
+// Snapshots report absolute cycles: after the base shifts downward, the
+// slots of an earlier snapshot re-appear at identical coordinates.
+func TestAppendReservedSlotsStableAcrossGrowth(t *testing.T) {
+	ll := compile(t, negSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.Constraints[0]
+	var c stats.Counters
+	for _, issue := range []int{4, 1} {
+		sel, ok := pb.Check(con, issue, &c)
+		if !ok {
+			t.Fatalf("probe at %d failed", issue)
+		}
+		pb.Reserve(sel)
+	}
+	snap1 := pb.AppendReservedSlots(nil)
+	want := map[[2]int]bool{}
+	for _, s := range snap1 {
+		want[s] = true
+	}
+	// Grow downward well past the original base.
+	sel, ok := pb.Check(con, -64, &c)
+	if !ok {
+		t.Fatal("probe at -64 failed")
+	}
+	pb.Reserve(sel)
+	want[[2]int{0, -65}], want[[2]int{1, -64}] = true, true
+	snap2 := pb.AppendReservedSlots(snap1[:0])
+	if len(snap2) != len(want) {
+		t.Fatalf("snapshot after growth = %v, want %v", snap2, want)
+	}
+	for _, s := range snap2 {
+		if !want[s] {
+			t.Fatalf("unexpected slot %v after growth", s)
+		}
+	}
+}
+
+// The append-into snapshot must be allocation-free once the caller's
+// buffer has capacity: the verification harness snapshots after every
+// reservation.
+func TestAppendReservedSlotsNoAlloc(t *testing.T) {
+	ll := compile(t, miniSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	var c stats.Counters
+	for _, issue := range []int{5, -30} {
+		sel, ok := pb.Check(ll.Constraints[0], issue, &c)
+		if !ok {
+			t.Fatalf("probe at %d failed", issue)
+		}
+		pb.Reserve(sel)
+	}
+	buf := pb.AppendReservedSlots(nil)
+	if allocs := testing.AllocsPerRun(100, func() { buf = pb.AppendReservedSlots(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendReservedSlots into a sized buffer allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// The snapshot lists exactly the slots the reservation window reports
+// busy, over every resource and every cycle around the reservations.
+func TestAppendReservedSlotsMatchesMap(t *testing.T) {
+	ll := compile(t, tinySrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	var c stats.Counters
+	for cycle := 0; cycle < 4; cycle++ {
+		for ci := range ll.Constraints {
+			if sel, ok := pb.Check(ll.Constraints[ci], cycle, &c); ok {
+				pb.Reserve(sel)
+			}
+		}
+	}
+	got := map[[2]int]bool{}
+	for _, s := range pb.AppendReservedSlots(nil) {
+		if got[s] {
+			t.Fatalf("snapshot lists slot %v twice", s)
+		}
+		got[s] = true
+	}
+	busy := 0
+	for res := 0; res < ll.NumResources; res++ {
+		for cycle := -3; cycle < 8; cycle++ {
+			if pb.Busy(res, cycle) {
+				busy++
+				if !got[[2]int{res, cycle}] {
+					t.Fatalf("busy slot r%d@%d missing from the snapshot", res, cycle)
+				}
+			}
+		}
+	}
+	if busy != len(got) {
+		t.Fatalf("snapshot holds %d slots, the window %d", len(got), busy)
+	}
+}
+
+// One load on an empty window reserves M at its issue cycle, the first
+// write port one cycle later and the first decoder one cycle earlier.
+func TestReservedSlots(t *testing.T) {
+	ll := compile(t, miniSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	var c stats.Counters
+	sel, ok := pb.Check(ll.Constraints[0], 5, &c)
+	if !ok {
+		t.Fatal("empty window check failed")
+	}
+	pb.Reserve(sel)
+	res := map[string]int{}
+	for i, name := range ll.ResourceNames {
+		res[name] = i
+	}
+	want := map[[2]int]bool{
+		{res["M"], 5}:          true,
+		{res["WrPt[0]"], 6}:    true,
+		{res["Decoder[0]"], 4}: true,
+	}
+	slots := pb.AppendReservedSlots(nil)
+	if len(slots) != len(want) {
+		t.Fatalf("slots = %v, want %v", slots, want)
+	}
+	for _, s := range slots {
+		if !want[s] {
+			t.Fatalf("unexpected slot %v (want %v)", s, want)
+		}
+	}
+}
+
+// Check, Reserve and Release on one constraint: exact counts for the
+// first check, a conflict at the held cycle, a fit one cycle later, and
+// the held cycle free again after Release.
+func TestCheckReserveRelease(t *testing.T) {
+	ll := compile(t, miniSrc, lowlevel.FormAndOr)
+	pb := NewProber(mustPlan(t, ll))
+	con := ll.Constraints[0]
+	var c stats.Counters
+
+	sel, ok := pb.Check(con, 0, &c)
+	if !ok {
+		t.Fatal("empty window check failed")
+	}
+	// The first option of each tree is free: one attempt, three options
+	// checked (one per tree), three resource checks.
+	if c != (stats.Counters{Attempts: 1, OptionsChecked: 3, ResourceChecks: 3}) {
+		t.Fatalf("counters = %+v", c)
+	}
+	pb.Reserve(sel)
+	if _, ok := pb.Check(con, 0, &c); ok {
+		t.Fatal("second load at the same cycle did not conflict on M")
+	}
+	// At cycle 1 nothing overlaps the first load (M@0, WrPt[0]@1,
+	// Decoder[0]@-1): M@1, WrPt@2 and Decoder@0 are free.
+	if _, ok := pb.Check(con, 1, &c); !ok {
+		t.Fatal("load at cycle 1 did not fit")
+	}
+	pb.Release(sel)
+	if _, ok := pb.Check(con, 0, &c); !ok {
+		t.Fatal("the released cycle did not fit again")
+	}
+}
+
+// doubleReserve reserves one selection twice and reports the panic, if any.
+func doubleReserve(t *testing.T, ll *lowlevel.MDES) (r any) {
+	t.Helper()
+	pb := NewProber(mustPlan(t, ll))
+	var c stats.Counters
+	sel, ok := pb.Check(ll.Constraints[0], 0, &c)
+	if !ok {
+		t.Fatal("probe failed")
+	}
+	pb.Reserve(sel)
+	defer func() { r = recover() }()
+	pb.Reserve(sel)
+	return nil
+}
+
 func TestDoubleReservationPanics(t *testing.T) {
 	ll := compile(t, tinySrc, lowlevel.FormAndOr)
 	pb := NewProber(mustPlan(t, ll))
@@ -295,6 +762,26 @@ func TestDoubleReservationPanics(t *testing.T) {
 	pb.Reserve(sel)
 }
 
+// The OR form's options carry several usages each; reserving one twice
+// must panic on the first doubly-held slot.
+func TestDoubleReservePanics(t *testing.T) {
+	r := doubleReserve(t, compile(t, tinySrc, lowlevel.FormOR))
+	if s, _ := r.(string); !strings.Contains(s, "double reservation") {
+		t.Fatalf("double Reserve on the OR form: panic = %v", r)
+	}
+}
+
+// Packed options reserve whole cycle masks; a second reservation of the
+// same mask must panic too.
+func TestPackedDoubleReservePanics(t *testing.T) {
+	ll := compile(t, tinySrc, lowlevel.FormOR)
+	opt.PackBitVectors(ll)
+	r := doubleReserve(t, ll)
+	if s, _ := r.(string); !strings.Contains(s, "double reservation") {
+		t.Fatalf("double Reserve on a packed description: panic = %v", r)
+	}
+}
+
 // Selections must stay valid while later probes append to the arena — the
 // query layer retains several before releasing them — and only Reset may
 // invalidate them.
@@ -303,7 +790,7 @@ func TestSelectionsSurviveArenaGrowth(t *testing.T) {
 	pb := NewProber(mustPlan(t, ll))
 	var c stats.Counters
 
-	var sels []rumap.Selection
+	var sels []Selection
 	var want [][]int
 	for cycle := 0; cycle < 50; cycle++ {
 		for ci := range ll.Constraints {

@@ -6,9 +6,34 @@ import (
 
 	"mdes/internal/bitset"
 	"mdes/internal/lowlevel"
-	"mdes/internal/rumap"
 	"mdes/internal/stats"
 )
+
+// Selection records which option of each tree of a constraint a successful
+// Check chose, so the reservation can be applied or later released.
+type Selection struct {
+	Constraint *lowlevel.Constraint
+	Issue      int
+	// Chosen[i] is the selected option index within Constraint.Trees[i].
+	Chosen []int
+}
+
+// Conflict attributes one failed Check: which resource, at which relative
+// usage time, kept the preferred reservation from issuing, in which
+// low-level tree — and, through the provenance map, which HMDES source
+// (reservation/table option, lowlevel.Option.Src syntax) that blocking
+// usage was compiled from.
+type Conflict struct {
+	// Res and Time are the blocking resource index and the relative usage
+	// time of the blocked probe.
+	Res  int
+	Time int
+	// Tree is the name of the unsatisfiable tree; Src is the HMDES
+	// provenance of its highest-priority (blocked) option, falling back
+	// to the tree's own provenance when the option predates it.
+	Tree string
+	Src  string
+}
 
 // Prober is the per-context mutable half of the probe plan: a single
 // row-major reservation window ([]uint64, Plan.RowWords words per cycle)
@@ -26,8 +51,8 @@ type Prober struct {
 
 	// rows is the reservation window: nrows cycles starting at absolute
 	// cycle base, plan.RowWords words each. A probe outside the window is
-	// free (but still accounted), exactly like the RU map's lazy rows; the
-	// window may extend to negative cycles for decode-stage usages.
+	// free (but still accounted); the window may extend to negative cycles
+	// for decode-stage usages.
 	rows  []uint64
 	base  int
 	nrows int
@@ -73,11 +98,16 @@ func (p *Prober) Reset() {
 	p.lastValid = false
 }
 
-// Check tests whether the constraint can be satisfied at cycle issue,
-// walking the plan's flat spans with the same scan order, short-circuit
-// behavior and counter accounting as rumap.Map.Check. On success nothing
+// Check tests whether the constraint can be satisfied with the operation
+// issued at cycle issue, using the AND-of-OR-trees algorithm of §3: each
+// OR-tree is scanned in priority order for its first available option,
+// each option short-circuits at its first busy probe word, and the scan
+// stops at the first OR-tree with no available option. For FormOR
+// constraints there is a single tree, so this degenerates to the
+// traditional algorithm. Counters accumulate one Attempt, plus the options
+// and resource checks (one per probe word) performed. On success nothing
 // is reserved until Reserve is called with the returned Selection.
-func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (rumap.Selection, bool) {
+func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (Selection, bool) {
 	c.Attempts++
 	tlo, thi := p.plan.spanFor(con)
 	scratch := p.scratch[:thi-tlo]
@@ -102,7 +132,7 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 			p.lastTi, p.lastTlo = ti, tlo
 			p.lastWi = firstWi
 			p.lastValid = true
-			return rumap.Selection{}, false
+			return Selection{}, false
 		}
 		scratch[ti-tlo] = found
 	}
@@ -116,7 +146,7 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 // stopping at the first success — one Attempt per cycle probed, the same
 // short-circuits — so batch and serial paths produce identical counters
 // as well as identical selections.
-func (p *Prober) CheckWindow(con *lowlevel.Constraint, lo, hi int, c *stats.Counters) (rumap.Selection, int, bool) {
+func (p *Prober) CheckWindow(con *lowlevel.Constraint, lo, hi int, c *stats.Counters) (Selection, int, bool) {
 	tlo, thi := p.plan.spanFor(con)
 	scratch := p.scratch[:thi-tlo]
 	words := p.plan.words
@@ -152,16 +182,16 @@ issue:
 		}
 		return p.commit(con, issue, scratch), issue, true
 	}
-	return rumap.Selection{}, 0, false
+	return Selection{}, 0, false
 }
 
 // commit copies one successful probe's per-tree choices into the arena and
 // builds its Selection; the full-capacity slice expression pins the arena
 // segment so later appends can never alias it.
-func (p *Prober) commit(con *lowlevel.Constraint, issue int, scratch []int) rumap.Selection {
+func (p *Prober) commit(con *lowlevel.Constraint, issue int, scratch []int) Selection {
 	start := len(p.chosen)
 	p.chosen = append(p.chosen, scratch...)
-	return rumap.Selection{Constraint: con, Issue: issue, Chosen: p.chosen[start:len(p.chosen):len(p.chosen)]}
+	return Selection{Constraint: con, Issue: issue, Chosen: p.chosen[start:len(p.chosen):len(p.chosen)]}
 }
 
 // optionProbe walks one option's word span, accounting one resource check
@@ -184,7 +214,7 @@ func (p *Prober) optionProbe(opt int32, issue int, c *stats.Counters) int32 {
 // Reserve applies a successful Selection, growing the reservation window
 // as needed; it panics on a double reservation, since the caller must
 // have checked first.
-func (p *Prober) Reserve(sel rumap.Selection) {
+func (p *Prober) Reserve(sel Selection) {
 	p.lastValid = false
 	tlo, _ := p.plan.spanFor(sel.Constraint)
 	for i, choice := range sel.Chosen {
@@ -200,9 +230,10 @@ func (p *Prober) Reserve(sel rumap.Selection) {
 	}
 }
 
-// Release undoes a previous Reserve; slots outside the current window
-// were never materialized and need no clearing.
-func (p *Prober) Release(sel rumap.Selection) {
+// Release undoes a previous Reserve (the unscheduling step paper §10 notes
+// is straightforward with reservation tables); slots outside the current
+// window were never materialized and need no clearing.
+func (p *Prober) Release(sel Selection) {
 	p.lastValid = false
 	tlo, _ := p.plan.spanFor(sel.Constraint)
 	for i, choice := range sel.Chosen {
@@ -217,10 +248,14 @@ func (p *Prober) Release(sel rumap.Selection) {
 	}
 }
 
-// Explain attributes a failed Check exactly as rumap.Map.ExplainConflict:
-// the first unsatisfiable tree's highest-priority option names the
-// blocking slot; provenance falls back from the option to the tree.
-func (p *Prober) Explain(con *lowlevel.Constraint, issue int) (rumap.Conflict, bool) {
+// Explain attributes a failed Check: for the first tree of the constraint
+// with no available option at issue, it returns the blocking slot of that
+// tree's highest-priority option together with the tree's name and the
+// option's HMDES provenance (falling back to the tree's) — the conflict
+// detail the trace and the conflicts-by-resource metric report. It
+// performs no accounting and runs only on the observability slow path;
+// found is false when the constraint is satisfiable.
+func (p *Prober) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
 	if p.lastValid && p.lastCon == con && p.lastIssue == issue && p.lastWi >= 0 {
 		w := p.plan.words[p.lastWi]
 		r := issue + int(w.Time) - p.base
@@ -231,7 +266,7 @@ func (p *Prober) Explain(con *lowlevel.Constraint, issue int) (rumap.Conflict, b
 			if src == "" {
 				src = tree.Src
 			}
-			return rumap.Conflict{Res: b, Time: int(w.Time), Tree: tree.Name, Src: src}, true
+			return Conflict{Res: b, Time: int(w.Time), Tree: tree.Name, Src: src}, true
 		}
 	}
 	tlo, thi := p.plan.spanFor(con)
@@ -247,16 +282,16 @@ func (p *Prober) Explain(con *lowlevel.Constraint, issue int) (rumap.Conflict, b
 			tree := con.Trees[ti-tlo]
 			res, time, ok := p.optionBlocker(p.plan.treeStart[ti], issue)
 			if !ok {
-				return rumap.Conflict{}, false
+				return Conflict{}, false
 			}
 			src := tree.Options[0].Src
 			if src == "" {
 				src = tree.Src
 			}
-			return rumap.Conflict{Res: res, Time: time, Tree: tree.Name, Src: src}, true
+			return Conflict{Res: res, Time: time, Tree: tree.Name, Src: src}, true
 		}
 	}
-	return rumap.Conflict{}, false
+	return Conflict{}, false
 }
 
 // BlockerRes returns the resource index Explain would attribute the most
@@ -349,8 +384,8 @@ func (p *Prober) optionBlocker(opt int32, issue int) (res, time int, found bool)
 }
 
 // rowIndex returns the window-relative row for an absolute cycle, growing
-// the window as needed: downward by amortized-doubling prepend (like the
-// RU map), upward through append's own growth.
+// the window as needed: downward by amortized-doubling prepend, upward
+// through append's own growth.
 func (p *Prober) rowIndex(cycle int) int {
 	rw := p.plan.RowWords
 	if p.nrows == 0 {
@@ -387,8 +422,10 @@ func (p *Prober) Busy(res, cycle int) bool {
 }
 
 // AppendReservedSlots appends every (resource, cycle) currently reserved
-// to dst, matching rumap.Map.AppendReservedSlots for cross-backend
-// reservation comparisons in tests.
+// to dst and returns the extended slice — the reservation snapshot the
+// differential harness compares with the oracle's slots. Passing a buffer
+// with spare capacity (dst[:0] of a previous result) makes the snapshot
+// allocation-free.
 func (p *Prober) AppendReservedSlots(dst [][2]int) [][2]int {
 	for r := 0; r < p.nrows; r++ {
 		cycle := p.base + r

@@ -31,12 +31,13 @@ type Q struct {
 	cx   *resctx.Context
 }
 
-// New returns a query interface over the compiled description, backed by
-// a standalone context. For concurrent use over a shared description,
-// borrow per-goroutine contexts from a resctx.Pool and use NewWithContext
-// (or mdes.Engine.Query).
+// New freezes the compiled description and returns a query interface over
+// it, backed by a standalone probe-plan context (resctx.Standalone; it
+// panics when the description cannot be frozen or planned). For
+// concurrent use over a shared description, borrow per-goroutine contexts
+// from a resctx.Pool and use NewWithContext (or mdes.Engine.Query).
 func New(m *lowlevel.MDES) *Q {
-	return NewWithContext(m, resctx.New(m.NumResources))
+	return NewWithContext(m, resctx.Standalone(m))
 }
 
 // NewWithContext returns a query interface over the shared compiled
@@ -96,13 +97,13 @@ func (q *Q) check(opIdx, issue int) (check.Selection, bool) {
 // (every query method resets before probing, so the two are equivalent
 // here).
 func (q *Q) releaseAll(sels []check.Selection) {
-	if q.cx.Checker.Capabilities().CanRelease {
+	if q.cx.Capabilities().CanRelease {
 		for _, s := range sels {
 			q.cx.ReleaseSel(s)
 		}
 		return
 	}
-	q.cx.Checker.Reset()
+	q.cx.ResetReservations()
 }
 
 // Latency returns an opcode's result latency.
@@ -143,7 +144,7 @@ func (q *Q) FlowDistance(producer, consumer string) (int, error) {
 // for if-conversion and height reduction: merging two paths is only
 // profitable if the merged cycle's operations actually fit.
 func (q *Q) CanIssueTogether(opcodes ...string) (bool, error) {
-	q.cx.Checker.Reset()
+	q.cx.ResetReservations()
 	sels := q.cx.Sels[:0]
 	defer func() {
 		q.releaseAll(sels)
@@ -171,7 +172,7 @@ func (q *Q) MaxPerCycle(opcode string, limit int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("query: unknown opcode %q", opcode)
 	}
-	q.cx.Checker.Reset()
+	q.cx.ResetReservations()
 	sels := q.cx.Sels[:0]
 	defer func() {
 		q.releaseAll(sels)
@@ -206,7 +207,7 @@ func (q *Q) MinIssueDistance(first, second string, limit int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("query: unknown opcode %q", second)
 	}
-	q.cx.Checker.Reset()
+	q.cx.ResetReservations()
 	sel, ok := q.check(fi, 0)
 	if !ok {
 		return 0, fmt.Errorf("query: %q cannot issue on an idle machine", first)
@@ -239,7 +240,7 @@ func (q *Q) IssueWidth(limit int) int {
 				continue
 			}
 			count := 0
-			q.cx.Checker.Reset()
+			q.cx.ResetReservations()
 			sels := q.cx.Sels[:0]
 			for count < limit {
 				var idx int
@@ -276,7 +277,7 @@ func (q *Q) ResourceUse(opcode string) (map[string][]int, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: unknown opcode %q", opcode)
 	}
-	q.cx.Checker.Reset()
+	q.cx.ResetReservations()
 	sel, ok2 := q.check(idx, 0)
 	if !ok2 {
 		return nil, fmt.Errorf("query: %q cannot issue on an idle machine", opcode)

@@ -7,10 +7,10 @@ package resctx
 // a caller may hold several live slices across further carves; nothing
 // carved survives a Reset.
 //
-// The flat scheduling path carves all of a block's scratch (ready flags,
+// The list scheduler carves all of a block's scratch (ready flags,
 // predecessor counts, earliest-start times, priority order) from its
 // context's arena, so steady-state scheduling performs no per-block
-// scratch allocation — the arena-backed lifetime the probe-plan backend's
+// scratch allocation — the arena-backed lifetime the prober's
 // valid-until-Reset selections share.
 type Arena struct {
 	ints  []int

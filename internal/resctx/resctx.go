@@ -28,40 +28,38 @@ import (
 	"sync/atomic"
 
 	"mdes/internal/check"
+	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
 	"mdes/internal/obs/flight"
 	"mdes/internal/obs/profile"
 	"mdes/internal/probeplan"
-	"mdes/internal/rumap"
 	"mdes/internal/stats"
 )
 
 // Context is the per-client mutable state for scheduling and querying
 // against one shared compiled MDES. A Context must not be used from more
 // than one goroutine at a time; borrow one per goroutine instead.
+//
+// Exactly one of PP and Checker is set on a context that probes: PP for
+// the reservation-table engine, Checker for the §10 automaton. A context
+// that only accounts (the modulo scheduler brings its own wrapped map)
+// carries neither.
 type Context struct {
-	// Checker answers all issue-time conflict probes for this context.
-	Checker check.Checker
-	// RU is non-nil exactly when Checker is the default RU-map backend: it
-	// is the same underlying map, exposed so hot paths and snapshot-based
-	// tooling can skip interface dispatch (the devirtualized fast path).
-	// Alternate backends leave it nil; use the Check/Reserve/Release
-	// helpers, which pick the right path.
-	RU *rumap.Map
-	// PP is non-nil exactly when Checker is the probe-plan backend: the
-	// same flat prober, exposed for the schedulers' devirtualized flat
-	// path (arena-backed scratch, batch window probing).
+	// PP is the probe-plan prober — the reservation-table engine every
+	// scheduler, the query layer and the Engine probe by default.
 	PP *probeplan.Prober
-	// Batch is non-nil when the checker advertises Capabilities.Batch:
-	// the same backend instance through its multi-cycle probing
-	// interface. Schedulers take the window fast path through it and
-	// fall back to per-cycle Check otherwise.
-	Batch check.BatchProber
+	// Checker is the automaton backend (check.KindAutomaton); nil
+	// whenever PP is set.
+	Checker check.Checker
 	// Arena is the per-context scratch allocator for schedule-sized
-	// scratch slices; the schedulers' flat path carves all per-block
-	// state from it, so the steady-state probe loop allocates nothing.
+	// scratch slices; the list scheduler carves all per-block state from
+	// it, so the steady-state probe loop allocates nothing.
 	Arena Arena
+	// Builder is the reusable dependence-graph constructor the list
+	// scheduler builds every block's graph with; its scratch persists
+	// across the blocks and borrows of this context.
+	Builder ir.Builder
 	// Counters accumulates the attempts / options checked / resource
 	// checks performed through this context since it was borrowed.
 	Counters stats.Counters
@@ -81,9 +79,6 @@ type Context struct {
 	// it is merged into the pool's profile.Profile on release. Nil when
 	// the pool has no profile and on standalone contexts.
 	Prof *profile.Local
-	// Slots is a reusable (resource, cycle) buffer for reservation
-	// snapshots (rumap.Map.AppendReservedSlots).
-	Slots [][2]int
 	// Sels is a reusable selection scratch for multi-reserve probes.
 	Sels []check.Selection
 
@@ -94,51 +89,47 @@ type Context struct {
 	released bool
 }
 
-// New returns a standalone (unpooled) Context with the default RU-map
-// checker for a machine with numRes resources. Release on a standalone
-// Context is a no-op, so single-client code can treat pooled and unpooled
-// Contexts uniformly.
-func New(numRes int) *Context {
-	c := &Context{}
-	c.adopt(check.NewRUMap(numRes))
-	return c
+// Standalone freezes m, compiles its probe plan and returns a standalone
+// (unpooled) Context probing it — the one-call setup behind sched.New and
+// query.New. Freezing makes the plan a faithful snapshot: the
+// transformation pipeline refuses a frozen description, so no later pass
+// can leave the context probing stale spans. It panics with the
+// validator's or the planner's message when m cannot be frozen or
+// planned. Release on a standalone Context is a no-op, so single-client
+// code can treat pooled and unpooled Contexts uniformly.
+func Standalone(m *lowlevel.MDES) *Context {
+	if err := m.Freeze(); err != nil {
+		panic(err)
+	}
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		panic(err)
+	}
+	return &Context{PP: probeplan.NewProber(plan)}
 }
 
-// NewFor returns a standalone (unpooled) Context whose checker comes from
-// the factory.
-func NewFor(f *check.Factory) *Context {
-	c := &Context{}
-	c.adopt(f.New())
-	return c
-}
-
-// adopt installs a checker, wiring the devirtualized RU and probe-plan
-// fast paths and the batch-probing capability when the backend offers
-// them.
+// adopt installs a checker: the probe-plan backend is unwrapped into PP,
+// any other backend is kept behind the interface.
 func (c *Context) adopt(ck check.Checker) {
-	c.Checker = ck
-	c.RU, c.PP, c.Batch = nil, nil, nil
-	switch b := ck.(type) {
-	case *check.RUMap:
-		c.RU = b.Map()
-	case *check.ProbePlan:
-		c.PP = b.Prober()
-	}
-	if ck.Capabilities().Batch {
-		if bp, ok := ck.(check.BatchProber); ok {
-			c.Batch = bp
-		}
+	c.PP, c.Checker = nil, nil
+	if pp, ok := ck.(*check.ProbePlan); ok {
+		c.PP = pp.Prober()
+	} else {
+		c.Checker = ck
 	}
 }
 
-// Check probes the checker, devirtualized for the default and probe-plan
-// backends, accounting into ctr (per-block or per-call counters; callers
-// fold them into c.Counters themselves).
-func (c *Context) Check(con *lowlevel.Constraint, issue int, ctr *stats.Counters) (check.Selection, bool) {
-	if c.RU != nil {
-		sel, ok := c.RU.Check(con, issue, ctr)
-		return check.Selection{Selection: sel}, ok
+// Capabilities reports what the context's backend supports.
+func (c *Context) Capabilities() check.Capabilities {
+	if c.PP != nil {
+		return check.Caps(check.KindProbePlan)
 	}
+	return c.Checker.Capabilities()
+}
+
+// Check probes the context's backend, accounting into ctr (per-block or
+// per-call counters; callers fold them into c.Counters themselves).
+func (c *Context) Check(con *lowlevel.Constraint, issue int, ctr *stats.Counters) (check.Selection, bool) {
 	if c.PP != nil {
 		sel, ok := c.PP.Check(con, issue, ctr)
 		return check.Selection{Selection: sel}, ok
@@ -146,24 +137,8 @@ func (c *Context) Check(con *lowlevel.Constraint, issue int, ctr *stats.Counters
 	return c.Checker.Check(con, issue, ctr)
 }
 
-// CheckWindow probes the half-open cycle window [lo, hi) through the
-// backend's batch interface, devirtualized for the probe-plan backend.
-// Callers gate on c.Batch != nil.
-func (c *Context) CheckWindow(con *lowlevel.Constraint, lo, hi int, ctr *stats.Counters) (check.Selection, int, bool) {
-	if c.PP != nil {
-		sel, issue, ok := c.PP.CheckWindow(con, lo, hi, ctr)
-		return check.Selection{Selection: sel}, issue, ok
-	}
-	return c.Batch.CheckWindow(con, lo, hi, ctr)
-}
-
-// Reserve applies a successful Selection, devirtualized for the default
-// and probe-plan backends.
+// Reserve applies a successful Selection.
 func (c *Context) Reserve(sel check.Selection) {
-	if c.RU != nil {
-		c.RU.Reserve(sel.Selection)
-		return
-	}
 	if c.PP != nil {
 		c.PP.Reserve(sel.Selection)
 		return
@@ -171,13 +146,9 @@ func (c *Context) Reserve(sel check.Selection) {
 	c.Checker.Reserve(sel)
 }
 
-// ReleaseSel undoes a previous Reserve. Gate on
-// Checker.Capabilities().CanRelease before calling on alternate backends.
+// ReleaseSel undoes a previous Reserve. Gate on Capabilities().CanRelease:
+// the automaton panics.
 func (c *Context) ReleaseSel(sel check.Selection) {
-	if c.RU != nil {
-		c.RU.Release(sel.Selection)
-		return
-	}
 	if c.PP != nil {
 		c.PP.Release(sel.Selection)
 		return
@@ -185,60 +156,54 @@ func (c *Context) ReleaseSel(sel check.Selection) {
 	c.Checker.Release(sel)
 }
 
-// Explain attributes a failed Check to its blocking resource slot, when
-// the backend can (Capabilities.CanExplain).
+// Explain attributes a failed Check to its blocking resource slot and
+// provenance. The automaton cannot attribute and reports none.
 func (c *Context) Explain(con *lowlevel.Constraint, issue int) (check.Conflict, bool) {
-	if c.RU != nil {
-		return c.RU.ExplainConflict(con, issue)
+	if c.PP == nil {
+		return check.Conflict{}, false
 	}
-	if c.PP != nil {
-		return c.PP.Explain(con, issue)
-	}
-	return c.Checker.Explain(con, issue)
+	return c.PP.Explain(con, issue)
 }
 
 // BlockingRes returns just the resource index a failed Check would be
 // attributed to, or -1: the cheap slice of Explain for metrics attribution
-// (obs.Local.ConflictAt keys on the resource alone), skipping conflict
-// provenance and Conflict construction on backends that can.
+// (obs.Local.ConflictAt keys on the resource alone).
 func (c *Context) BlockingRes(con *lowlevel.Constraint, issue int) int {
-	if c.PP != nil {
-		return c.PP.BlockerRes(con, issue)
+	if c.PP == nil {
+		return -1
 	}
-	if conf, ok := c.Explain(con, issue); ok {
-		return conf.Res
-	}
-	return -1
+	return c.PP.BlockerRes(con, issue)
 }
 
 // BlockingTreeRes attributes a failed Check to the position (within the
 // constraint) of the first unsatisfiable tree and its blocking resource:
 // the profile-grade slice of Explain (tree + resource, no provenance).
-// Returns (-1, -1) on backends that cannot attribute, and (-1, res) when
-// only resource attribution is available.
+// Returns (-1, -1) when nothing can be attributed.
 func (c *Context) BlockingTreeRes(con *lowlevel.Constraint, issue int) (int, int) {
-	if c.PP != nil {
-		return c.PP.BlockerTreeRes(con, issue)
+	if c.PP == nil {
+		return -1, -1
 	}
-	if c.RU != nil {
-		return c.RU.BlockerTreeRes(con, issue)
-	}
-	if conf, ok := c.Explain(con, issue); ok {
-		return -1, conf.Res
-	}
-	return -1, -1
+	return c.PP.BlockerTreeRes(con, issue)
 }
 
-// Reset clears the checker's reservations, counters, and observability
+// ResetReservations clears the backend's reservations, retaining storage.
+func (c *Context) ResetReservations() {
+	if c.PP != nil {
+		c.PP.Reset()
+	} else if c.Checker != nil {
+		c.Checker.Reset()
+	}
+}
+
+// Reset clears the backend's reservations, counters, and observability
 // buffer, retaining all storage.
 func (c *Context) Reset() {
-	c.Checker.Reset()
+	c.ResetReservations()
 	c.Counters = stats.Counters{}
 	if c.Obs != nil {
 		c.Obs.Reset()
 	}
 	c.Prof.Reset()
-	c.Slots = c.Slots[:0]
 	c.Sels = c.Sels[:0]
 	c.Arena.Reset()
 }
@@ -256,8 +221,7 @@ func (c *Context) Release() {
 // Pool recycles Contexts for one compiled MDES and aggregates the
 // instrumentation of every Context returned to it.
 type Pool struct {
-	newChecker func() check.Checker
-	p          sync.Pool
+	p sync.Pool
 
 	attempts   atomic.Int64
 	options    atomic.Int64
@@ -270,24 +234,14 @@ type Pool struct {
 	prof *profile.Profile
 }
 
-// NewPool returns a Context pool with the default RU-map checker for a
-// machine with numRes resources.
-func NewPool(numRes int) *Pool {
-	return newPool(func() check.Checker { return check.NewRUMap(numRes) })
-}
-
 // NewPoolFor returns a Context pool whose contexts carry checkers built by
 // the factory (one checker instance per pooled context; backend state
 // shared through the factory).
 func NewPoolFor(f *check.Factory) *Pool {
-	return newPool(f.New)
-}
-
-func newPool(newChecker func() check.Checker) *Pool {
-	pl := &Pool{newChecker: newChecker}
+	pl := &Pool{}
 	pl.p.New = func() any {
 		c := &Context{pool: pl}
-		c.adopt(pl.newChecker())
+		c.adopt(f.New())
 		return c
 	}
 	return pl

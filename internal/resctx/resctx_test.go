@@ -1,16 +1,61 @@
 package resctx
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"mdes/internal/check"
+	"mdes/internal/hmdes"
+	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
 	"mdes/internal/obs/flight"
 	"mdes/internal/stats"
 )
 
+const tinySrc = `
+machine Tiny {
+    resource Decoder[2];
+    resource ALU;
+
+    class alu {
+        use ALU @ 0;
+        one_of Decoder[0..1] @ 0;
+    }
+    operation ADD class alu latency 1;
+}
+`
+
+func tinyMDES(t *testing.T) *lowlevel.MDES {
+	t.Helper()
+	m, err := hmdes.Load("tiny", tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lowlevel.Compile(m, lowlevel.FormAndOr)
+}
+
+func testPool(t *testing.T) *Pool {
+	t.Helper()
+	f, err := check.NewFactory(tinyMDES(t), check.KindProbePlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewPoolFor(f)
+}
+
+// reserveADD reserves one ADD at cycle 0 through the context.
+func reserveADD(t *testing.T, c *Context, m *lowlevel.MDES) {
+	t.Helper()
+	sel, ok := c.Check(m.Constraints[0], 0, &c.Counters)
+	if !ok {
+		t.Fatal("ADD did not fit an empty reservation table")
+	}
+	c.Reserve(sel)
+}
+
 func TestStandaloneReleaseIsNoop(t *testing.T) {
-	c := New(4)
+	c := Standalone(tinyMDES(t))
 	c.Counters.Attempts = 7
 	c.Release() // must not panic or reset
 	if c.Counters.Attempts != 7 {
@@ -19,13 +64,19 @@ func TestStandaloneReleaseIsNoop(t *testing.T) {
 }
 
 func TestPoolRecyclesAndAggregates(t *testing.T) {
-	p := NewPool(8)
-	c := p.Get()
-	if c.RU == nil {
-		t.Fatal("pooled context has no RU map")
+	m := tinyMDES(t)
+	f, err := check.NewFactory(m, check.KindProbePlan)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p := NewPoolFor(f)
+	c := p.Get()
+	if c.PP == nil || c.Checker != nil {
+		t.Fatal("pooled probe-plan context must carry the prober and no interface checker")
+	}
+	reserveADD(t, c, m)
 	c.Counters = stats.Counters{Attempts: 3, OptionsChecked: 5, ResourceChecks: 11}
-	c.Slots = append(c.Slots, [2]int{1, 2})
+	c.Sels = append(c.Sels, check.Selection{})
 	c.Release()
 
 	got := p.Totals()
@@ -38,14 +89,14 @@ func TestPoolRecyclesAndAggregates(t *testing.T) {
 	if c2.Counters != (stats.Counters{}) {
 		t.Fatalf("recycled context has stale counters: %+v", c2.Counters)
 	}
-	if len(c2.Slots) != 0 {
-		t.Fatalf("recycled context has stale slots: %v", c2.Slots)
+	if len(c2.Sels) != 0 || len(c2.PP.AppendReservedSlots(nil)) != 0 {
+		t.Fatalf("recycled context has stale selections %v or reservations", c2.Sels)
 	}
 	c2.Release()
 }
 
 func TestPoolTotalsConcurrent(t *testing.T) {
-	p := NewPool(4)
+	p := testPool(t)
 	const workers, rounds = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -66,17 +117,50 @@ func TestPoolTotalsConcurrent(t *testing.T) {
 }
 
 func TestResetClearsReservations(t *testing.T) {
-	c := New(4)
-	c.Slots = append(c.Slots, [2]int{0, 0})
-	c.Counters.Attempts = 1
+	m := tinyMDES(t)
+	c := Standalone(m)
+	reserveADD(t, c, m)
+	c.Sels = append(c.Sels, check.Selection{})
 	c.Reset()
-	if c.Counters != (stats.Counters{}) || len(c.Slots) != 0 {
-		t.Fatalf("Reset left state: %+v slots=%v", c.Counters, c.Slots)
+	if c.Counters != (stats.Counters{}) || len(c.Sels) != 0 || len(c.PP.AppendReservedSlots(nil)) != 0 {
+		t.Fatalf("Reset left state: %+v sels=%v slots=%v", c.Counters, c.Sels, c.PP.AppendReservedSlots(nil))
+	}
+}
+
+// Standalone snapshots a frozen description: the description is frozen
+// by the call, and one the planner rejects panics with the planner's
+// message instead of yielding a context that probes the wrong spans.
+func TestStandaloneFreezesAndPlans(t *testing.T) {
+	m := tinyMDES(t)
+	Standalone(m)
+	if !m.Frozen() {
+		t.Fatal("Standalone did not freeze the description")
+	}
+	stale := tinyMDES(t)
+	stale.Constraints[0].Index = 3
+	defer func() {
+		r := recover()
+		err, ok := r.(error)
+		if !ok || !strings.Contains(err.Error(), "probeplan: constraint 0") {
+			t.Fatalf("stale index: recovered %v, want the planner's error", r)
+		}
+	}()
+	Standalone(stale)
+}
+
+// A context that only accounts (the modulo scheduler's) carries no
+// backend; resetting it must still be safe.
+func TestAccountingOnlyContextResets(t *testing.T) {
+	c := &Context{}
+	c.Counters.Attempts = 2
+	c.Reset()
+	if c.Counters != (stats.Counters{}) {
+		t.Fatalf("Reset left counters %+v", c.Counters)
 	}
 }
 
 func TestDoubleReleaseFoldsOnce(t *testing.T) {
-	p := NewPool(4)
+	p := testPool(t)
 	c := p.Get()
 	c.Counters = stats.Counters{Attempts: 5, OptionsChecked: 9, ResourceChecks: 13, Conflicts: 2, Backtracks: 1}
 	c.Release()
@@ -92,7 +176,7 @@ func TestDoubleReleaseDoesNotAliasContexts(t *testing.T) {
 	// twice, handing one context to two borrowers whose counters would
 	// then be folded twice. After a double release, two Gets must return
 	// distinct contexts.
-	p := NewPool(4)
+	p := testPool(t)
 	c := p.Get()
 	c.Release()
 	c.Release()
@@ -105,7 +189,7 @@ func TestDoubleReleaseDoesNotAliasContexts(t *testing.T) {
 }
 
 func TestPoolMetricsMergeOnRelease(t *testing.T) {
-	p := NewPool(2)
+	p := testPool(t)
 	reg := obs.NewRegistry([]string{"alu"}, []string{"r0", "r1"})
 	p.SetMetrics(reg)
 
@@ -145,7 +229,7 @@ func TestPoolMetricsMergeOnRelease(t *testing.T) {
 
 func TestPoolFlightMergeOnRelease(t *testing.T) {
 	rec := flight.NewRecorder(flight.Config{})
-	p := NewPool(4)
+	p := testPool(t)
 	p.SetFlight(rec)
 	if p.Flight() != rec {
 		t.Fatal("Flight() did not return the attached recorder")
@@ -179,7 +263,7 @@ func TestPoolFlightMergeOnRelease(t *testing.T) {
 }
 
 func TestPoolWithoutFlightHasNoRing(t *testing.T) {
-	p := NewPool(4)
+	p := testPool(t)
 	c := p.Get()
 	if c.Flight != nil {
 		t.Fatal("context has a flight ring without SetFlight")

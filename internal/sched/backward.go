@@ -30,12 +30,12 @@ func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
 	}
 	// Backward scheduling probes at decreasing (negative) cycles, so the
 	// checker needs random access to the reservation window.
-	if caps := s.cx.Checker.Capabilities(); caps.MonotonicOnly {
+	if caps := s.cx.Capabilities(); caps.MonotonicOnly {
 		return nil, fmt.Errorf("sched: backward scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
 	}
 	ft := s.flightStart()
 	bt := s.startTrace(n)
-	s.cx.Checker.Reset()
+	s.cx.ResetReservations()
 
 	// depth[i]: latency-weighted longest path from any source to i — the
 	// mirror of the forward scheduler's height priority.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"mdes/internal/check"
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
@@ -44,7 +45,11 @@ func TestConcurrentSchedulersShareFrozenMDES(t *testing.T) {
 				wantLen[i] = r.Length
 			}
 
-			pool := resctx.NewPool(m.NumResources)
+			f, err := check.NewFactory(m, check.KindProbePlan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := resctx.NewPoolFor(f)
 			const goroutines = 8
 			var wg sync.WaitGroup
 			errs := make([]error, goroutines)

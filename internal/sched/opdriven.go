@@ -32,13 +32,13 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 	// Operation-driven scheduling probes each operation from its own
 	// earliest start, revisiting cycles earlier ops already passed, so the
 	// checker needs random access to the reservation window.
-	if caps := s.cx.Checker.Capabilities(); caps.MonotonicOnly {
+	if caps := s.cx.Capabilities(); caps.MonotonicOnly {
 		return nil, fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
 	}
 	ft := s.flightStart()
 	bt := s.startTrace(n)
 	height := g.Height(s.Latency)
-	s.cx.Checker.Reset()
+	s.cx.ResetReservations()
 
 	npreds := make([]int, n)
 	estart := make([]int, n)
@@ -65,10 +65,10 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 		con := s.mdes.ConstraintFor(opIdx, op.Cascaded)
 
 		cycle := estart[i]
-		if s.cx.Batch != nil && s.cx.Obs == nil && s.cx.Prof == nil && bt == nil && s.OptionsHist == nil && s.OnAttempt == nil {
-			// Batch fast path: probe 64-cycle windows in one CheckWindow
-			// pass per window instead of re-entering Check per cycle. The
-			// backend's contract makes this accounting-equivalent to the
+		if pp := s.cx.PP; pp != nil && s.cx.Obs == nil && s.cx.Prof == nil && bt == nil && s.OptionsHist == nil && s.OnAttempt == nil {
+			// Window path: probe 64-cycle windows in one CheckWindow pass
+			// per window instead of re-entering Check per cycle. The
+			// prober's contract makes this accounting-equivalent to the
 			// serial loop below, and no per-attempt instrumentation is
 			// attached, so results and counters are identical.
 			limit := estart[i] + 64*n + 1024
@@ -78,9 +78,9 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 				if hi > limit+1 {
 					hi = limit + 1
 				}
-				if sel, at, ok := s.cx.CheckWindow(con, lo, hi, &res.Counters); ok {
+				if sel, at, ok := pp.CheckWindow(con, lo, hi, &res.Counters); ok {
 					cycle = at
-					s.cx.Reserve(sel)
+					pp.Reserve(sel)
 					found = true
 					break
 				}

@@ -8,7 +8,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mdes/internal/check"
@@ -63,19 +62,15 @@ type Scheduler struct {
 	// mdes.Engine.ScheduleBlocks sets it to the block's index within the
 	// batch. The scheduler never modifies it.
 	BlockID int64
-
-	// builder is the reusable dependence-graph constructor the flat path
-	// uses; its scratch persists across blocks scheduled through this
-	// Scheduler.
-	builder ir.Builder
 }
 
-// New returns a scheduler for the given compiled MDES, backed by a
-// standalone context. For concurrent use over a shared description,
-// borrow per-goroutine contexts from a resctx.Pool and use
-// NewWithContext.
+// New freezes the compiled MDES and returns a scheduler over it, backed by
+// a standalone probe-plan context (resctx.Standalone; it panics when the
+// description cannot be frozen or planned). For concurrent use over a
+// shared description, borrow per-goroutine contexts from a resctx.Pool
+// and use NewWithContext.
 func New(m *lowlevel.MDES) *Scheduler {
-	return NewWithContext(m, resctx.New(m.NumResources))
+	return NewWithContext(m, resctx.Standalone(m))
 }
 
 // NewWithContext returns a scheduler over the shared compiled description
@@ -246,64 +241,69 @@ func (t timing) Latency(opcode string) int {
 // cycle, ready operations (all predecessors scheduled and dependence
 // distances satisfied) are attempted in priority order (critical-path
 // height, ties by source order); each attempt checks the operation's
-// reservation constraint against the RU map and either reserves its
-// resources or leaves the operation for a later cycle. One Check call is
-// one "scheduling attempt" in the paper's accounting.
+// reservation constraint against the context's reservation table and
+// either reserves its resources or leaves the operation for a later
+// cycle. One Check call is one "scheduling attempt" in the paper's
+// accounting.
+//
+// Every piece of per-block scratch is carved from the context's arena,
+// the dependence graph is built by the context's reusable builder, and
+// opcode-table lookups are hoisted to one pass, so the steady-state loop
+// performs no per-block allocation beyond the returned Result.
 func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
-	if s.cx.PP != nil {
-		// The probe-plan backend's flat representation extends through the
-		// scheduler: arena scratch, reusable graph builder, hoisted opcode
-		// indices. Same algorithm, same attempt order, same accounting.
-		return s.scheduleBlockFlat(b)
-	}
-	g := ir.BuildGraphTiming(b, timing{m: s.mdes})
-	return s.scheduleGraph(g)
-}
-
-// checkOpcodes rejects blocks with operations the MDES does not define,
-// so malformed inputs surface as errors before the priority computation
-// (whose latency lookups panic on unknown names).
-func (s *Scheduler) checkOpcodes(b *ir.Block) error {
-	for _, op := range b.Ops {
-		if _, ok := s.mdes.OpIndex[op.Opcode]; !ok {
-			return fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
-		}
-	}
-	return nil
-}
-
-func (s *Scheduler) scheduleGraph(g *ir.Graph) (*Result, error) {
-	n := len(g.Block.Ops)
+	n := len(b.Ops)
 	res := &Result{Issue: make([]int, n)}
 	if n == 0 {
 		return res, nil
 	}
-	if err := s.checkOpcodes(g.Block); err != nil {
-		return nil, err
+	ar := &s.cx.Arena
+	ar.Reset()
+
+	opIdxs := ar.Ints(n)
+	renumbered := true
+	for i, op := range b.Ops {
+		idx, ok := s.mdes.OpIndex[op.Opcode]
+		if !ok {
+			return nil, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
+		}
+		opIdxs[i] = idx
+		if op.ID != i {
+			renumbered = false
+		}
 	}
+	var g *ir.Graph
+	if renumbered {
+		g = s.cx.Builder.Build(b, flatTiming{m: s.mdes, opIdxs: opIdxs})
+	} else {
+		g = s.cx.Builder.Build(b, timing{m: s.mdes})
+	}
+
 	ft := s.flightStart()
 	bt := s.startTrace(n)
-	height := g.Height(s.Latency)
-	s.cx.Checker.Reset()
+	height := ar.Ints(n)
+	ops := s.mdes.Operations
+	for i := n - 1; i >= 0; i-- {
+		best := ops[opIdxs[i]].Latency
+		for _, e := range g.Succs[i] {
+			if v := e.MinDist + height[e.To]; v > best {
+				best = v
+			}
+		}
+		height[i] = best
+	}
+	s.cx.ResetReservations()
 
-	scheduled := make([]bool, n)
-	npreds := make([]int, n)
-	estart := make([]int, n)
-	for i := range g.Block.Ops {
+	scheduled := ar.Bools(n)
+	npreds := ar.Ints(n)
+	estart := ar.Ints(n)
+	for i := range npreds {
 		npreds[i] = len(g.Preds[i])
 	}
-
-	// order holds unscheduled-op indices, kept sorted by priority.
-	order := make([]int, n)
+	order := ar.Ints(n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if height[order[a]] != height[order[b]] {
-			return height[order[a]] > height[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	sortByHeight(order, ar.Ints(n), height)
 
 	remaining := n
 	for cycle := 0; remaining > 0; cycle++ {
@@ -319,12 +319,8 @@ func (s *Scheduler) scheduleGraph(g *ir.Graph) (*Result, error) {
 			if estart[i] > cycle {
 				continue
 			}
-			op := g.Block.Ops[i]
-			opIdx, ok := s.mdes.OpIndex[op.Opcode]
-			if !ok {
-				return nil, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
-			}
-			con := s.mdes.ConstraintFor(opIdx, op.Cascaded)
+			op := b.Ops[i]
+			con := s.mdes.ConstraintFor(opIdxs[i], op.Cascaded)
 
 			sel, ok, opts := s.attempt(obs.PhaseList, bt, i, op, con, cycle, &res.Counters)
 			if s.OptionsHist != nil {
@@ -379,6 +375,81 @@ func (s *Scheduler) scheduleGraph(g *ir.Graph) (*Result, error) {
 	s.flightRecord(obs.PhaseList, ft, n, res.Length, res.Counters)
 	s.cx.Counters.Add(res.Counters)
 	return res, nil
+}
+
+// checkOpcodes rejects blocks with operations the MDES does not define,
+// so malformed inputs surface as errors before the priority computation
+// (whose latency lookups panic on unknown names).
+func (s *Scheduler) checkOpcodes(b *ir.Block) error {
+	for _, op := range b.Ops {
+		if _, ok := s.mdes.OpIndex[op.Opcode]; !ok {
+			return fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
+		}
+	}
+	return nil
+}
+
+// flatTiming resolves flow distances through operation indices hoisted
+// once per block, instead of two opcode-map lookups per flow edge. It is
+// only valid for renumbered blocks (op.ID == position), which
+// ScheduleBlock verifies before using it.
+type flatTiming struct {
+	m      *lowlevel.MDES
+	opIdxs []int
+}
+
+func (t flatTiming) FlowDist(producer, consumer *ir.Operation) int {
+	return t.m.FlowDistance(t.opIdxs[producer.ID], t.opIdxs[consumer.ID])
+}
+
+func (t flatTiming) Latency(opcode string) int {
+	if idx, ok := t.m.OpIndex[opcode]; ok {
+		return t.m.Operations[idx].Latency
+	}
+	return 1
+}
+
+// sortByHeight sorts order by (height desc, index asc) with a bottom-up
+// merge sort through the caller's scratch buffer. The key is a total
+// order, so the result is exactly what sort.SliceStable would produce —
+// and no closure or reflection allocates.
+func sortByHeight(order, buf, height []int) {
+	n := len(order)
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid := lo + width
+			if mid >= n {
+				break
+			}
+			hi := lo + 2*width
+			if hi > n {
+				hi = n
+			}
+			a, b, o := lo, mid, lo
+			for a < mid && b < hi {
+				x, y := order[a], order[b]
+				if height[x] > height[y] || (height[x] == height[y] && x < y) {
+					buf[o] = x
+					a++
+				} else {
+					buf[o] = y
+					b++
+				}
+				o++
+			}
+			for a < mid {
+				buf[o] = order[a]
+				a++
+				o++
+			}
+			for b < hi {
+				buf[o] = order[b]
+				b++
+				o++
+			}
+			copy(order[lo:hi], buf[lo:hi])
+		}
+	}
 }
 
 // ScheduleAll schedules a sequence of blocks, accumulating counters, and

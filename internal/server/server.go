@@ -51,8 +51,8 @@ type Config struct {
 	// CacheMax bounds the cache directory's bytes (LRU GC; <= 0
 	// unbounded).
 	CacheMax int64
-	// Checker is the conflict-checker backend for every engine (default
-	// CheckerProbePlan, the fastest).
+	// Checker is the conflict-checker backend for every engine (the zero
+	// value is CheckerProbePlan, the default).
 	Checker mdes.CheckerKind
 	// MaxInFlight caps concurrently served schedule requests per tenant
 	// (default 32).
@@ -79,9 +79,6 @@ type Config struct {
 }
 
 func (c *Config) withDefaults() {
-	if c.Checker == 0 {
-		c.Checker = mdes.CheckerProbePlan
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 32
 	}

@@ -25,7 +25,7 @@ func RunMDesd(args []string, out io.Writer) error {
 		addr     = fs.String("addr", "127.0.0.1:7077", "listen address (host:port; :0 picks a free port)")
 		cacheDir = fs.String("cachedir", "", "compiled-description cache directory (empty: no cache)")
 		cacheMax = fs.Int64("cache-max", 0, "cache size limit in bytes (0: unbounded)")
-		checker  = fs.String("checker", "probeplan", "conflict checker backend (rumap, automaton, probeplan, ...)")
+		checker  = fs.String("checker", "probeplan", "conflict checker backend: probeplan or automaton")
 		inflight = fs.Int("max-inflight", 0, "per-tenant concurrent schedule requests (0: default 32)")
 		queue    = fs.Int("queue-depth", 0, "per-tenant admission queue depth (0: default 64)")
 		timeout  = fs.Duration("timeout", 0, "per-request admission+scheduling timeout (0: default 10s)")

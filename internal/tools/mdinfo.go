@@ -33,7 +33,7 @@ func RunMDInfo(args []string, stdout io.Writer) error {
 		optFlag     = fs.String("opt", "", "optimization level (none|redundancy|bit-vector|time-shift|full): print the translator's per-pass ledger; with -stats, included in the metrics report")
 		opsFlag     = fs.Int("ops", 20000, "workload size for -sched/-stats")
 		seedFlag    = fs.Int64("seed", 1996, "workload seed for -sched/-stats")
-		checkerFlag = fs.String("checker", "rumap", "conflict-checker backend for -stats: rumap, automaton or probeplan")
+		checkerFlag = fs.String("checker", "probeplan", "conflict-checker backend for -stats: probeplan or automaton")
 		cacheFlag   = fs.String("cache", "", "list and checksum-verify a compiled-description cache directory instead of inspecting a machine")
 		cacheGCFlag = fs.Bool("cache-gc", false, "with -cache: evict least-recently-used entries until the directory fits -cache-max")
 		cacheMaxFlg = fs.Int64("cache-max", 0, "with -cache-gc: LRU byte budget for the cache directory")

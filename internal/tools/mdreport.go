@@ -38,7 +38,7 @@ func RunMDReport(args []string, stdout io.Writer) error {
 		traceFlag   = fs.String("trace", "", "with -tune: tune against this mdtrace recording instead of recording one")
 		formFlag    = fs.String("form", "andor", "with -tune: representation form when recording (or | andor)")
 		levelFlag   = fs.String("level", "full", "with -tune: optimization level when recording (none | redundancy | bit-vector | time-shift | full)")
-		checkerFlag = fs.String("checker", "", "with -tune: conflict-checker backend (default rumap, or the recording's with -trace)")
+		checkerFlag = fs.String("checker", "", "with -tune: conflict-checker backend (default probeplan, or the recording's with -trace)")
 		shardsFlag  = fs.Int("shards", 4, "with -tune: workload generator shards when recording")
 		workersFlag = fs.Int("workers", 8, "with -tune: scheduling goroutines")
 		tuneOut     = fs.String("tune-out", "", "with -tune: directory for TUNED_*.mdes and PROFILE_*.mdpf artifacts")

@@ -109,7 +109,7 @@ func mdtraceRecord(args []string, stdout io.Writer) error {
 		machineFlag = fs.String("machine", string(machines.K5), "machine description to schedule for")
 		formFlag    = fs.String("form", "andor", "representation form: or | andor")
 		levelFlag   = fs.String("level", "full", "optimization level: none | redundancy | bit-vector | time-shift | full")
-		checkerFlag = fs.String("checker", "rumap", "conflict-checker backend: rumap, automaton or probeplan")
+		checkerFlag = fs.String("checker", "probeplan", "conflict-checker backend: probeplan or automaton")
 		opsFlag     = fs.Int("ops", 20000, "static operations in the generated workload")
 		seedFlag    = fs.Int64("seed", 1996, "workload seed")
 		shardsFlag  = fs.Int("shards", 4, "workload generator shards")
@@ -218,7 +218,7 @@ func mdtraceReplay(args []string, stdout io.Writer) error {
 	fs.SetOutput(stdout)
 	var (
 		workersFlag = fs.Int("workers", 8, "scheduling goroutines")
-		checkerFlag = fs.String("checker", "", "replay on this backend instead of the recorded one (schedules must still match)")
+		checkerFlag = fs.String("checker", "", "replay on this backend instead of the recorded one (schedules, attempts and conflicts must still match)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -242,8 +242,21 @@ func mdtraceReplay(args []string, stdout io.Writer) error {
 		return fmt.Errorf("mdtrace replay: description drift: %s compiles to hash %s, trace was recorded against %s",
 			rec.Meta.Machine, meta.MachineHash, rec.Meta.MachineHash)
 	}
-	rep, err := trace.Replay(context.Background(), eng, rec, *workersFlag)
-	if err != nil {
+	// Another backend must reproduce every schedule and the
+	// backend-independent counters; options and resource checks measure
+	// each backend's own work (the automaton counts DFA transitions).
+	cross := meta.Checker != rec.Meta.Checker
+	var rep *trace.ReplayReport
+	if cross {
+		var total mdes.Counters
+		if rep, total, err = trace.ReplaySchedules(context.Background(), eng, rec, *workersFlag); err != nil {
+			return err
+		}
+		if want := rec.Totals(); rep.Identical() && (total.Attempts != want.Attempts || total.Conflicts != want.Conflicts) {
+			return fmt.Errorf("mdtrace replay: %s reproduced every schedule but made %d attempts with %d conflicts, recorded %d with %d",
+				meta.Checker, total.Attempts, total.Conflicts, want.Attempts, want.Conflicts)
+		}
+	} else if rep, err = trace.Replay(context.Background(), eng, rec, *workersFlag); err != nil {
 		return err
 	}
 	if !rep.Identical() {
@@ -255,6 +268,11 @@ func mdtraceReplay(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "block %d: %s\n", m.Block, m.What)
 		}
 		return fmt.Errorf("mdtrace replay: %d of %d blocks diverged from trace %s", len(rep.Mismatches), rep.Blocks, rec.ID)
+	}
+	if cross {
+		fmt.Fprintf(stdout, "replayed %d blocks with byte-identical schedules and equal attempts and conflicts (trace %s, machine %s hash %s, checker %s, recorded with %s)\n",
+			rep.Blocks, rec.ID, rec.Meta.Machine, rec.Meta.MachineHash, checker, rec.Meta.Checker)
+		return nil
 	}
 	fmt.Fprintf(stdout, "replayed %d blocks byte-identically (trace %s, machine %s hash %s, checker %s)\n",
 		rep.Blocks, rec.ID, rec.Meta.Machine, rec.Meta.MachineHash, checker)

@@ -67,7 +67,7 @@ func runTune(stdout io.Writer, cfg tuneConfig) error {
 			cfg.trace, len(rec.Outcomes), rec.Meta.Machine, rec.Meta.Form, rec.Meta.Level, rec.Meta.Checker)
 	} else {
 		if cfg.checker == "" {
-			cfg.checker = "rumap"
+			cfg.checker = "probeplan"
 		}
 		eng, meta, err := mdtraceEngine(cfg.machine, cfg.form, cfg.level, cfg.checker)
 		if err != nil {

@@ -19,7 +19,7 @@ func tuneTrace(t *testing.T, dir string) string {
 	t.Helper()
 	tr := filepath.Join(dir, "k5.mdtr")
 	runTool(t, mdtrace, "record",
-		"-machine", "k5", "-level", "time-shift", "-checker", "rumap",
+		"-machine", "k5", "-level", "time-shift",
 		"-ops", "4000", "-o", tr)
 	return tr
 }
@@ -150,7 +150,7 @@ func TestBenchCompareTrajectories(t *testing.T) {
 
 	// A benchmark disappearing from the new trajectory is a violation.
 	extra := base
-	extra.Checker = "rumap"
+	extra.Checker = "automaton"
 	writeBench(t, oldDir, extra)
 	writeBench(t, newDir, ok)
 	buf.Reset()

@@ -40,7 +40,7 @@ func RunSchedbench(args []string, stdout io.Writer) error {
 		sampleFlag     = fs.Int("tracesample", 1, "trace 1 in N blocks")
 		reportFlag     = fs.Bool("report", false, "print the metrics registry as tables after the run")
 		profileFlag    = fs.Bool("profile", false, "attach the conflict-attribution profiler (served at /debug/profile with -metrics, printed with -report)")
-		checkerFlag    = fs.String("checker", "rumap", "conflict-checker backend for the observability run: rumap, automaton or probeplan")
+		checkerFlag    = fs.String("checker", "probeplan", "conflict-checker backend for the observability run: probeplan or automaton")
 		repeatFlag     = fs.Int("repeat", 1, "schedule the workload N times (gives -metrics something to watch)")
 		workersFlag    = fs.Int("workers", 8, "scheduling goroutines for the observability run")
 		flightFlag     = fs.Bool("flight", false, "attach the always-on flight recorder (tail quantiles, anomaly capture; served at /debug/flight with -metrics)")

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mdes/internal/trace"
 )
 
 func runTool(t *testing.T, fn func([]string, *bytes.Buffer) error, args ...string) string {
@@ -428,7 +430,7 @@ func TestMdtraceRecordDumpReplayDiff(t *testing.T) {
 	dir := t.TempDir()
 	tr := filepath.Join(dir, "k5.mdtr")
 	out := runTool(t, mdtrace, "record",
-		"-machine", "k5", "-checker", "rumap", "-ops", "1200", "-o", tr)
+		"-machine", "k5", "-checker", "automaton", "-ops", "1200", "-o", tr)
 	if !strings.Contains(out, "recorded") || !strings.Contains(out, "trace id") {
 		t.Fatalf("record output:\n%s", out)
 	}
@@ -446,9 +448,10 @@ func TestMdtraceRecordDumpReplayDiff(t *testing.T) {
 	}
 
 	// Cross-backend replay: a different checker must produce the same
-	// schedules (the paper's backends are semantically equivalent).
+	// schedules, attempts and conflicts (the paper's backends are
+	// semantically equivalent; only their own probe work differs).
 	out = runTool(t, mdtrace, "replay", "-checker", "probeplan", tr)
-	if !strings.Contains(out, "byte-identically") {
+	if !strings.Contains(out, "byte-identical schedules") {
 		t.Fatalf("cross-backend replay output:\n%s", out)
 	}
 
@@ -460,10 +463,53 @@ func TestMdtraceRecordDumpReplayDiff(t *testing.T) {
 	// A trace of a different workload diffs non-identically and errors.
 	tr2 := filepath.Join(dir, "k5b.mdtr")
 	runTool(t, mdtrace, "record",
-		"-machine", "k5", "-checker", "rumap", "-ops", "1200", "-seed", "7", "-o", tr2)
+		"-machine", "k5", "-checker", "automaton", "-ops", "1200", "-seed", "7", "-o", tr2)
 	var buf bytes.Buffer
 	if err := RunMdtrace([]string{"diff", tr, tr2}, &buf); err == nil {
 		t.Fatalf("diff of different traces succeeded:\n%s", buf.String())
+	}
+}
+
+// The retired rumap backend is an unknown -checker value like any other,
+// and a trace recorded under it still replays once a live backend is
+// named: the recording pins schedules and counters, not the backend.
+func TestRetiredRumapChecker(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := RunMdtrace([]string{"record", "-machine", "k5", "-checker", "rumap", "-ops", "600", "-o", filepath.Join(dir, "x.mdtr")}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "unknown checker backend") {
+		t.Fatalf("record -checker rumap: err=%v", err)
+	}
+	out := runTool(t, schedbench, "-machine", "k5", "-ops", "600", "-report", "-checker", "rumap")
+	if !strings.Contains(out, "unknown checker") || !strings.Contains(out, "probeplan") {
+		t.Fatalf("schedbench -checker rumap output:\n%s", out)
+	}
+
+	tr := filepath.Join(dir, "k5.mdtr")
+	runTool(t, mdtrace, "record", "-machine", "k5", "-ops", "600", "-o", tr)
+	rec, err := mdtraceReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Meta.Checker = "rumap"
+	old := filepath.Join(dir, "k5-rumap.mdtr")
+	f, err := os.Create(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Write(f, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := RunMdtrace([]string{"replay", old}, &buf); err == nil || !strings.Contains(err.Error(), "unknown checker backend") {
+		t.Fatalf("replay of a rumap trace without -checker: err=%v", err)
+	}
+	out = runTool(t, mdtrace, "replay", "-checker", "probeplan", old)
+	if !strings.Contains(out, "byte-identical schedules") {
+		t.Fatalf("replay -checker probeplan of a rumap trace:\n%s", out)
 	}
 }
 

@@ -44,7 +44,7 @@ func traceEngine(t *testing.T, name machines.Name, checker string) (*mdes.Engine
 func TestCaptureReplayByteIdentical(t *testing.T) {
 	for _, name := range []machines.Name{machines.K5, machines.SuperSPARC} {
 		t.Run(string(name), func(t *testing.T) {
-			eng, meta := traceEngine(t, name, "rumap")
+			eng, meta := traceEngine(t, name, "probeplan")
 			wl := trace.Workload{Seeded: true, NumOps: 2000, Seed: 1996, Shards: 4}
 			rec, err := trace.Capture(context.Background(), eng, meta, wl, 4)
 			if err != nil {
@@ -56,7 +56,7 @@ func TestCaptureReplayByteIdentical(t *testing.T) {
 
 			// A fresh engine over the same description must reproduce every
 			// schedule and counter exactly.
-			eng2, meta2 := traceEngine(t, name, "rumap")
+			eng2, meta2 := traceEngine(t, name, "probeplan")
 			if meta2.MachineHash != rec.Meta.MachineHash {
 				t.Fatalf("fingerprint drift: %s vs %s", meta2.MachineHash, rec.Meta.MachineHash)
 			}
@@ -76,7 +76,7 @@ func TestCaptureReplayByteIdentical(t *testing.T) {
 }
 
 func TestReplayDetectsDivergence(t *testing.T) {
-	eng, meta := traceEngine(t, machines.K5, "rumap")
+	eng, meta := traceEngine(t, machines.K5, "probeplan")
 	wl := trace.Workload{Seeded: true, NumOps: 500, Seed: 7, Shards: 2}
 	rec, err := trace.Capture(context.Background(), eng, meta, wl, 2)
 	if err != nil {

@@ -195,7 +195,7 @@ func TestDiff(t *testing.T) {
 	if d := Diff(a, b); len(d) != 0 {
 		t.Fatalf("identical recordings diff: %v", d)
 	}
-	b.Meta.Checker = "rumap"
+	b.Meta.Checker = "automaton"
 	b.Workload.Seed = 7
 	b.Outcomes[1].Length = 99
 	d := Diff(a, b)

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"mdes/internal/check"
 	"mdes/internal/lowlevel"
 	"mdes/internal/oracle"
 	"mdes/internal/stats"
@@ -14,7 +13,7 @@ import (
 //
 //   - the deterministic in-order stream (same construction as the seed
 //     sweep) must issue every operation at identical cycles through a
-//     fresh rumap checker on each description, with identical Attempts
+//     fresh probe plan on each description, with identical Attempts
 //     and Conflicts (a layout pass may only change OptionsChecked and
 //     ResourceChecks);
 //   - after the replay, an exhaustive (operation × cycle) probe grid
@@ -40,8 +39,14 @@ func CheckEquivalent(base, tuned *lowlevel.MDES, streamSeed int64) error {
 	}
 
 	stream, arrivals := makeStream(nOps, streamSeed)
-	ckA := check.NewRUMap(base.NumResources)
-	ckB := check.NewRUMap(tuned.NumResources)
+	ckA, err := newPlanChecker(stage, base)
+	if err != nil {
+		return err
+	}
+	ckB, err := newPlanChecker(stage, tuned)
+	if err != nil {
+		return err
+	}
 	var cA, cB stats.Counters
 	issA, errA := schedule(base, ckA, stream, arrivals, &cA)
 	issB, errB := schedule(tuned, ckB, stream, arrivals, &cB)

@@ -8,10 +8,11 @@
 // stream through the oracle, then replays the identical stream through
 // every description the pipeline can produce — OR and AND/OR forms, each
 // optimization pass applied one at a time (so a divergence names the pass
-// that introduced it), both shift directions, and every checker backend
-// (rumap, automaton, modulo) — asserting byte-identical issue cycles and,
-// on backends that allow random-access probes, identical boolean answers
-// over an exhaustive (operation × cycle) probe grid around the schedule.
+// that introduced it), both shift directions, the persisted arena, and
+// every checker backend (probe plan, automaton, modulo) — asserting
+// byte-identical issue cycles and, on backends that allow random-access
+// probes, identical boolean answers over an exhaustive (operation × cycle)
+// probe grid around the schedule.
 //
 // Machines come from internal/mdgen, so a failing seed is a complete
 // reproducer; failures are delta-minimized to the smallest spec that still
@@ -29,6 +30,7 @@ import (
 	"mdes/internal/mdgen"
 	"mdes/internal/opt"
 	"mdes/internal/oracle"
+	"mdes/internal/probeplan"
 	"mdes/internal/query"
 	"mdes/internal/stats"
 )
@@ -189,17 +191,14 @@ func checkMachine(mach *hmdes.Machine, streamSeed int64, c *stats.Counters) erro
 	grid := oracleGrid(orc, nOps, w)
 
 	// Stage 1: OR form, unoptimized. This is the description the oracle
-	// itself interprets, so on top of probe equivalence the rumap's
+	// itself interprets, so on top of probe equivalence the prober's
 	// reserved-slot set must match the oracle's slot for slot.
 	orNone := lowlevel.Compile(mach, lowlevel.FormOR)
-	ru := check.NewRUMap(orNone.NumResources)
-	if err := diffBackend("or/none", orNone, ru, stream, arrivals, want, grid, w, w.lo, c); err != nil {
+	pp, err := diffPlan("or/none", orNone, stream, arrivals, want, grid, w, c)
+	if err != nil {
 		return err
 	}
-	if err := compareSlots("or/none", orc, ru); err != nil {
-		return err
-	}
-	if err := diffProbePlan("or/probeplan", orNone, stream, arrivals, want, grid, w, c); err != nil {
+	if err := compareSlots("or/none", orc, pp); err != nil {
 		return err
 	}
 	if err := diffArena("or/arena", orNone, stream, arrivals, want, grid, w, c); err != nil {
@@ -210,7 +209,7 @@ func checkMachine(mach *hmdes.Machine, streamSeed int64, c *stats.Counters) erro
 	// time. Probing after every pass attributes a semantics break to the
 	// pass that introduced it rather than to the pipeline as a whole.
 	and := lowlevel.Compile(mach, lowlevel.FormAndOr)
-	if err := diffRUMap("andor/none", and, stream, arrivals, want, grid, w, c); err != nil {
+	if _, err := diffPlan("andor/none", and, stream, arrivals, want, grid, w, c); err != nil {
 		return err
 	}
 	passes := []struct {
@@ -227,16 +226,13 @@ func checkMachine(mach *hmdes.Machine, streamSeed int64, c *stats.Counters) erro
 	}
 	for _, p := range passes {
 		p.run(and)
-		if err := diffRUMap("andor/"+p.name, and, stream, arrivals, want, grid, w, c); err != nil {
+		if _, err := diffPlan("andor/"+p.name, and, stream, arrivals, want, grid, w, c); err != nil {
 			return err
 		}
 	}
 
 	// Stage 3: the remaining checker backends over the fully-optimized
 	// forward description (`and` now equals LevelFull).
-	if err := diffProbePlan("backend/probeplan", and, stream, arrivals, want, grid, w, c); err != nil {
-		return err
-	}
 	if err := diffAutomaton(and, stream, arrivals, want, c); err != nil {
 		return err
 	}
@@ -248,17 +244,17 @@ func checkMachine(mach *hmdes.Machine, streamSeed int64, c *stats.Counters) erro
 	}
 
 	// Stage 4: the backward-shift pipeline (a backward scheduler's
-	// configuration; usage times go non-positive, so rumap only).
+	// configuration; usage times go non-positive, so no automaton).
 	back := lowlevel.Compile(mach, lowlevel.FormAndOr)
 	opt.Apply(back, opt.LevelFull, opt.Backward)
-	if err := diffRUMap("andor/full-backward", back, stream, arrivals, want, grid, w, c); err != nil {
+	if _, err := diffPlan("andor/full-backward", back, stream, arrivals, want, grid, w, c); err != nil {
 		return err
 	}
 
 	// Stage 5: the fully-optimized OR form.
 	orFull := lowlevel.Compile(mach, lowlevel.FormOR)
 	opt.Apply(orFull, opt.LevelFull, opt.Forward)
-	if err := diffRUMap("or/full", orFull, stream, arrivals, want, grid, w, c); err != nil {
+	if _, err := diffPlan("or/full", orFull, stream, arrivals, want, grid, w, c); err != nil {
 		return err
 	}
 
@@ -368,41 +364,41 @@ func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arriv
 	return nil
 }
 
-// diffRUMap is diffBackend with a fresh reservation-table checker — the
-// default backend every optimized description must drive correctly.
-func diffRUMap(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
-	return diffBackend(stage, m, check.NewRUMap(m.NumResources), stream, arrivals, want, grid, w, w.lo, c)
+// newPlanChecker compiles m's probe plan into a fresh checker. Compile
+// and every pass keep constraint indices positional, so a description the
+// planner rejects is a bug of the stage that produced it.
+func newPlanChecker(stage string, m *lowlevel.MDES) (*check.ProbePlan, error) {
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		return nil, stageErrf(stage, "cannot plan: %v", err)
+	}
+	return check.NewProbePlan(plan), nil
 }
 
-// diffProbePlan replays the stream through the flat probe-plan backend —
-// requiring the same schedules, probe answers, and accounting as the
-// reference walk — then sweeps the batch contract: CheckWindow over the
-// whole grid window must return the same first feasible cycle, the same
+// diffPlan is diffBackend with a probe plan freshly compiled from m — the
+// reservation-table engine every optimized description must drive
+// correctly — followed by the window contract: CheckWindow over the whole
+// grid window must return the same first feasible cycle, the same
 // selection choices, and the same counter deltas as the serial Check loop
-// it replaces. A Compile-produced description the planner rejects is a
-// plan-emission bug and is attributed to that stage.
-func diffProbePlan(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
-	f, err := check.NewFactory(m, check.KindProbePlan)
+// it replaces. It returns the prober, holding the replay's reservations.
+func diffPlan(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) (*probeplan.Prober, error) {
+	ck, err := newPlanChecker(stage, m)
 	if err != nil {
-		return stageErrf("probeplan/emit", "%v", err)
+		return nil, err
 	}
-	ck := f.New()
 	if err := diffBackend(stage, m, ck, stream, arrivals, want, grid, w, w.lo, c); err != nil {
-		return err
+		return nil, err
 	}
-	batch, ok := ck.(check.BatchProber)
-	if !ok {
-		return stageErrf(stage, "probe-plan checker does not implement CheckWindow")
-	}
+	pp := ck.Prober()
 	for op := range grid {
 		con := m.ConstraintFor(op, false)
 		var cb, cs stats.Counters
-		selB, atB, okB := batch.CheckWindow(con, w.lo, w.hi+1, &cb)
+		selB, atB, okB := pp.CheckWindow(con, w.lo, w.hi+1, &cb)
 		okS := false
 		atS := 0
-		var selS check.Selection
+		var selS probeplan.Selection
 		for cycle := w.lo; cycle <= w.hi; cycle++ {
-			if sel, ok := ck.Check(con, cycle, &cs); ok {
+			if sel, ok := pp.Check(con, cycle, &cs); ok {
 				selS, atS, okS = sel, cycle, true
 				break
 			}
@@ -410,33 +406,32 @@ func diffProbePlan(stage string, m *lowlevel.MDES, stream, arrivals, want []int,
 		c.Add(cb)
 		c.Add(cs)
 		if okB != okS || (okB && atB != atS) {
-			return stageErrf(stage, "CheckWindow diverged from serial loop: op %s: batch=(%v,%d) serial=(%v,%d)",
+			return nil, stageErrf(stage, "CheckWindow diverged from serial loop: op %s: batch=(%v,%d) serial=(%v,%d)",
 				m.Operations[op].Name, okB, atB, okS, atS)
 		}
 		if cb != cs {
-			return stageErrf(stage, "CheckWindow accounting diverged: op %s: batch=%+v serial=%+v",
+			return nil, stageErrf(stage, "CheckWindow accounting diverged: op %s: batch=%+v serial=%+v",
 				m.Operations[op].Name, cb, cs)
 		}
 		if okB {
 			for i := range selB.Chosen {
 				if selB.Chosen[i] != selS.Chosen[i] {
-					return stageErrf(stage, "CheckWindow selection diverged: op %s tree %d",
+					return nil, stageErrf(stage, "CheckWindow selection diverged: op %s tree %d",
 						m.Operations[op].Name, i)
 				}
 			}
 		}
 	}
-	return nil
+	return pp, nil
 }
 
 // diffArena round-trips m through the flat arena format and requires the
 // persisted description to be indistinguishable from the original: the v3
 // encoding of the deep-copy materialization must match m's byte for byte
 // (losslessness), and the zero-copy frozen view — probe plan adopted from
-// the arena, not recompiled — must drive both the rumap and the
-// probe-plan backend to the oracle's schedules and probe answers. This is
-// the differential gate behind the compiled-description cache: a cache
-// hit serves exactly this view.
+// the arena, not recompiled — must drive the prober to the oracle's
+// schedules and probe answers. This is the differential gate behind the
+// compiled-description cache: a cache hit serves exactly this view.
 func diffArena(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
 	buf, err := m.EncodeArena()
 	if err != nil {
@@ -461,10 +456,8 @@ func diffArena(stage string, m *lowlevel.MDES, stream, arrivals, want []int, gri
 	if view.ArenaPlan() == nil {
 		return stageErrf(stage, "frozen view lost the persisted probe plan")
 	}
-	if err := diffRUMap(stage, view, stream, arrivals, want, grid, w, c); err != nil {
-		return err
-	}
-	return diffProbePlan(stage, view, stream, arrivals, want, grid, w, c)
+	_, err = diffPlan(stage, view, stream, arrivals, want, grid, w, c)
+	return err
 }
 
 // diffAutomaton replays the stream through the §10 DFA backend. The
@@ -494,18 +487,22 @@ func diffModulo(m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w
 	return diffBackend("backend/modulo", m, ck, stream, arrivals, want, grid, w, 0, c)
 }
 
-// compareSlots requires the rumap's reserved slots after the replay to be
-// exactly the oracle's — same feasibility is not enough on the description
-// the oracle itself interprets; the greedy option choice must match too.
-func compareSlots(stage string, orc *oracle.Oracle, ru *check.RUMap) error {
-	got := ru.Map().ReservedSlots()
+// compareSlots requires the prober's reserved slots after the replay to
+// be exactly the oracle's — same feasibility is not enough on the
+// description the oracle itself interprets; the greedy option choice must
+// match too.
+func compareSlots(stage string, orc *oracle.Oracle, pp *probeplan.Prober) error {
+	got := map[[2]int]bool{}
+	for _, s := range pp.AppendReservedSlots(nil) {
+		got[s] = true
+	}
 	want := orc.Slots()
 	if len(got) != len(want) {
-		return stageErrf(stage, "rumap holds %d reserved slots, oracle %d", len(got), len(want))
+		return stageErrf(stage, "prober holds %d reserved slots, oracle %d", len(got), len(want))
 	}
 	for _, s := range want {
 		if !got[[2]int{s.Res, s.Cycle}] {
-			return stageErrf(stage, "oracle slot (res %d, cycle %d) missing from rumap", s.Res, s.Cycle)
+			return stageErrf(stage, "oracle slot (res %d, cycle %d) missing from the prober", s.Res, s.Cycle)
 		}
 	}
 	return nil

@@ -232,9 +232,10 @@ func DecodeCompiled(r io.Reader) (*Compiled, error) {
 	return lowlevel.Decode(r)
 }
 
-// NewScheduler returns a list scheduler driven by the compiled description.
-// The scheduler is single-goroutine; for concurrent scheduling over one
-// shared description use NewEngine.
+// NewScheduler freezes the compiled description and returns a list
+// scheduler driven by it; optimize first, since Optimize panics on a
+// frozen description. The scheduler is single-goroutine; for concurrent
+// scheduling over one shared description use NewEngine.
 func NewScheduler(c *Compiled) *Scheduler {
 	return sched.New(c)
 }
@@ -378,47 +379,46 @@ func ServeMetrics(addr string, m *Metrics, opts ...ServerOption) (*obs.Server, e
 }
 
 // CheckerKind selects the conflict-detection backend an Engine's sessions
-// probe (see internal/check): the default packed RU map, the paper §10
-// finite-state-automaton baseline, or the flat probe-plan compilation of
-// the description. Backends differ in capability and speed, not in the
-// schedules they produce — the automaton cannot release reservations,
-// attribute conflicts to a blocking operation, or probe backward, so
-// backward/operation-driven scheduling and modulo scheduling refuse it.
+// probe (see internal/check): the default reservation-table engine — the
+// description's AND/OR-trees compiled into a flat probe plan — or the
+// paper §10 finite-state-automaton baseline. Backends differ in
+// capability and speed, not in the schedules they produce — the automaton
+// cannot release reservations, attribute conflicts to a blocking
+// operation, or probe backward, so backward/operation-driven scheduling
+// and modulo scheduling refuse it.
 type CheckerKind = check.Kind
 
 // Selectable checker backends.
 const (
-	// CheckerRUMap is the default backend: the paper's packed AND/OR-tree
-	// reservation-table check against the per-cycle RU map.
-	CheckerRUMap = check.KindRUMap
+	// CheckerProbePlan is the default (zero) backend: the paper's packed
+	// AND/OR-tree reservation-table check, with the description compiled
+	// into flat span arrays of packed probe words walked by slice
+	// iteration, multi-cycle window probing, and allocation-free
+	// schedulers.
+	CheckerProbePlan = check.KindProbePlan
 	// CheckerAutomaton is the §10 baseline: memoized transitions of a
 	// lazily-built collision DFA shared across all of the engine's
 	// contexts. Requires at most 64 resources and a description optimized
-	// with non-negative usage times.
+	// with non-negative usage times. Schedules and attempt/conflict
+	// counters match CheckerProbePlan; only ResourceChecks, the backend's
+	// own work, differs.
 	CheckerAutomaton = check.KindAutomaton
-	// CheckerProbePlan compiles the description's AND/OR-trees into flat
-	// span arrays of packed probe words walked by slice iteration, adds
-	// batch multi-cycle probing (check.BatchProber), and switches the
-	// engine's schedulers onto their allocation-free flat paths. Probe
-	// order and accounting are identical to CheckerRUMap, so schedules
-	// and counters are byte-identical; only the cost per probe changes.
-	CheckerProbePlan = check.KindProbePlan
 )
 
 // CheckerKinds returns every selectable backend, default first.
 func CheckerKinds() []CheckerKind { return check.Kinds() }
 
-// ParseCheckerKind resolves a backend name ("rumap", "automaton",
-// "probeplan") — the values the tools accept for their -checker flag.
+// ParseCheckerKind resolves a backend name ("probeplan", "automaton") —
+// the values the tools accept for their -checker flag.
 func ParseCheckerKind(s string) (CheckerKind, error) { return check.ParseKind(s) }
 
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine)
 
 // WithChecker selects the engine's conflict-detection backend. The
-// default is CheckerRUMap; NewEngine fails if the compiled description is
-// not eligible for the requested backend (e.g. the automaton's 64-resource
-// and non-negative-usage-time limits).
+// default is CheckerProbePlan; NewEngine fails if the compiled description
+// is not eligible for the requested backend (e.g. the automaton's
+// 64-resource and non-negative-usage-time limits).
 func WithChecker(kind CheckerKind) EngineOption {
 	return func(e *Engine) { e.checker = kind }
 }
@@ -463,8 +463,8 @@ func WithProfile(p *ConflictProfile) EngineOption {
 //
 // NewEngine freezes the description (validate-once, then immutable and
 // data-race-free to share); every scheduling or query session borrows a
-// pooled per-goroutine context holding all mutable state (RU map,
-// counters, scratch), so the steady state allocates no per-block
+// pooled per-goroutine context holding all mutable state (reservation
+// table, counters, scratch), so the steady state allocates no per-block
 // scheduling structures and needs no locks on the hot path.
 //
 // Observability is opt-in per engine (WithMetrics, WithTracer) and costs
@@ -555,7 +555,7 @@ func (e *Engine) ScheduleBlock(b *Block) (*Result, error) {
 // ScheduleBlocks schedules every block, fanning the work out over a pool
 // of parallelism goroutines, each driving the shared frozen description
 // through its own borrowed context. Blocks are independent scheduling
-// problems (each starts from an empty RU map), so results — issue cycles,
+// problems (each starts from an empty reservation table), so results — issue cycles,
 // schedule lengths, per-block counters — are identical to a serial run
 // regardless of parallelism; only wall-clock time changes. parallelism
 // <= 0 uses GOMAXPROCS. The first error cancels the remaining work, as
@@ -648,7 +648,8 @@ func NewHistogram() *Histogram {
 // pressure heuristics — the use cases the paper's introduction motivates).
 type Query = query.Q
 
-// NewQuery returns a query interface over the compiled description.
+// NewQuery freezes the compiled description and returns a query interface
+// over it; optimize first, since Optimize panics on a frozen description.
 func NewQuery(c *Compiled) *Query {
 	return query.New(c)
 }
