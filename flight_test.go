@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mdes"
+	"mdes/internal/obs"
 )
 
 // TestEngineFlightRecorder wires a flight recorder through the public
@@ -99,6 +100,55 @@ func TestEngineFlightRecorder(t *testing.T) {
 	}
 	if out := get("/metrics"); !strings.Contains(out, "mdes_flight_blocks_total") {
 		t.Errorf("/metrics missing flight series:\n%s", out)
+	}
+}
+
+// Every block of a long borrow must reach the flight recorder: a full
+// per-context ring spills into the recorder instead of overwriting its
+// oldest entries. 20,000 K5 ops are 1,225 blocks on one context at
+// parallelism 1, far more than the 256-entry ring; the block count, the
+// latency histogram and the per-block counters must all cover every
+// block and agree with the metrics registry.
+func TestFlightCountsEveryBlock(t *testing.T) {
+	machine, err := mdes.Builtin(mdes.K5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := mdes.Compile(machine, mdes.FormAndOr)
+	mdes.Optimize(compiled, mdes.LevelFull)
+	rec := mdes.NewFlightRecorder(mdes.FlightConfig{})
+	metrics := mdes.NewMetrics(compiled)
+	eng, err := mdes.NewEngine(compiled, mdes.WithMetrics(metrics), mdes.WithFlight(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := testBlocks(t, mdes.K5, 20000)
+	if _, _, err := eng.ScheduleBlocks(context.Background(), blocks, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := rec.Snapshot()
+	if snap.Blocks != int64(len(blocks)) {
+		t.Fatalf("flight recorder counted %d blocks, scheduled %d", snap.Blocks, len(blocks))
+	}
+	var samples int64
+	for _, q := range snap.Quantiles {
+		samples += q.Count
+	}
+	if samples != int64(len(blocks)) {
+		t.Fatalf("latency histograms hold %d samples, want %d", samples, len(blocks))
+	}
+	var attempts int64
+	seen := make(map[int64]bool)
+	for _, e := range snap.Recent {
+		attempts += e.Attempts
+		seen[e.Block] = true
+	}
+	if len(seen) != len(blocks) {
+		t.Fatalf("recent entries name %d distinct blocks, want %d", len(seen), len(blocks))
+	}
+	if want := metrics.Snapshot().Phases[obs.PhaseList].Attempts; attempts != want {
+		t.Fatalf("flight entries sum to %d attempts, metrics counted %d", attempts, want)
 	}
 }
 

@@ -78,11 +78,5 @@ func (a *Automaton) Reset() {
 	a.cycle = 0
 }
 
-// Explain implements Checker. DFA states fold all reservations together,
-// so the blocking slot cannot be recovered; found is always false.
-func (a *Automaton) Explain(*lowlevel.Constraint, int) (Conflict, bool) {
-	return Conflict{}, false
-}
-
 // Capabilities implements Checker.
 func (a *Automaton) Capabilities() Capabilities { return Caps(KindAutomaton) }

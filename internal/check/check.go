@@ -11,10 +11,13 @@
 // a representation.
 //
 // Backends are not interchangeable in every role: the automaton answers
-// probes fast but cannot release a reservation or attribute a conflict to
-// a blocking operation (the §10 limitation), so unscheduling-based
-// techniques must reject it. The Capabilities report encodes exactly that
-// matrix; consumers gate on it rather than on concrete types.
+// probes fast but cannot release a reservation or probe backward (the
+// §10 limitation), so unscheduling-based and random-access techniques
+// must reject it. The Capabilities report encodes exactly that matrix;
+// consumers gate on it rather than on concrete types. Conflict
+// attribution is not a backend capability: it is the reservation-table
+// prober's one walk (probeplan.Prober.Blocker), and a context on any
+// other backend attributes nothing.
 package check
 
 import (
@@ -77,9 +80,6 @@ type Capabilities struct {
 	// CanRelease reports whether Release undoes a Reserve — the ability
 	// unscheduling-based techniques (iterative modulo scheduling) require.
 	CanRelease bool
-	// CanExplain reports whether Explain can attribute a failed Check to
-	// the blocking resource slot.
-	CanExplain bool
 	// MonotonicOnly restricts probes to non-decreasing issue cycles
 	// (cycle-driven forward scheduling); backward and operation-driven
 	// scheduling need random access and must reject such backends.
@@ -94,7 +94,7 @@ func Caps(k Kind) Capabilities {
 	if k == KindAutomaton {
 		return Capabilities{Backend: "automaton", MonotonicOnly: true}
 	}
-	return Capabilities{Backend: "probeplan", CanRelease: true, CanExplain: true}
+	return Capabilities{Backend: "probeplan", CanRelease: true}
 }
 
 // Selection identifies the per-tree option choices of one successful
@@ -106,10 +106,6 @@ type Selection struct {
 	probeplan.Selection
 	next int
 }
-
-// Conflict attributes one failed Check to the blocking resource slot and
-// its HMDES provenance (see probeplan.Conflict).
-type Conflict = probeplan.Conflict
 
 // Checker answers issue-time resource-constraint probes for one borrowed
 // context over one frozen compiled MDES. A Checker holds per-client
@@ -132,11 +128,6 @@ type Checker interface {
 	Release(sel Selection)
 	// Reset clears all reservations, retaining storage.
 	Reset()
-	// Explain attributes a failed Check to its blocking resource slot; it
-	// runs only on the observability slow path and performs no
-	// accounting. Backends with Capabilities.CanExplain == false report
-	// found == false.
-	Explain(con *lowlevel.Constraint, issue int) (Conflict, bool)
 	// Capabilities reports what this backend supports.
 	Capabilities() Capabilities
 }

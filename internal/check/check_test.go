@@ -49,18 +49,18 @@ func compile(t *testing.T, src string) *lowlevel.MDES {
 
 func TestCapabilityMatrix(t *testing.T) {
 	pp := Caps(KindProbePlan)
-	if !pp.CanRelease || !pp.CanExplain || pp.MonotonicOnly || pp.Modulo {
+	if !pp.CanRelease || pp.MonotonicOnly || pp.Modulo {
 		t.Fatalf("probeplan caps = %+v", pp)
 	}
 	if Kind(0) != KindProbePlan || Kinds()[0] != KindProbePlan {
 		t.Fatalf("the zero Kind and the first listed backend must be probeplan")
 	}
 	au := Caps(KindAutomaton)
-	if au.CanRelease || au.CanExplain || !au.MonotonicOnly {
+	if au.CanRelease || !au.MonotonicOnly {
 		t.Fatalf("automaton caps = %+v", au)
 	}
 	mm := NewModulo(4, 3).Capabilities()
-	if !mm.CanRelease || !mm.CanExplain || !mm.Modulo {
+	if !mm.CanRelease || !mm.Modulo {
 		t.Fatalf("modmap caps = %+v", mm)
 	}
 }
@@ -165,18 +165,6 @@ func TestAutomatonMonotonicPanics(t *testing.T) {
 		}
 	}()
 	ck.Check(ll.Constraints[0], 1, &c)
-}
-
-func TestAutomatonExplainFindsNothing(t *testing.T) {
-	ll := compile(t, tinySrc)
-	f, err := NewFactory(ll, KindAutomaton)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := f.New()
-	if _, found := ck.Explain(ll.Constraints[0], 0); found {
-		t.Fatalf("automaton claimed conflict provenance")
-	}
 }
 
 func TestModuloConfigurePanicsOnBadII(t *testing.T) {

@@ -353,69 +353,10 @@ func (m *Modulo) evictOp(op int32) {
 	}
 }
 
-// optionFreeQuiet is optionFree without instrumentation or cross-tree
-// context — the attribution-only twin used by Explain.
-func (m *Modulo) optionFreeQuiet(o *lowlevel.Option, issue int) bool {
-	m.clearSeen()
-	if o.Masks != nil {
-		for _, cm := range o.Masks {
-			r := m.wrap(issue + int(cm.Time))
-			w := int(cm.Word)
-			if m.rows[r].IntersectsMask(w, cm.Mask) || m.seen[r].IntersectsMask(w, cm.Mask) {
-				return false
-			}
-			m.seen[r].OrMask(w, cm.Mask)
-			m.dirtySeen = append(m.dirtySeen, r)
-		}
-		return true
-	}
-	for _, u := range o.Usages {
-		r := m.wrap(issue + int(u.Time))
-		res := int(u.Res)
-		if m.rows[r].Test(res) || m.seen[r].Test(res) {
-			return false
-		}
-		m.seen[r].Set(res)
-		m.dirtySeen = append(m.dirtySeen, r)
-	}
-	return true
-}
-
-// Explain implements Checker: for the first unsatisfiable tree, the first
-// busy slot blocking its highest-priority option, with the option's HMDES
-// provenance. A pure modulo self-collision (no busy row bit) reports
-// found == false, as there is no blocking reservation to name.
-func (m *Modulo) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
-	for _, tree := range con.Trees {
-		satisfiable := false
-		for _, o := range tree.Options {
-			if m.optionFreeQuiet(o, issue) {
-				satisfiable = true
-				break
-			}
-		}
-		if !satisfiable {
-			blocked := tree.Options[0]
-			for _, u := range blocked.ExpandedUsages() {
-				r := m.wrap(issue + int(u.Time))
-				if m.rows[r].Test(int(u.Res)) {
-					src := blocked.Src
-					if src == "" {
-						src = tree.Src
-					}
-					return Conflict{Res: int(u.Res), Time: int(u.Time), Tree: tree.Name, Src: src}, true
-				}
-			}
-			return Conflict{}, false
-		}
-	}
-	return Conflict{}, false
-}
-
 // Capabilities implements Checker. The modulo backend is not a selectable
 // acyclic Kind: it wraps cycles, so only modulo schedulers use it.
 func (m *Modulo) Capabilities() Capabilities {
-	return Capabilities{Backend: "modmap", CanRelease: true, CanExplain: true, Modulo: true}
+	return Capabilities{Backend: "modmap", CanRelease: true, Modulo: true}
 }
 
 // Modulo implements the Checker interface.

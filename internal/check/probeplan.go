@@ -41,11 +41,6 @@ func (p *ProbePlan) Release(sel Selection) { p.pp.Release(sel.Selection) }
 // Reset implements Checker.
 func (p *ProbePlan) Reset() { p.pp.Reset() }
 
-// Explain implements Checker.
-func (p *ProbePlan) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
-	return p.pp.Explain(con, issue)
-}
-
 // Capabilities implements Checker.
 func (p *ProbePlan) Capabilities() Capabilities { return Caps(KindProbePlan) }
 

@@ -41,15 +41,14 @@ func LoadMachine(builtin, path string) (*hmdes.Machine, error) {
 func FormatCheckerKinds() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "available -checker backends:\n")
-	fmt.Fprintf(&b, "  %-10s %-8s %-8s %s\n", "name", "release", "explain", "probing")
+	fmt.Fprintf(&b, "  %-10s %-8s %s\n", "name", "release", "probing")
 	for _, k := range check.Kinds() {
 		caps := check.Caps(k)
 		probing := "random-access"
 		if caps.MonotonicOnly {
 			probing = "monotonic-only"
 		}
-		fmt.Fprintf(&b, "  %-10s %-8s %-8s %s\n", caps.Backend,
-			yesNo(caps.CanRelease), yesNo(caps.CanExplain), probing)
+		fmt.Fprintf(&b, "  %-10s %-8s %s\n", caps.Backend, yesNo(caps.CanRelease), probing)
 	}
 	return b.String()
 }

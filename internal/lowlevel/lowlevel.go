@@ -68,8 +68,8 @@ type Option struct {
 	// common usages) or "/f", "/r" (recovered factors) as transformations
 	// derive new options. After CSE an option merged from several
 	// identical sources keeps the first source's name. The scheduler hot
-	// path never reads Src; only the slow-path conflict attribution
-	// (probeplan.Prober.Explain) and reporting tools do.
+	// path never reads Src; only the trace view's conflict provenance
+	// (obs.Local.Conflict) and reporting tools do.
 	Src string
 }
 
@@ -369,20 +369,14 @@ func (b *builder) addOption(o *restable.Option, srcName string) *Option {
 }
 
 // ConstraintFor returns the constraint for an operation, selecting the
-// cascaded form when requested and available.
+// cascaded form when requested and available. Its Index is the
+// opcode-class key the observation views attribute attempts to.
 func (m *MDES) ConstraintFor(opIdx int, cascaded bool) *Constraint {
-	return m.Constraints[m.ConstraintIndexFor(opIdx, cascaded)]
-}
-
-// ConstraintIndexFor returns the index in m.Constraints of the
-// constraint ConstraintFor would select — the opcode-class key the
-// observability layer attributes attempts to.
-func (m *MDES) ConstraintIndexFor(opIdx int, cascaded bool) int {
 	op := m.Operations[opIdx]
 	if cascaded && op.Cascaded >= 0 {
-		return op.Cascaded
+		return m.Constraints[op.Cascaded]
 	}
-	return op.Constraint
+	return m.Constraints[op.Constraint]
 }
 
 // ConstraintNames returns the constraint (opcode class) names in index

@@ -14,7 +14,6 @@ package modsched
 
 import (
 	"fmt"
-	"time"
 
 	"mdes/internal/check"
 	"mdes/internal/ir"
@@ -236,78 +235,69 @@ func (s *Scheduler) MII(l *Loop) (int, error) {
 }
 
 // Schedule software-pipelines the loop, searching IIs upward from MII.
+// Every exit emits the loop's one BlockDone event, with the achieved II
+// as its length (-1 when no schedule was found).
 func (s *Scheduler) Schedule(l *Loop) (*Schedule, error) {
+	result, err := s.schedule(l)
+	if err != nil {
+		s.cx.Obs.BlockDone(obs.PhaseModulo, 0, len(l.Body.Ops), -1, result.Counters)
+		return nil, err
+	}
+	s.cx.Obs.BlockDone(obs.PhaseModulo, 0, len(l.Body.Ops), result.II, result.Counters)
+	s.cx.Counters.Add(result.Counters)
+	return result, nil
+}
+
+// schedule is Schedule's body; every exit returns the search's Schedule
+// (with its counters so far).
+func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
+	result := &Schedule{}
 	if len(l.Body.Ops) == 0 {
-		return &Schedule{II: 1}, nil
+		result.II = 1
+		return result, nil
 	}
 	for _, op := range l.Body.Ops {
 		if op.Branch {
-			return nil, fmt.Errorf("modsched: loop body must be branch-free (op %d)", op.ID)
+			return result, fmt.Errorf("modsched: loop body must be branch-free (op %d)", op.ID)
 		}
 		if _, ok := s.mdes.OpIndex[op.Opcode]; !ok {
-			return nil, fmt.Errorf("modsched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
+			return result, fmt.Errorf("modsched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
 		}
 	}
 	deps, err := s.deps(l)
 	if err != nil {
-		return nil, err
+		return result, err
 	}
 	mii, err := s.MII(l)
 	if err != nil {
-		return nil, err
+		return result, err
 	}
 	maxII := s.MaxII
 	if maxII == 0 {
 		maxII = 4 * (mii + len(l.Body.Ops))
 	}
-	result := &Schedule{}
 	// One bit-packed modulo map serves the whole II search; Configure
-	// clears it and grows rows as II increases.
+	// clears it and grows rows as II increases. Instrumented probes reach
+	// it through a context sharing the borrowed observation buffer.
 	mm := check.NewModulo(s.mdes.NumResources, mii)
+	probe := &resctx.Context{Checker: mm, Obs: s.cx.Obs}
 	for ii := mii; ii <= maxII; ii++ {
 		result.TriedIIs++
 		mm.Configure(ii)
-		if s.tryII(mm, l, deps, ii, result) {
+		if s.tryII(mm, probe, l, deps, ii, result) {
 			result.II = ii
-			s.cx.Counters.Add(result.Counters)
-			if s.cx.Obs != nil {
-				s.cx.Obs.Backtrack(obs.PhaseModulo, result.Counters.Backtracks)
-			}
 			return result, nil
 		}
 	}
-	return nil, fmt.Errorf("modsched: no schedule found up to II=%d", maxII)
+	return result, fmt.Errorf("modsched: no schedule found up to II=%d", maxII)
 }
 
-// attempt performs one instrumented modulo-map check: the paper's
-// counters always (into c), plus per-class PhaseModulo metrics when the
-// borrowed context carries an obs.Local. Each probe of a candidate slot
-// is one scheduling attempt — the inflation the paper attributes to
-// iterative modulo scheduling shows up directly in this phase's counters.
-func (s *Scheduler) attempt(mm *check.Modulo, classIdx int, con *lowlevel.Constraint, issue int, c *stats.Counters) (check.Selection, bool) {
-	local := s.cx.Obs
-	if local == nil {
-		return mm.Check(con, issue, c)
-	}
-	var t0 time.Time
-	timed := local.SampleTime()
-	if timed {
-		t0 = time.Now()
-	}
-	beforeOpts := c.OptionsChecked
-	beforeChecks := c.ResourceChecks
-	se, ok := mm.Check(con, issue, c)
-	ns := int64(-1)
-	if timed {
-		ns = time.Since(t0).Nanoseconds()
-	}
-	local.Attempt(obs.PhaseModulo, classIdx,
-		c.OptionsChecked-beforeOpts, c.ResourceChecks-beforeChecks, ns, ok)
-	return se, ok
-}
-
-// tryII is one iteration of Rau's algorithm at a fixed II.
-func (s *Scheduler) tryII(mm *check.Modulo, l *Loop, deps []Dep, ii int, out *Schedule) bool {
+// tryII is one iteration of Rau's algorithm at a fixed II; probe checks
+// mm through the probe helper, so each probe of a candidate slot is one
+// scheduling attempt in the modulo phase — the inflation the paper
+// attributes to iterative modulo scheduling shows up directly in that
+// phase's counters.
+func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps []Dep, ii int, out *Schedule) bool {
 	n := len(l.Body.Ops)
 	budget := s.Budget * n
 
@@ -378,12 +368,11 @@ func (s *Scheduler) tryII(mm *check.Modulo, l *Loop, deps []Dep, ii int, out *Sc
 		op := l.Body.Ops[opIdx]
 		mdIdx := s.mdes.OpIndex[op.Opcode]
 		con := s.mdes.ConstraintFor(mdIdx, op.Cascaded)
-		classIdx := s.mdes.ConstraintIndexFor(mdIdx, op.Cascaded)
 
 		// Try II consecutive slots; each try is a scheduling attempt.
 		chosen := -1
 		var chosenSel check.Selection
-		if s.cx.Obs == nil {
+		if !probe.Obs.PerAttempt() {
 			// Batch fast path: one CheckWindow pass over the II-wide
 			// window, accounting-equivalent to the serial loop below and
 			// allocation-free on failed cycles.
@@ -393,7 +382,7 @@ func (s *Scheduler) tryII(mm *check.Modulo, l *Loop, deps []Dep, ii int, out *Sc
 			}
 		} else {
 			for t := estart; t < estart+ii; t++ {
-				se, ok := s.attempt(mm, classIdx, con, t, &out.Counters)
+				se, ok, _ := probe.Probe(obs.PhaseModulo, opIdx, op.Opcode, con, t, &out.Counters)
 				if ok {
 					chosen = t
 					chosenSel = se
@@ -416,7 +405,7 @@ func (s *Scheduler) tryII(mm *check.Modulo, l *Loop, deps []Dep, ii int, out *Sc
 					push(v)
 				}
 			}
-			se, ok := s.attempt(mm, classIdx, con, chosen, &out.Counters)
+			se, ok, _ := probe.Probe(obs.PhaseModulo, opIdx, op.Opcode, con, chosen, &out.Counters)
 			if !ok {
 				// The constraint conflicts with itself at this II (modulo
 				// self-collision); this II is infeasible for this op.

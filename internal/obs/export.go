@@ -4,13 +4,15 @@ import (
 	"context"
 	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strings"
 	"time"
+
+	"mdes/internal/obs/flight"
+	"mdes/internal/obs/profile"
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -112,50 +114,24 @@ func ExpvarVar(r *Registry) expvar.Var {
 	return expvar.Func(func() any { return r.Snapshot() })
 }
 
-// FlightExporter is the export surface of a flight recorder
-// (internal/obs/flight.Recorder satisfies it). obs cannot import the
-// flight package — flight imports obs for the Phase enum — so the
-// endpoint layer takes the recorder through this interface instead.
-type FlightExporter interface {
-	// WritePrometheus appends the recorder's metrics (per-phase latency
-	// quantile summaries, anomaly counters, worst-block exemplars) in
-	// Prometheus text exposition format.
-	WritePrometheus(b *strings.Builder)
-	// WriteDump writes the full recorder state (meta, quantiles, recent
-	// and anomalous entries) as indented JSON.
-	WriteDump(w io.Writer) error
-	// Status reports the merged block count and anomaly count, for
-	// health endpoints.
-	Status() (blocks, anomalies int64)
-}
-
-// ProfileExporter is the export surface of a conflict-attribution
-// profile (internal/obs/profile.Profile satisfies it). Same structural
-// pattern as FlightExporter: the profile package stays import-free of
-// obs, so the endpoint layer takes it through this interface.
-type ProfileExporter interface {
-	// WriteSnapshot writes the current profile snapshot as indented JSON.
-	WriteSnapshot(w io.Writer) error
-}
-
 // ServerOption configures Handler and ServeMetrics.
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	flight  FlightExporter
-	profile ProfileExporter
+	flight  *flight.Recorder
+	profile *profile.Profile
 }
 
 // WithFlightExporter attaches a flight recorder to the endpoint: its
 // latency quantiles are appended to /metrics, its dump is served at
 // /debug/flight, and /healthz reports its block and anomaly counts.
-func WithFlightExporter(f FlightExporter) ServerOption {
+func WithFlightExporter(f *flight.Recorder) ServerOption {
 	return func(c *serverConfig) { c.flight = f }
 }
 
 // WithProfileExporter attaches a conflict-attribution profile to the
 // endpoint: its live snapshot is served as JSON at /debug/profile.
-func WithProfileExporter(p ProfileExporter) ServerOption {
+func WithProfileExporter(p *profile.Profile) ServerOption {
 	return func(c *serverConfig) { c.profile = p }
 }
 

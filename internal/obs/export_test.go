@@ -9,27 +9,9 @@ import (
 	"testing"
 
 	"mdes/internal/lowlevel"
+	"mdes/internal/obs/flight"
 	"mdes/internal/obs/profile"
 )
-
-// fakeFlight is a minimal FlightExporter for endpoint tests.
-type fakeFlight struct {
-	blocks    int64
-	anomalies int64
-	dumps     int
-}
-
-func (f *fakeFlight) WritePrometheus(b *strings.Builder) {
-	fmt.Fprintf(b, "mdes_flight_blocks_total %d\n", f.blocks)
-}
-
-func (f *fakeFlight) WriteDump(w io.Writer) error {
-	f.dumps++
-	_, err := fmt.Fprintf(w, "{\"blocks\":%d}\n", f.blocks)
-	return err
-}
-
-func (f *fakeFlight) Status() (int64, int64) { return f.blocks, f.anomalies }
 
 func testGet(t *testing.T, addr, path string) (int, string) {
 	t.Helper()
@@ -73,10 +55,20 @@ func TestHealthzWithoutFlight(t *testing.T) {
 
 func TestFlightEndpoints(t *testing.T) {
 	r := NewRegistry([]string{"alu"}, []string{"r0"})
-	l := r.NewLocal()
-	l.Attempt(PhaseList, 0, 1, 1, 10, true)
-	r.Merge(l)
-	fl := &fakeFlight{blocks: 42, anomalies: 3}
+	l := newTestLocal(r)
+	l.attempt(PhaseList, 0, 1, 1, 10, true)
+	l.Merge()
+	// 42 blocks, 3 of them over the backtrack-depth trigger.
+	fl := flight.NewRecorder(flight.Config{BacktrackDepth: 1})
+	entries := make([]flight.Entry, 42)
+	for i := range entries {
+		entries[i] = flight.Entry{Block: int64(i), Phase: PhaseList, WallNs: 1000}
+		if i < 3 {
+			entries[i].Backtracks = 1
+		}
+		fl.Classify(&entries[i])
+	}
+	fl.Merge(entries)
 	srv, err := ServeMetrics("127.0.0.1:0", r, WithFlightExporter(fl))
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +101,8 @@ func TestFlightEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &dump); err != nil {
 		t.Fatalf("/debug/flight does not parse: %v\n%s", err, body)
 	}
-	if dump.Blocks != 42 || fl.dumps != 1 {
-		t.Errorf("dump blocks = %d, dumps = %d", dump.Blocks, fl.dumps)
+	if dump.Blocks != 42 {
+		t.Errorf("dump blocks = %d", dump.Blocks)
 	}
 
 	// The flight recorder's metrics ride along on /metrics, after the
@@ -126,11 +118,14 @@ func TestFlightEndpoints(t *testing.T) {
 
 func TestProfileEndpoint(t *testing.T) {
 	r := NewRegistry(nil, nil)
-	p := profile.New(profileTestMDES())
-	l := p.NewLocal()
-	l.Success(0, []int{0})
+	m := profileTestMDES()
+	p := profile.New(m)
+	l := (&Views{Profile: p, MDES: m}).NewLocal()
+	l.Begin()
+	l.Attempt(PhaseList, m.Constraints[0], 0, "op", 0, 1, 1, -1, true, []int{0})
+	l.Attempt(PhaseList, m.Constraints[0], 1, "op", 0, 1, 1, -1, false, nil)
 	l.Conflict(0, 0, 0)
-	p.Merge(l)
+	l.Merge()
 	srv, err := ServeMetrics("127.0.0.1:0", r, WithProfileExporter(p))
 	if err != nil {
 		t.Fatal(err)

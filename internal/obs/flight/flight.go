@@ -10,23 +10,28 @@
 // conflict profile looked like, and what the blocks around it were doing.
 // The flight recorder closes that gap with the black-box pattern:
 //
-//   - Each borrowed scheduling context carries a Local — a fixed ring of
-//     per-block Entry records written with plain stores, no locks, no
-//     atomics, no allocations (the same single-writer discipline as
-//     obs.Local). One Entry costs two clock readings and a ring store per
-//     block, which is why the recorder can stay always-on (the <2%
-//     overhead gate at the repository root enforces it).
-//   - On pool release the Local is merged into the shared Recorder: a
-//     larger global ring plus per-phase streaming latency histograms from
-//     which tail quantiles (p50/p95/p99/p999) and worst-block exemplars
-//     are served.
+//   - The Recorder is one view of the per-context observation buffer
+//     (obs.Local). It does no per-attempt work: each block's BlockDone
+//     event writes one compact Entry into the buffer's ring with plain
+//     stores, from the block's own counters and one clock reading — a
+//     block starts where the previous one on the same borrowed context
+//     ended (or at the borrow), so the buffer keeps the previous reading
+//     instead of taking a second. That is why the recorder can stay
+//     always-on (the <2% overhead gate at the repository root enforces
+//     it).
+//   - A full ring spills into the shared Recorder before it is
+//     overwritten, and the rest merges on pool release, so every block
+//     reaches the Recorder: a larger global ring plus per-phase streaming
+//     latency histograms from which tail quantiles (p50/p95/p99/p999) and
+//     worst-block exemplars are served.
 //   - Anomaly triggers arm themselves from the merged history: a block
 //     whose wall time exceeds a configurable multiple of the running
 //     latency quantile, whose backtrack depth spikes, or whose conflict
-//     rate jumps above a multiple of the running mean is flagged at
-//     record time (three atomic loads on the hot path), retained in a
-//     dedicated anomaly ring, and — when an AutoDump writer is configured
-//     — triggers a rate-limited JSON dump of the whole recorder state.
+//     rate jumps above a multiple of the running mean is flagged when it
+//     is recorded (three atomic loads per block, Recorder.Classify),
+//     retained in a dedicated anomaly ring, and — when an AutoDump writer
+//     is configured — triggers a rate-limited JSON dump of the whole
+//     recorder state.
 //
 // Dumps are served on demand through obs.ServeMetrics (/debug/flight) and
 // the quantiles through the Prometheus and JSON exporters; Entry.Block IDs
@@ -37,7 +42,7 @@ package flight
 import (
 	"math/bits"
 
-	"mdes/internal/obs"
+	"mdes/internal/stats"
 )
 
 // Trigger is a bitmask of the anomaly conditions an Entry tripped.
@@ -81,18 +86,23 @@ func (t Trigger) String() string {
 // backend) live on the Recorder, not per entry.
 type Entry struct {
 	// Seq is the global merge sequence number, assigned when the entry
-	// reaches the Recorder (0 while still in a Local ring).
+	// reaches the Recorder (0 while still in a context's ring).
 	Seq int64 `json:"seq"`
 	// Block is the scheduler's block ID (the block's index within its
 	// batch for Engine.ScheduleBlocks), cross-referencing trace records.
 	Block int64 `json:"block"`
-	// Phase is the scheduler phase that ran the block (obs.Phase).
-	Phase obs.Phase `json:"-"`
+	// Phase is the scheduler phase that ran the block.
+	Phase stats.Phase `json:"-"`
 	// Ops is the number of operations in the block.
 	Ops int32 `json:"ops"`
 	// Length is the schedule length in cycles, -1 for a failed schedule.
 	Length int32 `json:"length"`
-	// WallNs is the block's scheduling wall time.
+	// WallNs is the block's wall time on its context: from the previous
+	// block's completion on the same borrowed context (or the borrow, for
+	// the first block) to this block's completion. It therefore includes
+	// the dependence-graph build and the caller's hand-off between
+	// blocks, but never the recorder's own bookkeeping (ring spills,
+	// anomaly retention), which is not billed to any block.
 	WallNs int64 `json:"wall_ns"`
 	// Attempts/Options/Checks/Conflicts/Backtracks are the block's own
 	// counters (the paper's accounting, per block).
@@ -120,58 +130,6 @@ func (e Entry) toJSON() entryJSON {
 	}
 	return j
 }
-
-// Local is the per-context flight ring: single-goroutine, written with
-// plain stores on the scheduling hot path and merged into the shared
-// Recorder when the owning context is released (resctx.Pool.Put), exactly
-// like obs.Local. A nil Local costs one pointer comparison per block.
-type Local struct {
-	rec     *Recorder
-	entries []Entry
-	next    int
-	n       int
-}
-
-// Record stores one block's entry in the ring, evicting the oldest when
-// full, and evaluates the recorder's armed anomaly triggers against it.
-// The fast path is a ring store plus at most three atomic threshold
-// loads; only an actual anomaly takes the recorder's lock. The entry is
-// taken by pointer purely to keep the per-block cost down (one 96-byte
-// copy instead of two); Record does not retain it. Seq and Trigger are
-// assigned here and on merge — caller-set values are overwritten.
-func (l *Local) Record(e *Entry) {
-	e.Seq = 0
-	e.Trigger = l.rec.classify(e)
-	if e.Trigger != 0 {
-		l.rec.noteAnomaly(*e)
-	}
-	if l.n < len(l.entries) {
-		l.entries[l.n] = *e
-		l.n++
-		return
-	}
-	l.entries[l.next] = *e
-	l.next++
-	if l.next == len(l.entries) {
-		l.next = 0
-	}
-}
-
-// drainInto appends the ring's entries, oldest first, to dst and resets
-// the ring for reuse.
-func (l *Local) drainInto(dst []Entry) []Entry {
-	if l.n == len(l.entries) {
-		dst = append(dst, l.entries[l.next:]...)
-		dst = append(dst, l.entries[:l.next]...)
-	} else {
-		dst = append(dst, l.entries[:l.n]...)
-	}
-	l.next, l.n = 0, 0
-	return dst
-}
-
-// Len returns the number of entries currently retained in the ring.
-func (l *Local) Len() int { return l.n }
 
 // latency histogram: log2 octaves split into 8 sub-buckets each, giving
 // ~12.5% value resolution — fine enough for p999 while staying a flat

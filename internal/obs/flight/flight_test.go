@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"mdes/internal/obs"
+	"mdes/internal/stats"
 )
 
 // The histogram mapping must be monotonic and every bucket's bound an
@@ -83,38 +83,14 @@ func TestTriggerString(t *testing.T) {
 	}
 }
 
-// A full Local evicts oldest-first and drains in order.
-func TestLocalRingWrap(t *testing.T) {
-	r := NewRecorder(Config{PerContext: 4})
-	l := r.NewLocal()
-	for i := int64(0); i < 7; i++ {
-		l.Record(&Entry{Block: i, Phase: obs.PhaseList})
-	}
-	if l.Len() != 4 {
-		t.Fatalf("ring holds %d entries, want 4", l.Len())
-	}
-	got := l.drainInto(nil)
-	if len(got) != 4 {
-		t.Fatalf("drained %d entries, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := int64(3 + i); e.Block != want {
-			t.Fatalf("drained[%d].Block = %d, want %d (oldest-first after eviction)", i, e.Block, want)
-		}
-	}
-	if l.Len() != 0 {
-		t.Fatal("drainInto must reset the ring")
-	}
-}
-
-// mergeEntries pushes entries through a fresh Local so the recorder's
-// history (and so its armed thresholds) reflects them.
+// mergeEntries records entries as a context's buffer does — classified
+// one by one as they complete, then merged as one batch — so the
+// recorder's history (and so its armed thresholds) reflects them.
 func mergeEntries(r *Recorder, entries ...Entry) {
-	l := r.NewLocal()
-	for _, e := range entries {
-		l.Record(&e)
+	for i := range entries {
+		r.Classify(&entries[i])
 	}
-	r.Merge(l)
+	r.Merge(entries)
 }
 
 func TestAnomalyTriggers(t *testing.T) {
@@ -128,12 +104,11 @@ func TestAnomalyTriggers(t *testing.T) {
 	})
 	// Before any history merges, latency and conflict triggers are
 	// disarmed; only the backtrack-depth constant can fire.
-	l := r.NewLocal()
-	l.Record(&Entry{Phase: obs.PhaseList, WallNs: 1 << 40, Attempts: 100, Conflicts: 100})
+	r.Classify(&Entry{Phase: stats.PhaseList, WallNs: 1 << 40, Attempts: 100, Conflicts: 100})
 	if n := r.AnomalyCount(); n != 0 {
 		t.Fatalf("unarmed recorder flagged %d anomalies", n)
 	}
-	l.Record(&Entry{Phase: obs.PhaseList, Backtracks: 5})
+	r.Classify(&Entry{Phase: stats.PhaseList, Backtracks: 5})
 	if n := r.AnomalyCount(); n != 1 {
 		t.Fatalf("backtrack depth flagged %d anomalies, want 1", n)
 	}
@@ -141,19 +116,17 @@ func TestAnomalyTriggers(t *testing.T) {
 	// Arm from history: 8 normal blocks (1µs, conflict rate 0.1).
 	normals := make([]Entry, 8)
 	for i := range normals {
-		normals[i] = Entry{Block: int64(i), Phase: obs.PhaseList, WallNs: 1000, Attempts: 100, Conflicts: 10}
+		normals[i] = Entry{Block: int64(i), Phase: stats.PhaseList, WallNs: 1000, Attempts: 100, Conflicts: 10}
 	}
 	mergeEntries(r, normals...)
 
-	l2 := r.NewLocal()
-	l2.Record(&Entry{Block: 100, Phase: obs.PhaseList, WallNs: 1000, Attempts: 100, Conflicts: 10})
-	if n := r.AnomalyCount(); n != 1 {
-		t.Fatalf("normal block flagged as anomaly (count %d)", n)
+	if r.Classify(&Entry{Block: 100, Phase: stats.PhaseList, WallNs: 1000, Attempts: 100, Conflicts: 10}) {
+		t.Fatalf("normal block flagged as anomaly (count %d)", r.AnomalyCount())
 	}
-	l2.Record(&Entry{Block: 101, Phase: obs.PhaseList, WallNs: 1 << 30})
-	l2.Record(&Entry{Block: 102, Phase: obs.PhaseList, WallNs: 1000, Attempts: 100, Conflicts: 50})
-	l2.Record(&Entry{Block: 103, Phase: obs.PhaseList, WallNs: 1000, Attempts: 5, Conflicts: 5})
-	r.Merge(l2)
+	mergeEntries(r,
+		Entry{Block: 101, Phase: stats.PhaseList, WallNs: 1 << 30},
+		Entry{Block: 102, Phase: stats.PhaseList, WallNs: 1000, Attempts: 100, Conflicts: 50},
+		Entry{Block: 103, Phase: stats.PhaseList, WallNs: 1000, Attempts: 5, Conflicts: 5})
 
 	s := r.Snapshot()
 	if s.Anomalies["latency"] != 1 {
@@ -173,9 +146,8 @@ func TestAnomalyTriggers(t *testing.T) {
 func TestAutoDumpRateLimited(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(Config{BacktrackDepth: 1, AutoDump: &buf})
-	l := r.NewLocal()
 	for i := 0; i < 5; i++ {
-		l.Record(&Entry{Phase: obs.PhaseList, Backtracks: 1})
+		r.Classify(&Entry{Phase: stats.PhaseList, Backtracks: 1})
 	}
 	if d := r.Snapshot().Dumps; d != 1 {
 		t.Fatalf("%d auto-dumps for one anomaly burst, want 1 (rate limit)", d)
@@ -191,7 +163,7 @@ func TestSnapshotRecentOrderAndMeta(t *testing.T) {
 	r.SetMeta("K5", "deadbeef00000000", "probeplan")
 	entries := make([]Entry, 6)
 	for i := range entries {
-		entries[i] = Entry{Block: int64(i), Phase: obs.PhaseList, WallNs: int64(100 * (i + 1))}
+		entries[i] = Entry{Block: int64(i), Phase: stats.PhaseList, WallNs: int64(100 * (i + 1))}
 	}
 	mergeEntries(r, entries...)
 
@@ -214,7 +186,7 @@ func TestSnapshotRecentOrderAndMeta(t *testing.T) {
 			t.Fatalf("recent[%d].Seq = %d, want %d (merge order)", i, e.Seq, want+1)
 		}
 	}
-	if len(s.Quantiles) != 1 || s.Quantiles[0].Phase != obs.PhaseList.String() {
+	if len(s.Quantiles) != 1 || s.Quantiles[0].Phase != stats.PhaseList.String() {
 		t.Fatalf("quantiles %+v, want one entry for the list phase", s.Quantiles)
 	}
 	if q := s.Quantiles[0]; q.Count != 6 || q.MaxNs != 600 || len(q.Exemplars) == 0 {
@@ -229,8 +201,8 @@ func TestWriteDumpAndPrometheus(t *testing.T) {
 	r := NewRecorder(Config{})
 	r.SetMeta("K5", "deadbeef00000000", "automaton")
 	mergeEntries(r,
-		Entry{Block: 1, Phase: obs.PhaseList, WallNs: 1000, Attempts: 10},
-		Entry{Block: 2, Phase: obs.PhaseOpDriven, WallNs: 2000, Attempts: 20})
+		Entry{Block: 1, Phase: stats.PhaseList, WallNs: 1000, Attempts: 10},
+		Entry{Block: 2, Phase: stats.PhaseOpDriven, WallNs: 2000, Attempts: 20})
 
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf); err != nil {
@@ -243,8 +215,8 @@ func TestWriteDumpAndPrometheus(t *testing.T) {
 	if s.Blocks != 2 || len(s.Recent) != 2 {
 		t.Fatalf("dump snapshot %+v, want 2 blocks", s)
 	}
-	if s.Recent[0].PhaseName != obs.PhaseList.String() {
-		t.Fatalf("dump entry phase %q, want %q", s.Recent[0].PhaseName, obs.PhaseList)
+	if s.Recent[0].PhaseName != stats.PhaseList.String() {
+		t.Fatalf("dump entry phase %q, want %q", s.Recent[0].PhaseName, stats.PhaseList)
 	}
 
 	var b strings.Builder
@@ -297,17 +269,17 @@ func TestMergeUnderConcurrentDump(t *testing.T) {
 		go func(w int) {
 			defer writerWG.Done()
 			for m := 0; m < mergesPerWriter; m++ {
-				l := r.NewLocal()
-				for i := 0; i < entriesPerMerge; i++ {
-					l.Record(&Entry{
+				entries := make([]Entry, entriesPerMerge)
+				for i := range entries {
+					entries[i] = Entry{
 						Block:      int64(w*1000 + m*100 + i),
-						Phase:      obs.Phase(i % int(obs.NumPhases)),
+						Phase:      stats.Phase(i % int(stats.NumPhases)),
 						WallNs:     int64(i + 1),
 						Attempts:   int64(i),
 						Backtracks: int64(i), // some trip the backtrack trigger
-					})
+					}
 				}
-				r.Merge(l)
+				mergeEntries(r, entries...)
 			}
 		}(w)
 	}

@@ -10,13 +10,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mdes/internal/obs"
+	"mdes/internal/stats"
 )
 
 // Config parameterizes a Recorder. The zero value is a sensible always-on
 // configuration; every field has a default.
 type Config struct {
-	// PerContext is each context ring's capacity (default 256 entries).
+	// PerContext is each context ring's capacity (default 256 entries);
+	// a full ring spills into the Recorder before it is overwritten.
 	PerContext int
 	// Capacity is the merged global ring's capacity (default 4096).
 	Capacity int
@@ -110,10 +111,10 @@ type Recorder struct {
 	machineHash atomic.Pointer[string]
 	checker     atomic.Pointer[string]
 
-	// Armed thresholds, read lock-free by Local.Record on the hot path.
+	// Armed thresholds, read lock-free by Classify once per block.
 	// latThreshold[p] is the ns bound for phase p (0 = disarmed);
 	// conflictMilli is the per-mille conflict-rate bound (0 = disarmed).
-	latThreshold  [obs.NumPhases]atomic.Int64
+	latThreshold  [stats.NumPhases]atomic.Int64
 	conflictMilli atomic.Int64
 
 	anomalies  [numTriggers]atomic.Int64
@@ -129,12 +130,11 @@ type Recorder struct {
 	blocks    int64
 	attempts  int64
 	conflicts int64
-	lat       [obs.NumPhases]hist
-	worst     [obs.NumPhases][]Exemplar
+	lat       [stats.NumPhases]hist
+	worst     [stats.NumPhases][]Exemplar
 	anomRing  []Entry
 	anomNext  int
 	anomN     int
-	scratch   []Entry
 }
 
 // NewRecorder returns a flight recorder with the given configuration
@@ -165,13 +165,24 @@ func loadStr(p *atomic.Pointer[string]) string {
 	return ""
 }
 
-// NewLocal returns an empty per-context ring merging into this recorder.
-func (r *Recorder) NewLocal() *Local {
-	return &Local{rec: r, entries: make([]Entry, r.cfg.PerContext)}
+// PerContext returns the capacity of each context's ring.
+func (r *Recorder) PerContext() int { return r.cfg.PerContext }
+
+// Classify evaluates the armed anomaly triggers against a block's entry
+// as it is recorded, sets e.Trigger and retains an anomalous entry. The common path is at most
+// three atomic loads; it reports whether it took the slow path (the
+// recorder's lock, possibly an auto-dump), so the caller can keep that
+// work off the next block's clock.
+func (r *Recorder) Classify(e *Entry) bool {
+	if e.Trigger = r.classify(e); e.Trigger == 0 {
+		return false
+	}
+	r.noteAnomaly(*e)
+	return true
 }
 
-// classify evaluates the armed anomaly triggers against an entry. It is
-// called on the hot path and performs at most three atomic loads.
+// classify evaluates the armed anomaly triggers against an entry with at
+// most three atomic loads.
 func (r *Recorder) classify(e *Entry) Trigger {
 	var t Trigger
 	if th := r.latThreshold[e.Phase].Load(); th > 0 && e.WallNs > th {
@@ -218,30 +229,32 @@ func (r *Recorder) noteAnomaly(e Entry) {
 	_ = r.WriteDump(r.cfg.AutoDump)
 }
 
-// Merge folds a Local's ring into the recorder: entries enter the global
-// ring in local order with merge sequence numbers, the per-phase latency
-// histograms and worst-block exemplars absorb them, and the anomaly
-// thresholds re-arm from the enlarged history. Called on context release
-// (resctx.Pool.Put), never on the per-block hot path. Merging an empty or
-// nil Local is free.
-func (r *Recorder) Merge(l *Local) {
-	if l == nil || l.n == 0 {
+// Merge folds one context's recorded entries, oldest first, into the
+// recorder: they enter the global ring with merge sequence numbers, the
+// per-phase latency histograms and worst-block exemplars absorb them, and
+// the anomaly thresholds re-arm from the enlarged history. A context
+// calls it when its ring fills and when it is released, never per
+// block; merging nothing is free.
+func (r *Recorder) Merge(entries []Entry) {
+	if len(entries) == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.scratch = l.drainInto(r.scratch[:0])
-	for i := range r.scratch {
-		e := &r.scratch[i]
-		r.seq++
-		e.Seq = r.seq
+	for i := range entries {
+		slot := r.n
 		if r.n < len(r.ring) {
-			r.ring[r.n] = *e
 			r.n++
 		} else {
-			r.ring[r.next] = *e
-			r.next = (r.next + 1) % len(r.ring)
+			slot = r.next
+			if r.next++; r.next == len(r.ring) {
+				r.next = 0
+			}
 		}
-		if int(e.Phase) < int(obs.NumPhases) {
+		e := &r.ring[slot]
+		*e = entries[i]
+		r.seq++
+		e.Seq = r.seq
+		if int(e.Phase) < int(stats.NumPhases) {
 			r.lat[e.Phase].observe(e.WallNs)
 			r.noteWorst(e)
 		}
@@ -273,7 +286,7 @@ func (r *Recorder) noteWorst(e *Entry) {
 // history. Called with mu held.
 func (r *Recorder) rearmLocked() {
 	if r.cfg.LatencyFactor > 0 {
-		for p := 0; p < int(obs.NumPhases); p++ {
+		for p := 0; p < int(stats.NumPhases); p++ {
 			if r.lat[p].count >= r.cfg.MinBlocks {
 				q := r.lat[p].quantile(r.cfg.LatencyQuantile)
 				r.latThreshold[p].Store(int64(r.cfg.LatencyFactor * float64(q)))
@@ -322,8 +335,9 @@ type Snapshot struct {
 
 // Snapshot copies the recorder's state: identity, totals, per-phase
 // quantiles with exemplars, the recent-entry ring (oldest first), and the
-// anomaly ring. Entries still in borrowed Locals are not included until
-// their context is released, mirroring the metrics registry's contract.
+// anomaly ring. Entries still in a borrowed context's ring are not
+// included until it fills or the context is released, mirroring the
+// metrics registry's contract.
 func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		Machine:     loadStr(&r.machine),
@@ -342,13 +356,13 @@ func (r *Recorder) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s.Blocks, s.Merges = r.blocks, r.merges
-	for p := 0; p < int(obs.NumPhases); p++ {
+	for p := 0; p < int(stats.NumPhases); p++ {
 		h := &r.lat[p]
 		if h.count == 0 {
 			continue
 		}
 		s.Quantiles = append(s.Quantiles, PhaseQuantiles{
-			Phase:     obs.Phase(p).String(),
+			Phase:     stats.Phase(p).String(),
 			Count:     h.count,
 			SumNs:     h.sum,
 			MaxNs:     h.max,

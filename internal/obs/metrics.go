@@ -56,8 +56,9 @@ type classCounters struct {
 // with check-latency histograms, per-opcode-class attempt attribution,
 // and conflicts keyed by the blocking resource. All fields are atomic, so
 // exporters may read at any time; but the hot path never writes here —
-// schedulers bump a per-context Local and the pool merges it on release,
-// keeping the fast path lock-free and contention-free.
+// the registry is one view of the per-context observation buffer
+// (Local), which folds into it on release, keeping the fast path
+// lock-free and contention-free.
 type Registry struct {
 	classNames    []string
 	resourceNames []string
@@ -92,12 +93,13 @@ func (r *Registry) Backend() string {
 }
 
 // AddInFlight adjusts the gauge of currently-borrowed contexts observing
-// into this registry (resctx.Pool bumps it on Get/Put).
+// into this registry (Local.Begin and Local.Merge bump it per borrow).
 func (r *Registry) AddInFlight(delta int64) { r.inFlight.Add(delta) }
 
 // NewRegistry returns a registry for a description with the given opcode
 // class (constraint) names and resource names; the names key the
-// per-class and conflicts-by-resource breakdowns.
+// per-class and conflicts-by-resource breakdowns, so they must follow the
+// observed description's constraint and resource order.
 func NewRegistry(classNames, resourceNames []string) *Registry {
 	return &Registry{
 		classNames:    append([]string(nil), classNames...),
@@ -113,19 +115,11 @@ func (r *Registry) ClassNames() []string { return r.classNames }
 // ResourceNames returns the registered resource names.
 func (r *Registry) ResourceNames() []string { return r.resourceNames }
 
-// NewLocal returns an empty Local sized for this registry.
-func (r *Registry) NewLocal() *Local {
-	return &Local{
-		classes:      make([]localClass, len(r.classNames)),
-		resConflicts: make([]int64, len(r.resourceNames)),
-	}
-}
-
-// Merge folds a Local's counts into the registry's atomics. It is called
-// on context release (resctx.Pool.Put), not on the hot path. Untouched
-// locals merge for free.
-func (r *Registry) Merge(l *Local) {
-	if l == nil || !l.dirty {
+// merge folds the metrics share of a buffer into the registry's atomics
+// (part of Local.Merge, on context release). Untouched buffers merge for
+// free.
+func (r *Registry) merge(l *Local) {
+	if !l.dirty {
 		return
 	}
 	for p := range l.phases {
@@ -145,19 +139,17 @@ func (r *Registry) Merge(l *Local) {
 			}
 		}
 	}
-	for ci := range l.classes {
-		lc := &l.classes[ci]
-		if lc.attempts == 0 {
-			continue
+	for _, ci := range l.touchedCon {
+		if int(ci) < len(r.classes) {
+			lc, rc := &l.cons[ci], &r.classes[ci]
+			rc.attempts.Add(lc.attempts)
+			rc.options.Add(lc.options)
+			rc.conflicts.Add(lc.conflicts)
 		}
-		rc := &r.classes[ci]
-		rc.attempts.Add(lc.attempts)
-		rc.options.Add(lc.options)
-		rc.conflicts.Add(lc.conflicts)
 	}
-	for ri, n := range l.resConflicts {
-		if n != 0 {
-			r.resConflicts[ri].Add(n)
+	for _, ri := range l.touchedRes {
+		if int(ri) < len(r.resConflicts) {
+			r.resConflicts[ri].Add(l.res[ri])
 		}
 	}
 	r.merges.Add(1)
@@ -174,112 +166,20 @@ type localPhase struct {
 	checkNsSum int64
 }
 
-type localClass struct {
-	attempts  int64
-	options   int64
-	conflicts int64
-}
-
-// TimestampPeriod is the check-latency sampling period: schedulers
-// timestamp one attempt in every TimestampPeriod (asking SampleTime
-// before taking the two time.Now readings) and the histogram weights
-// each sample by the period, so the latency distribution and _sum
-// extrapolate to all attempts while the per-Check clock cost drops by
-// the same factor. Counting accounting (attempts, options, checks,
+// TimestampPeriod is the check-latency sampling period: the metrics view
+// times one attempt in every TimestampPeriod (Local.Start takes the
+// first clock reading, Local.Attempt the second) and the histogram
+// weights each sample by the period, so the latency distribution and
+// _sum extrapolate to all attempts while the per-Check clock cost drops
+// by the same factor. Counting accounting (attempts, options, checks,
 // conflicts) is never sampled. A power of two keeps the modulo free.
 const TimestampPeriod = 256
 
-// Local is the per-context (single-goroutine) accumulation buffer the
-// schedulers write on the hot path: plain integer adds, no atomics, no
-// locks, no allocations. A Local is merged into its Registry when the
-// owning context is released and is then reset for reuse.
-type Local struct {
-	phases       [NumPhases]localPhase
-	classes      []localClass
-	resConflicts []int64
-	dirty        bool
-	tick         uint32
-}
-
-// SampleTime reports whether the caller should timestamp this attempt:
-// true once per TimestampPeriod calls, starting with the first, so even
-// short runs record at least one latency sample. Callers pass ns < 0 to
-// Attempt for the attempts they did not time.
-func (l *Local) SampleTime() bool {
-	l.tick++
-	return l.tick%TimestampPeriod == 1
-}
-
-// Attempt records one instrumented Check: the phase that performed it,
-// the opcode class (constraint index) it was for, the options and
-// resource probes it consumed, its wall time, and whether it succeeded.
-// A negative or out-of-range class is accounted to the phase only. A
-// negative ns marks an untimed attempt (see SampleTime): counting
-// accounting proceeds as usual and the latency histogram is untouched;
-// a timed attempt adds TimestampPeriod observations of its measurement,
-// extrapolating the sampled clock readings back to all attempts.
-func (l *Local) Attempt(p Phase, class int, options, checks, ns int64, ok bool) {
-	l.dirty = true
-	lp := &l.phases[p]
-	lp.attempts++
-	lp.options += options
-	lp.checks += checks
-	if ns >= 0 {
-		lp.recordNs(ns)
-	}
-	if !ok {
-		lp.conflicts++
-	}
-	if class >= 0 && class < len(l.classes) {
-		lc := &l.classes[class]
-		lc.attempts++
-		lc.options += options
-		if !ok {
-			lc.conflicts++
-		}
-	}
-}
-
 // recordNs folds one sampled latency measurement into the histogram,
-// weighted back up by the sampling period. Out of line so the common
-// untimed Attempt call stays within the inlining budget.
-//
-//go:noinline
+// weighted back up by the sampling period.
 func (lp *localPhase) recordNs(ns int64) {
 	lp.checkNs[latencyBucket(ns)] += TimestampPeriod
 	lp.checkNsSum += ns * TimestampPeriod
-}
-
-// ConflictAt attributes a failed attempt to the blocking resource.
-func (l *Local) ConflictAt(res int) {
-	if res >= 0 && res < len(l.resConflicts) {
-		l.dirty = true
-		l.resConflicts[res]++
-	}
-}
-
-// Backtrack records n unscheduled (evicted) operations in phase p.
-func (l *Local) Backtrack(p Phase, n int64) {
-	if n == 0 {
-		return
-	}
-	l.dirty = true
-	l.phases[p].backtracks += n
-}
-
-// Reset zeroes the Local, retaining storage.
-func (l *Local) Reset() {
-	if !l.dirty {
-		return
-	}
-	l.phases = [NumPhases]localPhase{}
-	for i := range l.classes {
-		l.classes[i] = localClass{}
-	}
-	for i := range l.resConflicts {
-		l.resConflicts[i] = 0
-	}
-	l.dirty = false
 }
 
 // PhaseSnapshot is one phase's metrics at snapshot time.

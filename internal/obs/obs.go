@@ -10,60 +10,48 @@
 // and to wall-clock time (log2-bucketed ns-per-Check histograms), and it
 // can emit a machine-readable trace of every scheduling decision.
 //
-// Two independent facilities:
+// One per-context buffer feeds every view. Each borrowed
+// resctx.Context carries one Local, fed three events: Attempt and
+// Conflict by the one probe helper (resctx.Context.Probe), and BlockDone
+// once per scheduler exit. Each event folds at once, with plain stores,
+// into the share of whichever views the engine attached (Views):
 //
-//   - A metrics Registry of atomic counters keyed by scheduler phase and
-//     opcode class. The hot path never touches the registry: each borrowed
-//     resctx.Context carries a plain (non-atomic) Local that the
-//     schedulers bump, and the Local is merged into the Registry's atomics
-//     when the context is released. Exporters (Prometheus text, expvar
-//     JSON, human-readable tables) read consistent snapshots at any time.
-//
-//   - A Tracer producing one BlockRecord per scheduled block: block
-//     start/finish, every issue attempt with its chosen option and cycle,
-//     and conflict details naming the blocking resource and usage time —
-//     the machine-readable version of the paper's Figure 2 data. Records
-//     are accumulated privately per block and handed to a Sink (JSONL
-//     writer or in-memory ring buffer) as one atomic unit, so records from
+//   - the metrics Registry of atomic counters keyed by scheduler phase,
+//     opcode class and blocking resource, with sampled check-latency
+//     histograms, read by the exporters (Prometheus text, expvar JSON,
+//     human-readable tables) at any time;
+//   - the conflict profile (internal/obs/profile), per constraint, tree
+//     and option — per-constraint and per-resource counts are kept once
+//     in the buffer for it and the registry;
+//   - the flight recorder (internal/obs/flight), one entry per block;
+//   - the Tracer, producing one BlockRecord per sampled block: every
+//     issue attempt with its chosen option and cycle, and conflict
+//     details naming the blocking resource and usage time — the
+//     machine-readable version of the paper's Figure 2 data. A record is
+//     accumulated privately per block and handed to a Sink (JSONL writer
+//     or in-memory ring buffer) as one atomic unit, so records from
 //     concurrent goroutines never interleave.
 //
-// Both facilities are nil-disabled: a nil Tracer and a nil Local cost a
-// pointer comparison on the hot path and zero allocations (enforced by
-// BenchmarkObsOverhead and the allocs-per-run gates at the repository
-// root).
+// The hot path never touches the shared aggregates: Local.Merge folds the
+// buffer into them once, when the context is released. A context with no
+// views has no buffer, and one with only the flight recorder skips the
+// per-attempt events: both cost a pointer comparison per attempt and
+// zero allocations (enforced by BenchmarkObsOverhead and the overhead
+// and allocs-per-run gates at the repository root).
 package obs
 
+import "mdes/internal/stats"
+
 // Phase identifies which consumer of the compiled MDES performed an
-// instrumented operation.
-type Phase uint8
+// instrumented operation (see stats.Phase).
+type Phase = stats.Phase
 
 // Scheduler phases.
 const (
-	// PhaseList is the forward cycle-driven list scheduler.
-	PhaseList Phase = iota
-	// PhaseBackward is the backward (bottom-up) list scheduler.
-	PhaseBackward
-	// PhaseOpDriven is the operation-driven list scheduler.
-	PhaseOpDriven
-	// PhaseModulo is the iterative modulo scheduler.
-	PhaseModulo
-	// PhaseQuery is the execution-constraint query interface.
-	PhaseQuery
-	// NumPhases is the number of phases (for sizing arrays).
-	NumPhases
+	PhaseList     = stats.PhaseList
+	PhaseBackward = stats.PhaseBackward
+	PhaseOpDriven = stats.PhaseOpDriven
+	PhaseModulo   = stats.PhaseModulo
+	PhaseQuery    = stats.PhaseQuery
+	NumPhases     = stats.NumPhases
 )
-
-var phaseNames = [NumPhases]string{
-	PhaseList:     "list",
-	PhaseBackward: "backward",
-	PhaseOpDriven: "opdriven",
-	PhaseModulo:   "modulo",
-	PhaseQuery:    "query",
-}
-
-func (p Phase) String() string {
-	if int(p) < len(phaseNames) {
-		return phaseNames[p]
-	}
-	return "unknown"
-}

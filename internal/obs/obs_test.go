@@ -42,13 +42,13 @@ func TestLatencyBuckets(t *testing.T) {
 
 func TestLocalMergeSnapshot(t *testing.T) {
 	r := NewRegistry([]string{"alu", "mem"}, []string{"r0", "r1", "r2"})
-	l := r.NewLocal()
-	l.Attempt(PhaseList, 0, 3, 7, 100, true)
-	l.Attempt(PhaseList, 0, 5, 9, 200, false)
-	l.ConflictAt(2)
-	l.Attempt(PhaseQuery, 1, 1, 1, 50, true)
-	l.Backtrack(PhaseModulo, 4)
-	r.Merge(l)
+	l := newTestLocal(r)
+	l.attempt(PhaseList, 0, 3, 7, 100, true)
+	l.attempt(PhaseList, 0, 5, 9, 200, false)
+	l.Conflict(0, 2, 0)
+	l.attempt(PhaseQuery, 1, 1, 1, 50, true)
+	l.BlockDone(PhaseModulo, 0, 1, -1, stats.Counters{Backtracks: 4})
+	l.Merge()
 
 	s := r.Snapshot()
 	list := s.Phases[PhaseList]
@@ -89,9 +89,9 @@ func TestLocalMergeSnapshot(t *testing.T) {
 
 	// Untimed attempts (ns < 0, the non-sampled majority) count attempts
 	// but leave the latency histogram alone.
-	l2 := r.NewLocal()
-	l2.Attempt(PhaseList, 0, 1, 1, -1, true)
-	r.Merge(l2)
+	l2 := newTestLocal(r)
+	l2.attempt(PhaseList, 0, 1, 1, -1, true)
+	l2.Merge()
 	after := r.Snapshot().Phases[PhaseList]
 	if after.Attempts != list.Attempts+1 {
 		t.Fatalf("untimed attempt not counted: %d", after.Attempts)
@@ -100,11 +100,12 @@ func TestLocalMergeSnapshot(t *testing.T) {
 		t.Fatalf("untimed attempt changed ns sum: %d -> %d", list.CheckNsSum, after.CheckNsSum)
 	}
 
-	// Reset clears; a clean local merges as a no-op.
-	l.Reset()
-	r.Merge(l)
-	if got := r.Snapshot(); got.Merges != 2 {
-		t.Fatalf("clean local bumped merges: %d", got.Merges)
+	// Merge resets the buffer; a re-borrowed clean buffer merges as a
+	// no-op.
+	l.Begin()
+	l.Merge()
+	if got := r.Snapshot(); got.Merges != 2 || got.InFlight != 0 {
+		t.Fatalf("clean buffer bumped merges (%d) or left in-flight %d", got.Merges, got.InFlight)
 	}
 }
 
@@ -116,11 +117,11 @@ func TestMergeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := r.NewLocal()
+			l := newTestLocal(r)
 			for i := 0; i < per; i++ {
-				l.Attempt(PhaseList, 0, 2, 4, 10, i%10 == 0)
+				l.attempt(PhaseList, 0, 2, 4, 10, i%10 == 0)
 			}
-			r.Merge(l)
+			l.Merge()
 		}()
 	}
 	wg.Wait()
@@ -210,10 +211,10 @@ func TestJSONLSinkAtomicLines(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry([]string{"alu"}, []string{"r0"})
-	l := r.NewLocal()
-	l.Attempt(PhaseList, 0, 2, 4, 128, false)
-	l.ConflictAt(0)
-	r.Merge(l)
+	l := newTestLocal(r)
+	l.attempt(PhaseList, 0, 2, 4, 128, false)
+	l.Conflict(0, 0, 0)
+	l.Merge()
 	var b strings.Builder
 	WritePrometheus(&b, r.Snapshot())
 	out := b.String()
@@ -235,9 +236,9 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestServeMetrics(t *testing.T) {
 	r := NewRegistry([]string{"alu"}, []string{"r0"})
-	l := r.NewLocal()
-	l.Attempt(PhaseList, 0, 1, 1, 10, true)
-	r.Merge(l)
+	l := newTestLocal(r)
+	l.attempt(PhaseList, 0, 1, 1, 10, true)
+	l.Merge()
 	srv, err := ServeMetrics("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +290,11 @@ func TestTopClasses(t *testing.T) {
 
 func TestFormatRegistry(t *testing.T) {
 	r := NewRegistry([]string{"alu"}, []string{"r0", "r1"})
-	l := r.NewLocal()
-	l.Attempt(PhaseList, 0, 2, 4, 100, false)
-	l.ConflictAt(1)
-	l.Backtrack(PhaseModulo, 2)
-	r.Merge(l)
+	l := newTestLocal(r)
+	l.attempt(PhaseList, 0, 2, 4, 100, false)
+	l.Conflict(0, 1, 0)
+	l.BlockDone(PhaseModulo, 0, 1, -1, stats.Counters{Backtracks: 2})
+	l.Merge()
 	out := FormatRegistry(r)
 	for _, want := range []string{"list", "alu", "r1", "Attempts"} {
 		if !strings.Contains(out, want) {

@@ -10,11 +10,15 @@ func testSnapshot() Snapshot {
 	p := New(testMDES())
 	p.SetMeta("toy", "0123456789abcdef", "probeplan")
 	p.SetWorkload("seeded ops=100 seed=1")
-	l := p.NewLocal()
-	l.Success(0, []int{1, 0})
-	l.Conflict(0, 0, 2)
-	l.Success(1, []int{0})
-	p.Merge(l)
+	// alu succeeds once picking A[1] (A[0] probed busy) and fails once on
+	// tree A blocked by r2; mem succeeds once.
+	p.AddConstraint(0, 2, 1)
+	p.AddConstraint(1, 1, 0)
+	p.AddFirstBlock(0, 1)
+	p.AddOption(0, 0, 1)
+	p.AddOption(1, 1, 0)
+	p.AddResource(2, 1)
+	p.NoteMerge()
 	return p.Snapshot()
 }
 

@@ -12,18 +12,23 @@
 // the ground truth so opt.ReorderFromProfile can replace the guess with
 // the observation.
 //
-// Collection follows the obs.Local discipline exactly:
+// The Profile is one view of the per-context observation buffer
+// (obs.Local), not a buffer of its own:
 //
-//   - Each borrowed scheduling context carries a Local — plain int64
-//     slices bumped with ordinary stores, no locks, no atomics, no
-//     allocations. A nil Local disables collection at a single branch.
-//   - On pool release (resctx.Pool.Put) the Local is merged into the
-//     shared Profile's atomic counters and reset for reuse.
+//   - Each borrowed scheduling context carries one buffer, fed by the
+//     probe helper's Attempt and Conflict events with plain stores, no
+//     locks, no atomics, no allocations. Per-constraint attempts and
+//     conflicts and per-resource conflicts are counted there once and
+//     shared with the metrics view; the profile's own share is the
+//     per-option selected/blocked counts and the per-tree first-block
+//     counts. A detached profile costs one nil check per event.
+//   - On pool release (resctx.Pool.Put) the buffer folds its journaled
+//     counts into the shared Profile's atomic counters (the Add methods)
+//     and resets for reuse.
 //
 // The profile's shape is a Layout compiled once from the frozen
 // description: flattened (constraint → tree slot → option slot) prefix
-// arrays, so every hot-path bump is one add and one or two indexed
-// increments. Shared trees get one slot per (constraint, position)
+// arrays, so every hot-path bump is one indexed increment. Shared trees get one slot per (constraint, position)
 // referencing them — deliberately: the reorder decision is per position,
 // and the same tree may block first in one constraint and never in
 // another.
@@ -46,7 +51,7 @@ import (
 // constraint c owns tree slots conTree[c]..conTree[c+1], tree slot t owns
 // option slots treeOpt[t]..treeOpt[t+1]. It is built once (against the
 // description the engine will schedule with, after optimization) and
-// shared read-only by every Local.
+// shared read-only by every observation buffer.
 type Layout struct {
 	conNames  []string // per constraint
 	treeNames []string // per tree slot: Tree.Name, falling back to Src
@@ -56,22 +61,22 @@ type Layout struct {
 	treeOpt   []int32 // len(treeNames)+1 prefix sums
 	// Single-option trees need no per-option hot-path accounting: the
 	// only option is chosen on every constraint success, so Snapshot
-	// reconstructs Selected = attempts - conflicts exactly. Success
+	// reconstructs Selected = attempts - conflicts exactly. A success
 	// therefore walks only a precompiled list of each constraint's
 	// multi-option trees — conMulti[conMultiStart[c]:conMultiStart[c+1]]
 	// — instead of every chosen tree. Most trees are single-option, so
 	// the common walk is zero or one entry; this is the main lever
 	// keeping profiling inside the overhead gate.
 	conMultiStart []int32     // len(conNames)+1 prefix sums into conMulti
-	conMulti      []multiTree // multi-option tree slots, grouped by constraint
+	conMulti      []MultiTree // multi-option tree slots, grouped by constraint
 }
 
-// multiTree locates one multi-option tree inside its constraint: ti is
+// MultiTree locates one multi-option tree inside its constraint: Tree is
 // the tree's position in the constraint's AND-list (the index into
-// check.Selection.Chosen), o0/o1 its option-slot range.
-type multiTree struct {
-	ti     int32
-	o0, o1 int32
+// check.Selection.Chosen), [Lo, Hi) its option-slot range.
+type MultiTree struct {
+	Tree   int32
+	Lo, Hi int32
 }
 
 // NewLayout flattens the description's constraint/tree/option structure.
@@ -96,8 +101,8 @@ func NewLayout(m *lowlevel.MDES) *Layout {
 			}
 			l.treeOpt = append(l.treeOpt, int32(len(l.optSrcs)))
 			if len(t.Options) > 1 {
-				l.conMulti = append(l.conMulti, multiTree{
-					ti: int32(ti), o0: o0, o1: int32(len(l.optSrcs)),
+				l.conMulti = append(l.conMulti, MultiTree{
+					Tree: int32(ti), Lo: o0, Hi: int32(len(l.optSrcs)),
 				})
 			}
 		}
@@ -110,144 +115,28 @@ func NewLayout(m *lowlevel.MDES) *Layout {
 // NumConstraints returns the number of constraints in the layout.
 func (l *Layout) NumConstraints() int { return len(l.conNames) }
 
-// Local is one context's unsynchronized slice of the profile. All methods
-// use plain stores; a Local must only ever be written by the goroutine
-// that currently owns its context (the same single-writer contract as
-// obs.Local and flight.Local).
-//
-// Two layout decisions keep the per-attempt cost inside the overhead
-// gate. Counter pairs that are always read and written together —
-// (attempts, conflicts) per constraint, (selected, blocked) per option —
-// are interleaved in one struct so a bump touches one cache line instead
-// of two. And the layout has thousands of slots while one block touches
-// tens, so the Local journals which slots it touched (a slot is appended
-// exactly once, on its 0→1 transition) and Merge/Reset walk the journal
-// instead of the whole layout — per-block pool-release cost is
-// proportional to observed activity.
-type Local struct {
-	layout *Layout
-	// Per constraint: a=attempts, b=conflicts.
-	conStat []pair
-	// Per option slot: a=times the option satisfied its tree (selected),
-	// b=times it was probed busy before the tree's chosen option (blocked).
-	optStat []pair
-	// Per tree slot: times this (constraint, position) tree was the first
-	// to block a failed probe.
-	firstBlock []int64
-	// Per resource: times the resource was the attributed blocker.
-	resConflicts []int64
-	// Touched-slot journals, one entry per nonzero slot above.
-	touchedCon  []int32
-	touchedTree []int32
-	touchedOpt  []int32
-	touchedRes  []int32
-	dirty       bool
+// NumSlots returns the number of tree slots and option slots.
+func (l *Layout) NumSlots() (trees, options int) { return len(l.treeNames), len(l.optSrcs) }
+
+// TreeSlot returns the tree slot of constraint con's tree-th tree, or -1
+// when either index is out of range.
+func (l *Layout) TreeSlot(con, tree int) int {
+	if uint(con) >= uint(len(l.conNames)) {
+		return -1
+	}
+	t0 := int(l.conTree[con])
+	if tree < 0 || t0+tree >= int(l.conTree[con+1]) {
+		return -1
+	}
+	return t0 + tree
 }
 
-// pair is two counters that share a cache line because the hot path
-// always inspects both (the 0→1 journal test reads a|b).
-type pair struct{ a, b int64 }
-
-// Success records a satisfied probe of constraint con: chosen[ti] is the
-// option index picked within the constraint's ti-th tree (check.Selection
-// semantics). Every option before the chosen one was probed and found
-// busy.
-func (l *Local) Success(con int, chosen []int) {
-	conStat := l.conStat
-	if uint(con) >= uint(len(conStat)) {
-		return
-	}
-	l.dirty = true
-	cs := &conStat[con]
-	if cs.a|cs.b == 0 {
-		l.touchedCon = append(l.touchedCon, int32(con))
-	}
-	cs.a++
-	// Walk only the constraint's multi-option trees (usually zero or
-	// one); single-option trees are reconstructed at Snapshot time.
-	m0, m1 := l.layout.conMultiStart[con], l.layout.conMultiStart[con+1]
-	if m0 == m1 {
-		return
-	}
-	optStat := l.optStat
-	for _, mt := range l.layout.conMulti[m0:m1] {
-		if int(mt.ti) >= len(chosen) {
-			continue
-		}
-		oi := int32(chosen[mt.ti])
-		if uint32(oi) >= uint32(mt.o1-mt.o0) {
-			continue
-		}
-		j := mt.o0 + oi
-		os := &optStat[j]
-		if os.a|os.b == 0 {
-			l.touchedOpt = append(l.touchedOpt, j)
-		}
-		os.a++
-		for k := mt.o0; k < j; k++ {
-			os := &optStat[k]
-			if os.a|os.b == 0 {
-				l.touchedOpt = append(l.touchedOpt, k)
-			}
-			os.b++
-		}
-	}
-}
-
-// Conflict records a failed probe of constraint con: tree is the position
-// (within the constraint) of the first unsatisfiable tree, res the
-// attributed blocking resource. Either may be -1 when the backend cannot
-// attribute (the conflict itself is still counted).
-func (l *Local) Conflict(con, tree, res int) {
-	conStat := l.conStat
-	if uint(con) >= uint(len(conStat)) {
-		return
-	}
-	l.dirty = true
-	cs := &conStat[con]
-	if cs.a|cs.b == 0 {
-		l.touchedCon = append(l.touchedCon, int32(con))
-	}
-	cs.a++
-	cs.b++
-	if t0 := l.layout.conTree[con]; tree >= 0 && t0+int32(tree) < l.layout.conTree[con+1] {
-		t := t0 + int32(tree)
-		if l.firstBlock[t] == 0 {
-			l.touchedTree = append(l.touchedTree, t)
-		}
-		l.firstBlock[t]++
-	}
-	if uint(res) < uint(len(l.resConflicts)) {
-		if l.resConflicts[res] == 0 {
-			l.touchedRes = append(l.touchedRes, int32(res))
-		}
-		l.resConflicts[res]++
-	}
-}
-
-// Reset zeroes the local for reuse by the next context borrow, walking
-// only the journaled slots.
-func (l *Local) Reset() {
-	if l == nil || !l.dirty {
-		return
-	}
-	for _, ci := range l.touchedCon {
-		l.conStat[ci] = pair{}
-	}
-	for _, t := range l.touchedTree {
-		l.firstBlock[t] = 0
-	}
-	for _, o := range l.touchedOpt {
-		l.optStat[o] = pair{}
-	}
-	for _, r := range l.touchedRes {
-		l.resConflicts[r] = 0
-	}
-	l.touchedCon = l.touchedCon[:0]
-	l.touchedTree = l.touchedTree[:0]
-	l.touchedOpt = l.touchedOpt[:0]
-	l.touchedRes = l.touchedRes[:0]
-	l.dirty = false
+// Multi returns constraint con's multi-option trees. A success need only
+// walk these: a single-option tree's only option is chosen on every
+// success of its constraint, so Snapshot reconstructs its Selected count
+// as attempts - conflicts.
+func (l *Layout) Multi(con int) []MultiTree {
+	return l.conMulti[l.conMultiStart[con]:l.conMultiStart[con+1]]
 }
 
 // Meta identifies what a profile is evidence about: which description
@@ -263,7 +152,8 @@ type Meta struct {
 }
 
 // Profile is the shared, concurrency-safe accumulation point: atomic
-// mirrors of the Local slices, merged on context release.
+// per-slot counters that observation buffers fold into on context
+// release.
 type Profile struct {
 	layout       *Layout
 	meta         atomic.Pointer[Meta]
@@ -315,50 +205,30 @@ func (p *Profile) SetWorkload(workload string) {
 // Meta returns the current identity stamp.
 func (p *Profile) Meta() Meta { return *p.meta.Load() }
 
-// NewLocal returns a fresh Local shaped like the profile, for embedding in
-// a pooled scheduling context.
-func (p *Profile) NewLocal() *Local {
-	l := p.layout
-	return &Local{
-		layout:       l,
-		conStat:      make([]pair, len(l.conNames)),
-		optStat:      make([]pair, len(l.optSrcs)),
-		firstBlock:   make([]int64, len(l.treeNames)),
-		resConflicts: make([]int64, len(l.resNames)),
-	}
+// The Add methods fold one observation buffer's journaled counts into
+// the shared counters when its context is released; they are atomic and
+// never run per attempt.
+
+// AddConstraint adds attempts and conflicts to constraint ci.
+func (p *Profile) AddConstraint(ci int, attempts, conflicts int64) {
+	p.attempts[ci].Add(attempts)
+	p.conflicts[ci].Add(conflicts)
 }
 
-// Merge folds a local into the shared counters, walking only the slots
-// the local journaled. Cheap to call with a clean local (single branch).
-// The local must be shaped by this profile's layout (Profile.NewLocal).
-func (p *Profile) Merge(l *Local) {
-	if l == nil || !l.dirty || l.layout != p.layout {
-		return
-	}
-	for _, ci := range l.touchedCon {
-		if v := l.conStat[ci].a; v != 0 {
-			p.attempts[ci].Add(v)
-		}
-		if v := l.conStat[ci].b; v != 0 {
-			p.conflicts[ci].Add(v)
-		}
-	}
-	for _, t := range l.touchedTree {
-		p.firstBlock[t].Add(l.firstBlock[t])
-	}
-	for _, o := range l.touchedOpt {
-		if v := l.optStat[o].a; v != 0 {
-			p.selected[o].Add(v)
-		}
-		if v := l.optStat[o].b; v != 0 {
-			p.blocked[o].Add(v)
-		}
-	}
-	for _, r := range l.touchedRes {
-		p.resConflicts[r].Add(l.resConflicts[r])
-	}
-	p.merges.Add(1)
+// AddFirstBlock adds n first-block events to tree slot t.
+func (p *Profile) AddFirstBlock(t int, n int64) { p.firstBlock[t].Add(n) }
+
+// AddOption adds selected and blocked probes to option slot o.
+func (p *Profile) AddOption(o int, selected, blocked int64) {
+	p.selected[o].Add(selected)
+	p.blocked[o].Add(blocked)
 }
+
+// AddResource adds n attributed conflicts to resource ri.
+func (p *Profile) AddResource(ri int, n int64) { p.resConflicts[ri].Add(n) }
+
+// NoteMerge counts one folded buffer (Snapshot.Merges).
+func (p *Profile) NoteMerge() { p.merges.Add(1) }
 
 // OptionProfile is one option slot's observed behaviour.
 type OptionProfile struct {
@@ -452,9 +322,8 @@ func (p *Profile) Snapshot() Snapshot {
 	return s
 }
 
-// WriteSnapshot writes the current snapshot as indented JSON. It
-// structurally satisfies the obs exporter's ProfileExporter interface
-// (the /debug/profile endpoint).
+// WriteSnapshot writes the current snapshot as indented JSON (the
+// /debug/profile endpoint).
 func (p *Profile) WriteSnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

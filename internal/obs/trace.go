@@ -59,16 +59,20 @@ type Sink interface {
 	Emit(rec *BlockRecord)
 }
 
-// Tracer produces per-block trace recorders. StartBlock returns nil when
-// the block is not sampled; callers skip all event recording for nil.
-// Implementations must be safe for concurrent use.
+// Tracer produces per-block trace recorders; it is the trace view of the
+// per-context observation buffer (Local). StartBlock returns nil when
+// the block is not sampled, and the buffer then skips the block's events.
+// The buffer asks when the block's first event arrives — before the block
+// ID and operation count are known, so they may be passed as zero; it
+// stamps both on the record when the block completes. Implementations
+// must be safe for concurrent use.
 type Tracer interface {
 	StartBlock(block int64, machine string, numOps int) *BlockTrace
 }
 
 // BlockTrace records one block's events. It is single-goroutine (owned
-// by the scheduler driving the block) until Finish hands the completed
-// record to the sink.
+// by the buffer of the context scheduling the block) until Finish hands
+// the completed record to the sink.
 type BlockTrace struct {
 	rec  BlockRecord
 	sink Sink
@@ -80,15 +84,6 @@ func (t *BlockTrace) Attempt(op int, opcode string, cycle, options, choice int, 
 	t.rec.Events = append(t.rec.Events, Event{
 		Kind: "attempt", Op: op, Opcode: opcode, Cycle: cycle,
 		Options: options, Choice: choice, OK: ok,
-	})
-}
-
-// Conflict records the blocking resource, relative usage time, and HMDES
-// provenance of a failed attempt's blocked option.
-func (t *BlockTrace) Conflict(op int, opcode string, cycle int, res string, time int, src string) {
-	t.rec.Events = append(t.rec.Events, Event{
-		Kind: "conflict", Op: op, Opcode: opcode, Cycle: cycle,
-		Res: res, Time: time, Src: src,
 	})
 }
 

@@ -301,16 +301,17 @@ func TestPackedOptionChecks(t *testing.T) {
 	}
 }
 
-// Explain names the blocking slot of the first unsatisfiable tree's
-// preferred option, with the tree and the HMDES provenance it came from.
+// Blocker — the one attribution walk — names the first unsatisfiable
+// tree's position and the blocking slot of its preferred option, the same
+// whether it reads the failed Check's stash or re-walks the span.
 func TestExplainConflictAttribution(t *testing.T) {
 	ll := compile(t, miniSrc, lowlevel.FormAndOr)
 	pb := NewProber(mustPlan(t, ll))
 	con := ll.Constraints[0]
 	var c stats.Counters
 
-	if _, found := pb.Explain(con, 0); found {
-		t.Fatal("empty window reported a conflict")
+	if tree, res, _ := pb.Blocker(con, 0); tree != -1 || res != -1 {
+		t.Fatalf("empty window reported a conflict: tree %d res %d", tree, res)
 	}
 	sel, ok := pb.Check(con, 0, &c)
 	if !ok {
@@ -324,7 +325,6 @@ func TestExplainConflictAttribution(t *testing.T) {
 			mRes = i
 		}
 	}
-	blocked := con.Trees[0]
 	// Once through the failed Check's stash, once through the re-walk.
 	for _, stashed := range []bool{true, false} {
 		if stashed {
@@ -332,19 +332,9 @@ func TestExplainConflictAttribution(t *testing.T) {
 				t.Fatal("second load at the same cycle did not conflict")
 			}
 		}
-		conf, found := pb.Explain(con, 0)
-		if !found {
-			t.Fatalf("stashed=%v: reserved window reported no conflict", stashed)
-		}
-		if conf.Res != mRes || conf.Time != 0 {
-			t.Fatalf("stashed=%v: conflict = %+v, want res M (%d) at time 0", stashed, conf, mRes)
-		}
-		if conf.Tree == "" || conf.Tree != blocked.Name || conf.Src == "" || conf.Src != blocked.Options[0].Src {
-			t.Fatalf("stashed=%v: conflict provenance %q/%q, want %q/%q",
-				stashed, conf.Tree, conf.Src, blocked.Name, blocked.Options[0].Src)
-		}
-		if ti, res := pb.BlockerTreeRes(con, 0); ti != 0 || res != mRes {
-			t.Fatalf("stashed=%v: BlockerTreeRes = (%d, %d), want (0, %d)", stashed, ti, res, mRes)
+		if tree, res, time := pb.Blocker(con, 0); tree != 0 || res != mRes || time != 0 {
+			t.Fatalf("stashed=%v: Blocker = (%d, %d, %d), want tree 0, res M (%d), time 0",
+				stashed, tree, res, time, mRes)
 		}
 		pb.Release(sel) // Release and Reserve both invalidate the stash
 		pb.Reserve(sel)

@@ -18,23 +18,6 @@ type Selection struct {
 	Chosen []int
 }
 
-// Conflict attributes one failed Check: which resource, at which relative
-// usage time, kept the preferred reservation from issuing, in which
-// low-level tree — and, through the provenance map, which HMDES source
-// (reservation/table option, lowlevel.Option.Src syntax) that blocking
-// usage was compiled from.
-type Conflict struct {
-	// Res and Time are the blocking resource index and the relative usage
-	// time of the blocked probe.
-	Res  int
-	Time int
-	// Tree is the name of the unsatisfiable tree; Src is the HMDES
-	// provenance of its highest-priority (blocked) option, falling back
-	// to the tree's own provenance when the option predates it.
-	Tree string
-	Src  string
-}
-
 // Prober is the per-context mutable half of the probe plan: a single
 // row-major reservation window ([]uint64, Plan.RowWords words per cycle)
 // plus the selection arena. A Prober serves one goroutine at a time; the
@@ -66,11 +49,12 @@ type Prober struct {
 
 	// The most recent failed Check stashes which tree it died on and the
 	// plan word that blocked that tree's highest-priority option: the
-	// failing probe already walked exactly the span Explain would re-walk,
-	// so Explain reduces to one FirstBlocked on the stashed word, as long
+	// failing probe already walked exactly the span Blocker would re-walk,
+	// so Blocker reduces to one FirstBlocked on the stashed word, as long
 	// as the window state is unchanged (any Reserve/Release/Reset
 	// invalidates). The stash itself is five stores on the already-taken
-	// failure branch, costing the metrics-off hot path nothing measurable.
+	// failure branch, costing the observation-off hot path nothing
+	// measurable.
 	lastCon   *lowlevel.Constraint
 	lastIssue int
 	lastTi    int32
@@ -248,25 +232,25 @@ func (p *Prober) Release(sel Selection) {
 	}
 }
 
-// Explain attributes a failed Check: for the first tree of the constraint
-// with no available option at issue, it returns the blocking slot of that
-// tree's highest-priority option together with the tree's name and the
-// option's HMDES provenance (falling back to the tree's) — the conflict
-// detail the trace and the conflicts-by-resource metric report. It
-// performs no accounting and runs only on the observability slow path;
-// found is false when the constraint is satisfiable.
-func (p *Prober) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
+// Blocker is the one conflict-attribution walk: for a failed Check of
+// con at issue it returns the position (within the constraint) of the
+// first tree with no available option, the resource blocking that tree's
+// highest-priority option, and the blocking usage's time relative to
+// issue. Every observation view derives what it reports from these three
+// (the trace names the resource and the option's provenance from the
+// constraint). It performs no accounting. Right after the failed Check
+// the stash makes it one FirstBlocked; otherwise it re-walks the span.
+// tree is -1 when the constraint is satisfiable, and res is -1 (time 0)
+// when no single busy slot blocks the tree's preferred option.
+func (p *Prober) Blocker(con *lowlevel.Constraint, issue int) (tree, res, time int) {
 	if p.lastValid && p.lastCon == con && p.lastIssue == issue && p.lastWi >= 0 {
 		w := p.plan.words[p.lastWi]
 		r := issue + int(w.Time) - p.base
-		row := p.rows[r*p.plan.RowWords : (r+1)*p.plan.RowWords]
-		if b := bitset.FirstBlocked(row, int(w.Widx), w.Mask); b >= 0 {
-			tree := con.Trees[p.lastTi-p.lastTlo]
-			src := tree.Options[0].Src
-			if src == "" {
-				src = tree.Src
+		if uint(r) < uint(p.nrows) {
+			row := p.rows[r*p.plan.RowWords : (r+1)*p.plan.RowWords]
+			if b := bitset.FirstBlocked(row, int(w.Widx), w.Mask); b >= 0 {
+				return int(p.lastTi - p.lastTlo), b, int(w.Time)
 			}
-			return Conflict{Res: b, Time: int(w.Time), Tree: tree.Name, Src: src}, true
 		}
 	}
 	tlo, thi := p.plan.spanFor(con)
@@ -279,83 +263,17 @@ func (p *Prober) Explain(con *lowlevel.Constraint, issue int) (Conflict, bool) {
 			}
 		}
 		if !satisfiable {
-			tree := con.Trees[ti-tlo]
 			res, time, ok := p.optionBlocker(p.plan.treeStart[ti], issue)
 			if !ok {
-				return Conflict{}, false
+				return int(ti - tlo), -1, 0
 			}
-			src := tree.Options[0].Src
-			if src == "" {
-				src = tree.Src
-			}
-			return Conflict{Res: res, Time: time, Tree: tree.Name, Src: src}, true
+			return int(ti - tlo), res, time
 		}
 	}
-	return Conflict{}, false
+	return -1, -1, 0
 }
 
-// BlockerRes returns the resource index Explain would attribute the most
-// recent failed Check to, or -1: the provenance-free slice of Explain for
-// metrics attribution, which needs only the resource — no tree name, no
-// source string, no Conflict construction. The stashed blocking word makes
-// the common case one FirstBlocked.
-func (p *Prober) BlockerRes(con *lowlevel.Constraint, issue int) int {
-	if p.lastValid && p.lastCon == con && p.lastIssue == issue && p.lastWi >= 0 {
-		w := p.plan.words[p.lastWi]
-		r := issue + int(w.Time) - p.base
-		row := p.rows[r*p.plan.RowWords : (r+1)*p.plan.RowWords]
-		if b := bitset.FirstBlocked(row, int(w.Widx), w.Mask); b >= 0 {
-			return b
-		}
-	}
-	if conf, ok := p.Explain(con, issue); ok {
-		return conf.Res
-	}
-	return -1
-}
-
-// BlockerTreeRes returns the position (within the constraint) of the tree
-// the most recent failed Check died on and the resource that blocked it:
-// the conflict-profile slice of Explain, attributing tree + resource with
-// no provenance strings. The stash makes the common case one FirstBlocked;
-// res is -1 when the blocking slot cannot be pinned to a single resource
-// (e.g. the blocking probe fell outside the stashed word's row).
-func (p *Prober) BlockerTreeRes(con *lowlevel.Constraint, issue int) (int, int) {
-	if p.lastValid && p.lastCon == con && p.lastIssue == issue {
-		ti := int(p.lastTi - p.lastTlo)
-		if p.lastWi >= 0 {
-			w := p.plan.words[p.lastWi]
-			r := issue + int(w.Time) - p.base
-			if uint(r) < uint(p.nrows) {
-				row := p.rows[r*p.plan.RowWords : (r+1)*p.plan.RowWords]
-				if b := bitset.FirstBlocked(row, int(w.Widx), w.Mask); b >= 0 {
-					return ti, b
-				}
-			}
-		}
-		return ti, -1
-	}
-	tlo, thi := p.plan.spanFor(con)
-	for ti := tlo; ti < thi; ti++ {
-		satisfiable := false
-		for oi := p.plan.treeStart[ti]; oi < p.plan.treeStart[ti+1]; oi++ {
-			if p.optionFree(oi, issue) {
-				satisfiable = true
-				break
-			}
-		}
-		if !satisfiable {
-			res, _, ok := p.optionBlocker(p.plan.treeStart[ti], issue)
-			if !ok {
-				return int(ti - tlo), -1
-			}
-			return int(ti - tlo), res
-		}
-	}
-	return -1, -1
-}
-
-// optionFree is optionProbe without instrumentation (Explain slow path).
+// optionFree is optionProbe without instrumentation (Blocker slow path).
 func (p *Prober) optionFree(opt int32, issue int) bool {
 	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
 		w := p.plan.words[wi]

@@ -10,7 +10,6 @@ package query
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"mdes/internal/check"
 	"mdes/internal/lowlevel"
@@ -58,37 +57,12 @@ func (q *Q) Close() {
 func (q *Q) Counters() stats.Counters { return q.cx.Counters }
 
 // check performs one instrumented constraint probe for the operation at
-// opIdx issuing at cycle issue: the paper's counters always, plus
-// per-class PhaseQuery metrics when the borrowed context carries an
-// obs.Local. Every query probe is one scheduling attempt in the paper's
-// accounting, so the observability layer attributes it exactly like a
-// scheduler attempt.
+// opIdx issuing at cycle issue through the context's probe helper: every
+// query probe is one scheduling attempt in the paper's accounting, so the
+// observation views attribute it exactly like a scheduler attempt, under
+// the query phase and outside any block.
 func (q *Q) check(opIdx, issue int) (check.Selection, bool) {
-	con := q.mdes.ConstraintFor(opIdx, false)
-	local := q.cx.Obs
-	if local == nil {
-		return q.cx.Check(con, issue, &q.cx.Counters)
-	}
-	var t0 time.Time
-	timed := local.SampleTime()
-	if timed {
-		t0 = time.Now()
-	}
-	c := &q.cx.Counters
-	beforeOpts := c.OptionsChecked
-	beforeChecks := c.ResourceChecks
-	sel, ok := q.cx.Check(con, issue, c)
-	ns := int64(-1)
-	if timed {
-		ns = time.Since(t0).Nanoseconds()
-	}
-	local.Attempt(obs.PhaseQuery, q.mdes.ConstraintIndexFor(opIdx, false),
-		c.OptionsChecked-beforeOpts, c.ResourceChecks-beforeChecks, ns, ok)
-	if !ok {
-		if conf, found := q.cx.Explain(con, issue); found {
-			local.ConflictAt(conf.Res)
-		}
-	}
+	sel, ok, _ := q.cx.Probe(obs.PhaseQuery, -1, "", q.mdes.ConstraintFor(opIdx, false), issue, &q.cx.Counters)
 	return sel, ok
 }
 

@@ -7,18 +7,23 @@
 // hottest inner loop; in a long-running service the same artifact must
 // serve many inner loops at once). All per-client mutable state — the
 // conflict checker (internal/check backend instance), the instrumentation
-// counters, the observability buffer, and the selection scratch buffers —
-// lives in a Context instead. Consumers (the list scheduler, the query
+// counters, the observation buffer, and the selection scratch buffers —
+// lives in a Context instead. Consumers (the list schedulers, the query
 // interface, the modulo scheduler) borrow a Context, run against the
 // shared MDES, and return it.
+//
+// Every consumer probes through one helper, Context.Probe: the Check
+// itself, the paper's counters, and — when the pool observes — the
+// Attempt and Conflict events into the context's one observation buffer
+// (obs.Local), with conflicts attributed by the prober's one walk.
 //
 // A Pool recycles Contexts via sync.Pool and aggregates the counters of
 // every returned Context, giving a service both allocation-free steady
 // state and global instrumentation totals without any per-check
-// synchronization: counters and metrics are accumulated locally in the
-// borrowed Context and folded into the pool's atomic totals (and, when
-// configured, into an obs.Registry) exactly once, on Put. Put and
-// Context.Release are idempotent, so a double release can neither
+// synchronization: counters are accumulated locally in the borrowed
+// Context and folded into the pool's atomic totals exactly once, on Put,
+// which also folds the observation buffer into every attached view. Put
+// and Context.Release are idempotent, so a double release can neither
 // double-count a context's counters nor hand the same context to two
 // borrowers.
 package resctx
@@ -31,8 +36,6 @@ import (
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
-	"mdes/internal/obs/flight"
-	"mdes/internal/obs/profile"
 	"mdes/internal/probeplan"
 	"mdes/internal/stats"
 )
@@ -42,15 +45,16 @@ import (
 // than one goroutine at a time; borrow one per goroutine instead.
 //
 // Exactly one of PP and Checker is set on a context that probes: PP for
-// the reservation-table engine, Checker for the §10 automaton. A context
-// that only accounts (the modulo scheduler brings its own wrapped map)
+// the reservation-table engine, Checker for the §10 automaton or a
+// private map (the modulo scheduler probes its modulo map through a
+// context sharing its borrowed buffer). A context that only accounts
 // carries neither.
 type Context struct {
 	// PP is the probe-plan prober — the reservation-table engine every
 	// scheduler, the query layer and the Engine probe by default.
 	PP *probeplan.Prober
-	// Checker is the automaton backend (check.KindAutomaton); nil
-	// whenever PP is set.
+	// Checker is the automaton backend (check.KindAutomaton), or the
+	// modulo scheduler's private map; nil whenever PP is set.
 	Checker check.Checker
 	// Arena is the per-context scratch allocator for schedule-sized
 	// scratch slices; the list scheduler carves all per-block state from
@@ -63,22 +67,10 @@ type Context struct {
 	// Counters accumulates the attempts / options checked / resource
 	// checks performed through this context since it was borrowed.
 	Counters stats.Counters
-	// Obs, when non-nil, is the observability buffer the schedulers bump
-	// on the hot path (per-phase, per-class, per-resource metrics); it is
-	// merged into the pool's obs.Registry on release. Nil when the pool
-	// has no registry (observability disabled) and on standalone
-	// contexts.
+	// Obs, when non-nil, is the context's one observation buffer, folded
+	// into every attached view on release. Nil when the pool observes
+	// nothing and on standalone contexts.
 	Obs *obs.Local
-	// Flight, when non-nil, is the per-context flight-recorder ring the
-	// schedulers append one compact entry per block to; it is merged into
-	// the pool's flight.Recorder on release. Nil when the pool has no
-	// recorder and on standalone contexts.
-	Flight *flight.Local
-	// Prof, when non-nil, is the per-context conflict-attribution profile
-	// buffer (per-constraint / per-tree / per-option probe frequencies);
-	// it is merged into the pool's profile.Profile on release. Nil when
-	// the pool has no profile and on standalone contexts.
-	Prof *profile.Local
 	// Sels is a reusable selection scratch for multi-reserve probes.
 	Sels []check.Selection
 
@@ -127,16 +119,6 @@ func (c *Context) Capabilities() check.Capabilities {
 	return c.Checker.Capabilities()
 }
 
-// Check probes the context's backend, accounting into ctr (per-block or
-// per-call counters; callers fold them into c.Counters themselves).
-func (c *Context) Check(con *lowlevel.Constraint, issue int, ctr *stats.Counters) (check.Selection, bool) {
-	if c.PP != nil {
-		sel, ok := c.PP.Check(con, issue, ctr)
-		return check.Selection{Selection: sel}, ok
-	}
-	return c.Checker.Check(con, issue, ctr)
-}
-
 // Reserve applies a successful Selection.
 func (c *Context) Reserve(sel check.Selection) {
 	if c.PP != nil {
@@ -156,34 +138,42 @@ func (c *Context) ReleaseSel(sel check.Selection) {
 	c.Checker.Release(sel)
 }
 
-// Explain attributes a failed Check to its blocking resource slot and
-// provenance. The automaton cannot attribute and reports none.
-func (c *Context) Explain(con *lowlevel.Constraint, issue int) (check.Conflict, bool) {
-	if c.PP == nil {
-		return check.Conflict{}, false
+// Probe is the one probe the list, backward, op-driven, query and modulo
+// paths issue: it checks con at cycle against the context's backend,
+// accounting into ctr (per-block or per-call counters; callers fold them
+// into c.Counters themselves), and returns the options checked during
+// the attempt (Figure 2's per-attempt quantity). When a per-attempt view
+// is attached it also emits the Attempt event (timing one attempt in
+// obs.TimestampPeriod) and, for a failed probe the views want
+// attributed, the Conflict event from the prober's one attribution walk;
+// other backends attribute nothing. op and opcode name the operation
+// within its block for the trace (op < 0 outside any block).
+func (c *Context) Probe(phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) (check.Selection, bool, int64) {
+	l := c.Obs
+	observed := l.PerAttempt()
+	o0, k0, ns := ctr.OptionsChecked, ctr.ResourceChecks, int64(-1)
+	if observed {
+		ns = l.Start()
 	}
-	return c.PP.Explain(con, issue)
-}
-
-// BlockingRes returns just the resource index a failed Check would be
-// attributed to, or -1: the cheap slice of Explain for metrics attribution
-// (obs.Local.ConflictAt keys on the resource alone).
-func (c *Context) BlockingRes(con *lowlevel.Constraint, issue int) int {
-	if c.PP == nil {
-		return -1
+	var sel check.Selection
+	var ok bool
+	if c.PP != nil {
+		sel.Selection, ok = c.PP.Check(con, cycle, ctr)
+	} else {
+		sel, ok = c.Checker.Check(con, cycle, ctr)
 	}
-	return c.PP.BlockerRes(con, issue)
-}
-
-// BlockingTreeRes attributes a failed Check to the position (within the
-// constraint) of the first unsatisfiable tree and its blocking resource:
-// the profile-grade slice of Explain (tree + resource, no provenance).
-// Returns (-1, -1) when nothing can be attributed.
-func (c *Context) BlockingTreeRes(con *lowlevel.Constraint, issue int) (int, int) {
-	if c.PP == nil {
-		return -1, -1
+	opts := ctr.OptionsChecked - o0
+	if !observed {
+		return sel, ok, opts
 	}
-	return c.PP.BlockerTreeRes(con, issue)
+	if ns >= 0 {
+		ns = obs.Nanotime() - ns
+	}
+	l.Attempt(phase, con, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
+	if !ok && c.PP != nil && l.Attributes() {
+		l.Conflict(c.PP.Blocker(con, cycle))
+	}
+	return sel, ok, opts
 }
 
 // ResetReservations clears the backend's reservations, retaining storage.
@@ -195,15 +185,11 @@ func (c *Context) ResetReservations() {
 	}
 }
 
-// Reset clears the backend's reservations, counters, and observability
-// buffer, retaining all storage.
+// Reset clears the backend's reservations and counters, retaining all
+// storage. The observation buffer resets when the pool merges it.
 func (c *Context) Reset() {
 	c.ResetReservations()
 	c.Counters = stats.Counters{}
-	if c.Obs != nil {
-		c.Obs.Reset()
-	}
-	c.Prof.Reset()
 	c.Sels = c.Sels[:0]
 	c.Arena.Reset()
 }
@@ -229,9 +215,7 @@ type Pool struct {
 	conflicts  atomic.Int64
 	backtracks atomic.Int64
 
-	reg  *obs.Registry
-	fr   *flight.Recorder
-	prof *profile.Profile
+	views *obs.Views
 }
 
 // NewPoolFor returns a Context pool whose contexts carry checkers built by
@@ -247,60 +231,31 @@ func NewPoolFor(f *check.Factory) *Pool {
 	return pl
 }
 
-// SetMetrics attaches an observability registry: every Context borrowed
-// after this call carries an obs.Local merged into reg on release, and
-// the registry's in-flight gauge tracks borrowed contexts. Must be
-// called before the first Get (mdes.NewEngine configures it at
-// construction).
-func (p *Pool) SetMetrics(reg *obs.Registry) { p.reg = reg }
-
-// Metrics returns the attached registry, or nil.
-func (p *Pool) Metrics() *obs.Registry { return p.reg }
-
-// SetFlight attaches a flight recorder: every Context borrowed after this
-// call carries a flight.Local ring merged into rec on release. Must be
-// called before the first Get (mdes.NewEngine configures it at
-// construction).
-func (p *Pool) SetFlight(rec *flight.Recorder) { p.fr = rec }
-
-// Flight returns the attached flight recorder, or nil.
-func (p *Pool) Flight() *flight.Recorder { return p.fr }
-
-// SetProfile attaches a conflict-attribution profile: every Context
-// borrowed after this call carries a profile.Local merged into prof on
-// release. Must be called before the first Get (mdes.NewEngine configures
-// it at construction).
-func (p *Pool) SetProfile(prof *profile.Profile) { p.prof = prof }
-
-// Profile returns the attached profile, or nil.
-func (p *Pool) Profile() *profile.Profile { return p.prof }
+// Observe attaches the observation views every Context borrowed after
+// this call folds into: each carries one obs.Local, merged into the views
+// on release. Must be called before the first Get (mdes.NewEngine
+// configures it at construction).
+func (p *Pool) Observe(v *obs.Views) { p.views = v }
 
 // Get borrows a clean Context. The caller must return it with Put (or
 // Context.Release) when done.
 func (p *Pool) Get() *Context {
 	c := p.p.Get().(*Context)
 	c.released = false
-	if p.reg != nil {
+	if p.views != nil {
 		if c.Obs == nil {
-			c.Obs = p.reg.NewLocal()
+			c.Obs = p.views.NewLocal()
 		}
-		p.reg.AddInFlight(1)
-	}
-	if p.fr != nil && c.Flight == nil {
-		c.Flight = p.fr.NewLocal()
-	}
-	if p.prof != nil && c.Prof == nil {
-		c.Prof = p.prof.NewLocal()
+		c.Obs.Begin()
 	}
 	return c
 }
 
 // Put folds the Context's counters into the pool totals (and its
-// observability buffer into the registry, when configured), resets it,
-// and makes it available for reuse. Put is idempotent per borrow: a
-// second Put of the same Context is a no-op, so its counters cannot be
-// double-counted and the pool cannot hand the same Context to two
-// borrowers.
+// observation buffer into the attached views), resets it, and makes it
+// available for reuse. Put is idempotent per borrow: a second Put of
+// the same Context is a no-op, so its counters cannot be double-counted
+// and the pool cannot hand the same Context to two borrowers.
 func (p *Pool) Put(c *Context) {
 	if c.released {
 		return
@@ -311,15 +266,8 @@ func (p *Pool) Put(c *Context) {
 	p.checks.Add(c.Counters.ResourceChecks)
 	p.conflicts.Add(c.Counters.Conflicts)
 	p.backtracks.Add(c.Counters.Backtracks)
-	if p.reg != nil {
-		p.reg.Merge(c.Obs)
-		p.reg.AddInFlight(-1)
-	}
-	if p.fr != nil {
-		p.fr.Merge(c.Flight)
-	}
-	if p.prof != nil {
-		p.prof.Merge(c.Prof)
+	if c.Obs != nil {
+		c.Obs.Merge()
 	}
 	c.Reset()
 	p.p.Put(c)

@@ -47,7 +47,7 @@ func testPool(t *testing.T) *Pool {
 // reserveADD reserves one ADD at cycle 0 through the context.
 func reserveADD(t *testing.T, c *Context, m *lowlevel.MDES) {
 	t.Helper()
-	sel, ok := c.Check(m.Constraints[0], 0, &c.Counters)
+	sel, ok, _ := c.Probe(obs.PhaseList, 0, "ADD", m.Constraints[0], 0, &c.Counters)
 	if !ok {
 		t.Fatal("ADD did not fit an empty reservation table")
 	}
@@ -188,20 +188,41 @@ func TestDoubleReleaseDoesNotAliasContexts(t *testing.T) {
 	b.Release()
 }
 
+// observedPool returns a pool over m whose contexts fold into views.
+func observedPool(t *testing.T, m *lowlevel.MDES, v *obs.Views) *Pool {
+	t.Helper()
+	f, err := check.NewFactory(m, check.KindProbePlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPoolFor(f)
+	p.Observe(v)
+	return p
+}
+
 func TestPoolMetricsMergeOnRelease(t *testing.T) {
-	p := testPool(t)
-	reg := obs.NewRegistry([]string{"alu"}, []string{"r0", "r1"})
-	p.SetMetrics(reg)
+	m := tinyMDES(t)
+	reg := obs.NewRegistry(m.ConstraintNames(), m.ResourceNames)
+	p := observedPool(t, m, &obs.Views{Metrics: reg, MDES: m})
 
 	c := p.Get()
 	if c.Obs == nil {
-		t.Fatal("metrics-enabled pool handed out a context without an obs.Local")
+		t.Fatal("observing pool handed out a context without a buffer")
 	}
 	if got := reg.Snapshot().InFlight; got != 1 {
 		t.Fatalf("in-flight = %d, want 1", got)
 	}
-	c.Obs.Attempt(obs.PhaseList, 0, 2, 3, 10, false)
-	c.Obs.ConflictAt(1)
+	// The second ADD at cycle 0 conflicts on the busy ALU; the probe
+	// helper attributes it.
+	con := m.Constraints[0]
+	sel, ok, _ := c.Probe(obs.PhaseList, 0, "ADD", con, 0, &c.Counters)
+	if !ok {
+		t.Fatal("ADD did not fit an empty reservation table")
+	}
+	c.Reserve(sel)
+	if _, ok, _ := c.Probe(obs.PhaseList, 1, "ADD", con, 0, &c.Counters); ok {
+		t.Fatal("second ADD issued on a busy ALU")
+	}
 	c.Release()
 	c.Release() // idempotent for the registry too
 
@@ -212,49 +233,55 @@ func TestPoolMetricsMergeOnRelease(t *testing.T) {
 	if s.Merges != 1 {
 		t.Fatalf("merges = %d, want 1 (double release must not re-merge)", s.Merges)
 	}
-	if s.Phases[obs.PhaseList].Attempts != 1 || s.Resources[1].Conflicts != 1 {
+	alu := -1
+	for i, name := range m.ResourceNames {
+		if name == "ALU" {
+			alu = i
+		}
+	}
+	if s.Phases[obs.PhaseList].Attempts != 2 || s.Resources[alu].Conflicts != 1 {
 		t.Fatalf("merged snapshot = %+v", s)
 	}
 
-	// The recycled context's local must be clean.
+	// The recycled context's buffer must be clean.
 	c2 := p.Get()
 	if c2.Obs == nil {
-		t.Fatal("recycled context lost its obs.Local")
+		t.Fatal("recycled context lost its buffer")
 	}
 	c2.Release()
-	if got := reg.Snapshot().Phases[obs.PhaseList].Attempts; got != 1 {
-		t.Fatalf("clean recycled local changed attempts: %d", got)
+	if got := reg.Snapshot().Phases[obs.PhaseList].Attempts; got != 2 {
+		t.Fatalf("clean recycled buffer changed attempts: %d", got)
 	}
 }
 
 func TestPoolFlightMergeOnRelease(t *testing.T) {
+	m := tinyMDES(t)
 	rec := flight.NewRecorder(flight.Config{})
-	p := testPool(t)
-	p.SetFlight(rec)
-	if p.Flight() != rec {
-		t.Fatal("Flight() did not return the attached recorder")
-	}
+	p := observedPool(t, m, &obs.Views{Flight: rec, MDES: m})
 
 	c := p.Get()
-	if c.Flight == nil {
-		t.Fatal("pooled context has no flight ring after SetFlight")
+	if c.Obs == nil {
+		t.Fatal("pooled context has no buffer with a flight recorder attached")
 	}
-	c.Flight.Record(&flight.Entry{Block: 7, Phase: obs.PhaseList, Ops: 3, Length: 5, WallNs: 100})
+	if c.Obs.PerAttempt() {
+		t.Fatal("the flight recorder alone consumes per-attempt events")
+	}
+	c.Obs.BlockDone(obs.PhaseList, 7, 3, 5, stats.Counters{Attempts: 4})
 	c.Release()
 
 	if got := rec.Blocks(); got != 1 {
 		t.Fatalf("recorder merged %d blocks, want 1", got)
 	}
 	snap := rec.Snapshot()
-	if len(snap.Recent) != 1 || snap.Recent[0].Block != 7 {
+	if len(snap.Recent) != 1 || snap.Recent[0].Block != 7 || snap.Recent[0].Attempts != 4 {
 		t.Fatalf("recent = %+v", snap.Recent)
 	}
 
-	// Recycled contexts keep their ring; entries must not leak across
+	// Recycled contexts keep their buffer; entries must not leak across
 	// borrows.
 	c2 := p.Get()
-	if c2.Flight == nil {
-		t.Fatal("recycled context lost its flight ring")
+	if c2.Obs == nil {
+		t.Fatal("recycled context lost its buffer")
 	}
 	c2.Release()
 	if got := rec.Blocks(); got != 1 {
@@ -265,8 +292,8 @@ func TestPoolFlightMergeOnRelease(t *testing.T) {
 func TestPoolWithoutFlightHasNoRing(t *testing.T) {
 	p := testPool(t)
 	c := p.Get()
-	if c.Flight != nil {
-		t.Fatal("context has a flight ring without SetFlight")
+	if c.Obs != nil {
+		t.Fatal("context has an observation buffer with no views attached")
 	}
 	c.Release()
 }

@@ -19,6 +19,12 @@ import (
 // (smallest issue cycle normalized to zero) and respect exactly the same
 // dependences and resource constraints.
 func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
+	res, err := s.backward(b)
+	return s.done(obs.PhaseBackward, len(b.Ops), res, err)
+}
+
+// backward is ScheduleBlockBackward's body (see list).
+func (s *Scheduler) backward(b *ir.Block) (*Result, error) {
 	g := ir.BuildGraphTiming(b, timing{m: s.mdes})
 	n := len(g.Block.Ops)
 	res := &Result{Issue: make([]int, n)}
@@ -26,15 +32,13 @@ func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
 		return res, nil
 	}
 	if err := s.checkOpcodes(g.Block); err != nil {
-		return nil, err
+		return res, err
 	}
 	// Backward scheduling probes at decreasing (negative) cycles, so the
 	// checker needs random access to the reservation window.
 	if caps := s.cx.Capabilities(); caps.MonotonicOnly {
-		return nil, fmt.Errorf("sched: backward scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
+		return res, fmt.Errorf("sched: backward scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
 	}
-	ft := s.flightStart()
-	bt := s.startTrace(n)
 	s.cx.ResetReservations()
 
 	// depth[i]: latency-weighted longest path from any source to i — the
@@ -86,19 +90,9 @@ func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
 				continue
 			}
 			op := g.Block.Ops[i]
-			opIdx, ok := s.mdes.OpIndex[op.Opcode]
-			if !ok {
-				return nil, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
-			}
-			con := s.mdes.ConstraintFor(opIdx, op.Cascaded)
+			con := s.mdes.ConstraintFor(s.mdes.OpIndex[op.Opcode], op.Cascaded)
 
-			sel, ok, opts := s.attempt(obs.PhaseBackward, bt, i, op, con, -cycle, &res.Counters)
-			if s.OptionsHist != nil {
-				s.OptionsHist.Observe(int(opts))
-			}
-			if s.OnAttempt != nil {
-				s.OnAttempt(op, opts, ok)
-			}
+			sel, ok := s.attempt(obs.PhaseBackward, i, op, con, -cycle, &res.Counters)
 			if !ok {
 				continue
 			}
@@ -114,18 +108,10 @@ func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
 			}
 		}
 		if !progressPossible && remaining > 0 {
-			if bt != nil {
-				bt.Finish(-1, res.Counters)
-			}
-			s.flightRecord(obs.PhaseBackward, ft, n, -1, res.Counters)
-			return nil, fmt.Errorf("sched: backward deadlock, %d operations unschedulable", remaining)
+			return res, fmt.Errorf("sched: backward deadlock, %d operations unschedulable", remaining)
 		}
 		if cycle > 64*n+1024 {
-			if bt != nil {
-				bt.Finish(-1, res.Counters)
-			}
-			s.flightRecord(obs.PhaseBackward, ft, n, -1, res.Counters)
-			return nil, fmt.Errorf("sched: backward no progress after %d cycles", cycle)
+			return res, fmt.Errorf("sched: backward no progress after %d cycles", cycle)
 		}
 	}
 
@@ -143,14 +129,7 @@ func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
 		}
 	}
 	if s.SelfCheck {
-		if err := g.CheckSchedule(res.Issue); err != nil {
-			return nil, err
-		}
+		return res, g.CheckSchedule(res.Issue)
 	}
-	if bt != nil {
-		bt.Finish(res.Length, res.Counters)
-	}
-	s.flightRecord(obs.PhaseBackward, ft, n, res.Length, res.Counters)
-	s.cx.Counters.Add(res.Counters)
 	return res, nil
 }

@@ -20,6 +20,12 @@ import (
 // same dependences and resource constraints (and are often identical, but
 // the algorithms' tie-breaking differs, so this is not guaranteed).
 func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
+	res, err := s.opDriven(b)
+	return s.done(obs.PhaseOpDriven, len(b.Ops), res, err)
+}
+
+// opDriven is ScheduleBlockOpDriven's body (see list).
+func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
 	g := ir.BuildGraphTiming(b, timing{m: s.mdes})
 	n := len(g.Block.Ops)
 	res := &Result{Issue: make([]int, n)}
@@ -27,16 +33,14 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 		return res, nil
 	}
 	if err := s.checkOpcodes(g.Block); err != nil {
-		return nil, err
+		return res, err
 	}
 	// Operation-driven scheduling probes each operation from its own
 	// earliest start, revisiting cycles earlier ops already passed, so the
 	// checker needs random access to the reservation window.
 	if caps := s.cx.Capabilities(); caps.MonotonicOnly {
-		return nil, fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
+		return res, fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
 	}
-	ft := s.flightStart()
-	bt := s.startTrace(n)
 	height := g.Height(s.Latency)
 	s.cx.ResetReservations()
 
@@ -58,19 +62,15 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 	for pq.Len() > 0 {
 		i := heap.Pop(pq).(int)
 		op := g.Block.Ops[i]
-		opIdx, ok := s.mdes.OpIndex[op.Opcode]
-		if !ok {
-			return nil, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
-		}
-		con := s.mdes.ConstraintFor(opIdx, op.Cascaded)
+		con := s.mdes.ConstraintFor(s.mdes.OpIndex[op.Opcode], op.Cascaded)
 
 		cycle := estart[i]
-		if pp := s.cx.PP; pp != nil && s.cx.Obs == nil && s.cx.Prof == nil && bt == nil && s.OptionsHist == nil && s.OnAttempt == nil {
+		if pp := s.cx.PP; pp != nil && !s.cx.Obs.PerAttempt() && s.OptionsHist == nil && s.OnAttempt == nil {
 			// Window path: probe 64-cycle windows in one CheckWindow pass
 			// per window instead of re-entering Check per cycle. The
 			// prober's contract makes this accounting-equivalent to the
-			// serial loop below, and no per-attempt instrumentation is
-			// attached, so results and counters are identical.
+			// serial loop below, and no per-attempt observer is attached,
+			// so results and counters are identical.
 			limit := estart[i] + 64*n + 1024
 			found := false
 			for lo := cycle; lo <= limit; {
@@ -87,29 +87,18 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 				lo = hi
 			}
 			if !found {
-				s.flightRecord(obs.PhaseOpDriven, ft, n, -1, res.Counters)
-				return nil, fmt.Errorf("sched: op %d found no cycle", i)
+				return res, fmt.Errorf("sched: op %d found no cycle", i)
 			}
 		} else {
 			for {
-				sel, ok, opts := s.attempt(obs.PhaseOpDriven, bt, i, op, con, cycle, &res.Counters)
-				if s.OptionsHist != nil {
-					s.OptionsHist.Observe(int(opts))
-				}
-				if s.OnAttempt != nil {
-					s.OnAttempt(op, opts, ok)
-				}
+				sel, ok := s.attempt(obs.PhaseOpDriven, i, op, con, cycle, &res.Counters)
 				if ok {
 					s.cx.Reserve(sel)
 					break
 				}
 				cycle++
 				if cycle > estart[i]+64*n+1024 {
-					if bt != nil {
-						bt.Finish(-1, res.Counters)
-					}
-					s.flightRecord(obs.PhaseOpDriven, ft, n, -1, res.Counters)
-					return nil, fmt.Errorf("sched: op %d found no cycle", i)
+					return res, fmt.Errorf("sched: op %d found no cycle", i)
 				}
 			}
 		}
@@ -126,7 +115,7 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 		}
 	}
 	if scheduled != n {
-		return nil, fmt.Errorf("sched: deadlock, scheduled %d of %d", scheduled, n)
+		return res, fmt.Errorf("sched: deadlock, scheduled %d of %d", scheduled, n)
 	}
 	for _, c := range res.Issue {
 		if c+1 > res.Length {
@@ -134,15 +123,8 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 		}
 	}
 	if s.SelfCheck {
-		if err := g.CheckSchedule(res.Issue); err != nil {
-			return nil, err
-		}
+		return res, g.CheckSchedule(res.Issue)
 	}
-	if bt != nil {
-		bt.Finish(res.Length, res.Counters)
-	}
-	s.flightRecord(obs.PhaseOpDriven, ft, n, res.Length, res.Counters)
-	s.cx.Counters.Add(res.Counters)
 	return res, nil
 }
 

@@ -8,13 +8,11 @@ package sched
 
 import (
 	"fmt"
-	"time"
 
 	"mdes/internal/check"
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
-	"mdes/internal/obs/flight"
 	"mdes/internal/resctx"
 	"mdes/internal/stats"
 )
@@ -52,15 +50,9 @@ type Scheduler struct {
 	// SelfCheck, when set, re-validates every schedule against the
 	// dependence graph (used by tests).
 	SelfCheck bool
-	// Tracer, when non-nil, receives one structured record per scheduled
-	// block: every issue attempt with its candidate cycle and chosen
-	// option, conflict attribution naming the blocking resource, and the
-	// block's final length and counters. A nil Tracer costs one pointer
-	// comparison per block.
-	Tracer obs.Tracer
-	// BlockID labels the next block's trace record;
-	// mdes.Engine.ScheduleBlocks sets it to the block's index within the
-	// batch. The scheduler never modifies it.
+	// BlockID labels the next block's BlockDone event (its trace record
+	// and flight entry); mdes.Engine.ScheduleBlocks sets it to the block's
+	// index within the batch. The scheduler never modifies it.
 	BlockID int64
 }
 
@@ -97,122 +89,31 @@ func (s *Scheduler) Latency(opcode string) int {
 	return s.mdes.Operations[idx].Latency
 }
 
-// attempt performs one instrumented Check: the paper's counters always
-// (into c), per-phase/per-class observability metrics when the borrowed
-// context carries an obs.Local, conflict-attribution profiling when it
-// carries a profile.Local, and a trace event when bt is non-nil. It
-// returns the selection, whether the attempt succeeded, and the number of
-// options checked during the attempt (the per-attempt quantity of
-// Figure 2). With observability disabled (nil Local, nil Prof, nil bt) the
-// extra cost is a few nil comparisons and no allocations.
-func (s *Scheduler) attempt(phase obs.Phase, bt *obs.BlockTrace, opInBlock int, op *ir.Operation, con *lowlevel.Constraint, cycle int, c *stats.Counters) (check.Selection, bool, int64) {
-	local := s.cx.Obs
-	prof := s.cx.Prof
-	var t0 time.Time
-	timed := false
-	if local != nil {
-		// Timestamps are sampled (obs.TimestampPeriod): most attempts skip
-		// both clock readings, which dominated the enabled-metrics cost.
-		if timed = local.SampleTime(); timed {
-			t0 = time.Now()
-		}
+// attempt performs one instrumented Check through the context's probe
+// helper (resctx.Context.Probe) and feeds the harness hooks, returning
+// the selection and whether the operation issued.
+func (s *Scheduler) attempt(phase obs.Phase, i int, op *ir.Operation, con *lowlevel.Constraint, cycle int, c *stats.Counters) (check.Selection, bool) {
+	sel, ok, opts := s.cx.Probe(phase, i, op.Opcode, con, cycle, c)
+	if s.OptionsHist != nil {
+		s.OptionsHist.Observe(int(opts))
 	}
-	beforeOpts := c.OptionsChecked
-	beforeChecks := c.ResourceChecks
-	sel, ok := s.cx.Check(con, cycle, c)
-	opts := c.OptionsChecked - beforeOpts
-	if local == nil && bt == nil && prof == nil {
-		return sel, ok, opts
+	if s.OnAttempt != nil {
+		s.OnAttempt(op, opts, ok)
 	}
-	if local != nil {
-		ns := int64(-1)
-		if timed {
-			ns = time.Since(t0).Nanoseconds()
-		}
-		// con.Index is the class key ConstraintIndexFor would look up: every
-		// caller selected con through ConstraintFor on the same operation.
-		local.Attempt(phase, con.Index,
-			opts, c.ResourceChecks-beforeChecks, ns, ok)
-	}
-	if !ok {
-		if prof != nil {
-			// One attribution walk serves both the profile (tree + resource)
-			// and, when no trace wants provenance too, the metrics registry.
-			ti, res := s.cx.BlockingTreeRes(con, cycle)
-			prof.Conflict(con.Index, ti, res)
-			if local != nil && bt == nil && res >= 0 {
-				local.ConflictAt(res)
-			}
-		}
-		if bt == nil {
-			if local != nil && prof == nil {
-				// Metrics-only attribution needs just the blocking resource,
-				// not the provenance a trace record carries.
-				if res := s.cx.BlockingRes(con, cycle); res >= 0 {
-					local.ConflictAt(res)
-				}
-			}
-		} else if conf, found := s.cx.Explain(con, cycle); found {
-			if local != nil {
-				local.ConflictAt(conf.Res)
-			}
-			bt.Conflict(opInBlock, op.Opcode, cycle, s.mdes.ResourceNames[conf.Res], conf.Time, conf.Src)
-		}
-	} else if prof != nil {
-		prof.Success(con.Index, sel.Chosen)
-	}
-	if bt != nil {
-		choice := 0
-		if ok && len(sel.Chosen) > 0 {
-			choice = sel.Chosen[0]
-		}
-		bt.Attempt(opInBlock, op.Opcode, cycle, int(opts), choice, ok)
-	}
-	return sel, ok, opts
+	return sel, ok
 }
 
-// startTrace opens a trace record for one block when tracing is enabled.
-func (s *Scheduler) startTrace(numOps int) *obs.BlockTrace {
-	if s.Tracer == nil {
-		return nil
+// done ends one block on every exit path: it emits the block's one
+// BlockDone event (length -1 when err is set) and, for a schedule, folds
+// the block's counters into the context.
+func (s *Scheduler) done(phase obs.Phase, n int, res *Result, err error) (*Result, error) {
+	if err != nil {
+		s.cx.Obs.BlockDone(phase, s.BlockID, n, -1, res.Counters)
+		return nil, err
 	}
-	return s.Tracer.StartBlock(s.BlockID, s.mdes.MachineName, numOps)
-}
-
-// flightStart reads the block's monotonic start time when the borrowed
-// context carries a flight-recorder ring; zero disables flight recording
-// for the block, so the recorder-off cost is one nil check. The raw
-// runtime clock (flight.Nanotime) is deliberate: the clock pair is the
-// dominant per-block flight cost, and the always-on overhead gate at the
-// repository root leaves no room for time.Time round-trips.
-func (s *Scheduler) flightStart() int64 {
-	if s.cx.Flight == nil {
-		return 0
-	}
-	return flight.Nanotime()
-}
-
-// flightRecord appends one flight entry for a completed block (length < 0
-// marks a failed schedule). The per-block cost with the recorder on is
-// one clock reading plus a fixed-size ring store — the always-on budget
-// the flight-recorder overhead gate at the repository root enforces.
-func (s *Scheduler) flightRecord(phase obs.Phase, t0 int64, nops, length int, c stats.Counters) {
-	if t0 == 0 {
-		return
-	}
-	e := flight.Entry{
-		Block:      s.BlockID,
-		Phase:      phase,
-		Ops:        int32(nops),
-		Length:     int32(length),
-		WallNs:     flight.Nanotime() - t0,
-		Attempts:   c.Attempts,
-		Options:    c.OptionsChecked,
-		Checks:     c.ResourceChecks,
-		Conflicts:  c.Conflicts,
-		Backtracks: c.Backtracks,
-	}
-	s.cx.Flight.Record(&e)
+	s.cx.Obs.BlockDone(phase, s.BlockID, n, res.Length, res.Counters)
+	s.cx.Counters.Add(res.Counters)
+	return res, nil
 }
 
 // timing adapts the compiled MDES's operand-level distances (latency,
@@ -251,6 +152,13 @@ func (t timing) Latency(opcode string) int {
 // opcode-table lookups are hoisted to one pass, so the steady-state loop
 // performs no per-block allocation beyond the returned Result.
 func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
+	res, err := s.list(b)
+	return s.done(obs.PhaseList, len(b.Ops), res, err)
+}
+
+// list is ScheduleBlock's body; every exit returns the block's Result
+// (with its counters so far) for done.
+func (s *Scheduler) list(b *ir.Block) (*Result, error) {
 	n := len(b.Ops)
 	res := &Result{Issue: make([]int, n)}
 	if n == 0 {
@@ -264,7 +172,7 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 	for i, op := range b.Ops {
 		idx, ok := s.mdes.OpIndex[op.Opcode]
 		if !ok {
-			return nil, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
+			return res, fmt.Errorf("sched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
 		}
 		opIdxs[i] = idx
 		if op.ID != i {
@@ -278,8 +186,6 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 		g = s.cx.Builder.Build(b, timing{m: s.mdes})
 	}
 
-	ft := s.flightStart()
-	bt := s.startTrace(n)
 	height := ar.Ints(n)
 	ops := s.mdes.Operations
 	for i := n - 1; i >= 0; i-- {
@@ -322,13 +228,7 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 			op := b.Ops[i]
 			con := s.mdes.ConstraintFor(opIdxs[i], op.Cascaded)
 
-			sel, ok, opts := s.attempt(obs.PhaseList, bt, i, op, con, cycle, &res.Counters)
-			if s.OptionsHist != nil {
-				s.OptionsHist.Observe(int(opts))
-			}
-			if s.OnAttempt != nil {
-				s.OnAttempt(op, opts, ok)
-			}
+			sel, ok := s.attempt(obs.PhaseList, i, op, con, cycle, &res.Counters)
 			if !ok {
 				continue
 			}
@@ -344,18 +244,10 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 			}
 		}
 		if !progressPossible && remaining > 0 {
-			if bt != nil {
-				bt.Finish(-1, res.Counters)
-			}
-			s.flightRecord(obs.PhaseList, ft, n, -1, res.Counters)
-			return nil, fmt.Errorf("sched: deadlock, %d operations unschedulable", remaining)
+			return res, fmt.Errorf("sched: deadlock, %d operations unschedulable", remaining)
 		}
 		if cycle > 64*n+1024 {
-			if bt != nil {
-				bt.Finish(-1, res.Counters)
-			}
-			s.flightRecord(obs.PhaseList, ft, n, -1, res.Counters)
-			return nil, fmt.Errorf("sched: no progress after %d cycles", cycle)
+			return res, fmt.Errorf("sched: no progress after %d cycles", cycle)
 		}
 	}
 
@@ -365,15 +257,8 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 		}
 	}
 	if s.SelfCheck {
-		if err := g.CheckSchedule(res.Issue); err != nil {
-			return nil, err
-		}
+		return res, g.CheckSchedule(res.Issue)
 	}
-	if bt != nil {
-		bt.Finish(res.Length, res.Counters)
-	}
-	s.flightRecord(obs.PhaseList, ft, n, res.Length, res.Counters)
-	s.cx.Counters.Add(res.Counters)
 	return res, nil
 }
 

@@ -423,10 +423,10 @@ func WithChecker(kind CheckerKind) EngineOption {
 	return func(e *Engine) { e.checker = kind }
 }
 
-// WithMetrics attaches an observability registry: every context the
-// engine borrows carries a local metrics buffer merged into m on
-// release, and m's in-flight gauge tracks live sessions. The registry
-// should be sized for the same compiled description (NewMetrics).
+// WithMetrics attaches an observability registry as a view of every
+// borrowed context's observation buffer, merged into m on release; m's
+// in-flight gauge tracks live sessions. The registry should be sized for
+// the same compiled description (NewMetrics).
 func WithMetrics(m *Metrics) EngineOption {
 	return func(e *Engine) { e.metrics = m }
 }
@@ -437,18 +437,18 @@ func WithTracer(t Tracer) EngineOption {
 	return func(e *Engine) { e.tracer = t }
 }
 
-// WithFlight attaches an always-on flight recorder: every context the
-// engine borrows carries a local flight ring recording one compact
-// entry per scheduled block, merged into rec on release. NewEngine
-// stamps rec with the machine name, the compiled description's content
-// fingerprint, and the checker backend.
+// WithFlight attaches an always-on flight recorder as a view of every
+// borrowed context's observation buffer: one compact entry per
+// scheduled block, spilled into rec whenever the context's ring fills
+// and merged on release. NewEngine stamps rec with the machine name, the
+// compiled description's content fingerprint, and the checker backend.
 func WithFlight(rec *FlightRecorder) EngineOption {
 	return func(e *Engine) { e.flight = rec }
 }
 
-// WithProfile attaches a conflict-attribution profile: every context the
-// engine borrows carries a local profile buffer (plain stores, no locks)
-// merged into p on release. NewEngine stamps p with the machine name, the
+// WithProfile attaches a conflict-attribution profile as a view of every
+// borrowed context's observation buffer (plain stores, no locks), merged
+// into p on release. NewEngine stamps p with the machine name, the
 // compiled description's content fingerprint, and the checker backend, so
 // the persisted profile artifact names exactly which description produced
 // its evidence. The profile should be shaped by the same compiled
@@ -467,9 +467,10 @@ func WithProfile(p *ConflictProfile) EngineOption {
 // table, counters, scratch), so the steady state allocates no per-block
 // scheduling structures and needs no locks on the hot path.
 //
-// Observability is opt-in per engine (WithMetrics, WithTracer) and costs
-// nothing when absent: with neither option the scheduling hot path
-// performs only nil checks.
+// Observability is opt-in per engine (WithMetrics, WithProfile,
+// WithFlight, WithTracer): the attached views share one observation
+// buffer per borrowed context, and with none attached the scheduling hot
+// path performs only nil checks.
 type Engine struct {
 	compiled *Compiled
 	pool     *resctx.Pool
@@ -497,26 +498,29 @@ func NewEngine(c *Compiled, opts ...EngineOption) (*Engine, error) {
 		return nil, err
 	}
 	e.pool = resctx.NewPoolFor(factory)
+	if e.metrics == nil && e.tracer == nil && e.flight == nil && e.profile == nil {
+		return e, nil
+	}
+	// Stamp every view with what it observes — machine, content
+	// fingerprint (one v3 encode, only for the views that record it) and
+	// checker backend — then attach them all as one set.
+	checker := e.checker.String()
+	if e.flight != nil || e.profile != nil {
+		fp, err := c.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		if e.flight != nil {
+			e.flight.SetMeta(c.MachineName, fp, checker)
+		}
+		if e.profile != nil {
+			e.profile.SetMeta(c.MachineName, fp, checker)
+		}
+	}
 	if e.metrics != nil {
-		e.metrics.SetBackend(e.checker.String())
-		e.pool.SetMetrics(e.metrics)
+		e.metrics.SetBackend(checker)
 	}
-	if e.flight != nil {
-		fp, err := c.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		e.flight.SetMeta(c.MachineName, fp, e.checker.String())
-		e.pool.SetFlight(e.flight)
-	}
-	if e.profile != nil {
-		fp, err := c.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		e.profile.SetMeta(c.MachineName, fp, e.checker.String())
-		e.pool.SetProfile(e.profile)
-	}
+	e.pool.Observe(&obs.Views{Metrics: e.metrics, Profile: e.profile, Flight: e.flight, Tracer: e.tracer, MDES: c})
 	return e, nil
 }
 
@@ -527,7 +531,7 @@ func (e *Engine) CheckerKind() CheckerKind { return e.checker }
 func (e *Engine) Compiled() *Compiled { return e.compiled }
 
 // Metrics returns the registry attached with WithMetrics, or nil.
-func (e *Engine) Metrics() *Metrics { return e.pool.Metrics() }
+func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // Flight returns the flight recorder attached with WithFlight, or nil.
 func (e *Engine) Flight() *FlightRecorder { return e.flight }
@@ -546,7 +550,6 @@ func (e *Engine) ScheduleBlock(b *Block) (*Result, error) {
 	defer cx.Release()
 	s := sched.NewWithContext(e.compiled, cx)
 	if e.tracer != nil {
-		s.Tracer = e.tracer
 		s.BlockID = e.blockSeq.Add(1) - 1
 	}
 	return s.ScheduleBlock(b)
@@ -596,7 +599,6 @@ func (e *Engine) ScheduleBlocks(ctx context.Context, blocks []*Block, parallelis
 			cx := e.pool.Get()
 			defer cx.Release()
 			s := sched.NewWithContext(e.compiled, cx)
-			s.Tracer = e.tracer
 			for bi := range next {
 				s.BlockID = int64(bi)
 				r, err := s.ScheduleBlock(blocks[bi])

@@ -9,14 +9,22 @@ import (
 	"mdes/internal/workload"
 )
 
-// BenchmarkObsOverhead measures the cost of the observability layer on
-// the parallel scheduling hot path, relative to the disabled baseline:
+// BenchmarkObsOverhead measures the cost of each observation view on the
+// parallel scheduling hot path, relative to the disabled baseline — the
+// per-view cost of the one observation buffer in one command:
 //
-//	disabled     no metrics, no tracer — the nil fast path
+//	disabled     no views — the nil fast path
 //	metrics      per-phase/per-class registry attached (sampled timestamps +
-//	             local counter bumps per Check, one merge per context
-//	             release); TestEnabledMetricsOverheadGate enforces that this
-//	             variant stays within 5% of disabled on the flat serial path
+//	             buffer bumps per Check, one merge per context release);
+//	             TestEnabledMetricsOverheadGate holds it within 5% of
+//	             disabled on the flat serial path
+//	profile      conflict profile attached (TestEnabledProfileOverheadGate,
+//	             <5%)
+//	flight       flight recorder attached: no per-attempt work, one clock
+//	             reading and one ring entry per block
+//	             (TestFlightRecorderOverheadGate, <2%)
+//	all          metrics + profile + flight, as every mdesd tenant runs
+//	             (TestAllViewsOverheadGate, <12%)
 //	trace-ring   full tracing into an in-memory ring on top of metrics
 //	trace-jsonl  full tracing serialized to a discarded JSONL stream
 func BenchmarkObsOverhead(b *testing.B) {
@@ -40,6 +48,19 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"disabled", func() []mdes.EngineOption { return nil }},
 		{"metrics", func() []mdes.EngineOption {
 			return []mdes.EngineOption{mdes.WithMetrics(mdes.NewMetrics(compiled))}
+		}},
+		{"profile", func() []mdes.EngineOption {
+			return []mdes.EngineOption{mdes.WithProfile(mdes.NewConflictProfile(compiled))}
+		}},
+		{"flight", func() []mdes.EngineOption {
+			return []mdes.EngineOption{mdes.WithFlight(mdes.NewFlightRecorder(mdes.FlightConfig{}))}
+		}},
+		{"all", func() []mdes.EngineOption {
+			return []mdes.EngineOption{
+				mdes.WithMetrics(mdes.NewMetrics(compiled)),
+				mdes.WithProfile(mdes.NewConflictProfile(compiled)),
+				mdes.WithFlight(mdes.NewFlightRecorder(mdes.FlightConfig{})),
+			}
 		}},
 		{"trace-ring", func() []mdes.EngineOption {
 			tracer, _ := mdes.NewRingTracer(1024, 1)
