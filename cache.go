@@ -1,6 +1,6 @@
 package mdes
 
-// The compiled-description cache: the flat arena format (lowlevel MDAR v4)
+// The compiled-description cache: the flat arena format (lowlevel MDAR v5)
 // behind a content-addressed on-disk store (internal/descache), so a cold
 // process reaches a frozen Engine without re-running the HMDES parse →
 // compile → optimize pipeline. A cache hit is checksum-verified, mapped
@@ -17,7 +17,7 @@ import (
 	"mdes/internal/opt"
 )
 
-// Arena is a validated flat-arena description buffer (the MDAR v4 format):
+// Arena is a validated flat-arena description buffer (the MDAR v5 format):
 // one contiguous checksummed []byte holding every description section as
 // offset-indexed records, materializable as a deep copy (Arena.MDES) or as
 // a zero-copy frozen view (Arena.FrozenMDES).
@@ -25,11 +25,12 @@ type Arena = lowlevel.Arena
 
 // EncodeArena serializes a compiled description into the flat arena
 // format, probe plan included. The round trip through OpenArena +
-// Arena.MDES is lossless (identical v3 encoding and Fingerprint).
+// Arena.MDES is lossless: it re-encodes to the same bytes, so the
+// Fingerprint (the header's check value) is the same too.
 func EncodeArena(c *Compiled) ([]byte, error) { return c.EncodeArena() }
 
-// OpenArena validates an arena buffer — header, FNV-64a checksum, one
-// structural pass — and returns the typed view. After OpenArena succeeds,
+// OpenArena validates an arena buffer — header, CRC-32C ‖ CRC-32 check
+// value, one structural pass — and returns the typed view. After OpenArena succeeds,
 // materializing costs no further validation.
 func OpenArena(buf []byte) (*Arena, error) { return lowlevel.OpenArena(buf) }
 

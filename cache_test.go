@@ -3,6 +3,8 @@ package mdes_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,39 +181,68 @@ func TestLoadCachedKeySeparation(t *testing.T) {
 	}
 }
 
-// A corrupt cache entry must be rejected and transparently recompiled.
+// asV4 rewrites an arena in the previous format: the same layout under
+// version 4, checked by FNV-64a.
+func asV4(arena []byte) []byte {
+	v4 := append([]byte(nil), arena...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	h := fnv.New64a()
+	h.Write(v4[24:])
+	binary.LittleEndian.PutUint64(v4[16:], h.Sum64())
+	return v4
+}
+
+// A damaged cache entry — flipped bits in the payload or the check field,
+// a write torn inside the header, the section table or the payload, or a
+// v4 arena under the v5 name — must be rejected and transparently
+// recompiled into the description a fresh compile produces.
 func TestLoadCachedCorruptEntryRecovers(t *testing.T) {
-	dir := t.TempDir()
 	src := builtinSource(t, mdes.SuperSPARC)
-	if _, err := mdes.LoadCached("ss.mdes", src, mdes.FormAndOr, mdes.LevelFull, dir); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := filepath.Glob(filepath.Join(dir, "*.mdar"))
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("glob: %v %v", ents, err)
-	}
-	data, err := os.ReadFile(ents[0])
+	want, err := mdes.EncodeArena(freshCompiled(t, mdes.SuperSPARC, mdes.FormAndOr, mdes.LevelFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(ents[0], data, 0o644); err != nil {
-		t.Fatal(err)
+	flip := func(i int) []byte {
+		b := append([]byte(nil), want...)
+		b[i] ^= 0xff
+		return b
 	}
-	c, err := mdes.LoadCached("ss.mdes", src, mdes.FormAndOr, mdes.LevelFull, dir)
-	if err != nil {
-		t.Fatalf("corrupt entry not recovered: %v", err)
-	}
-	want := freshCompiled(t, mdes.SuperSPARC, mdes.FormAndOr, mdes.LevelFull)
-	var a, b bytes.Buffer
-	if err := c.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("recovered description differs from a fresh compile")
+	for _, d := range []struct {
+		name string
+		data []byte
+	}{
+		{"flip-payload", flip(len(want) / 2)},
+		{"flip-check", flip(21)},
+		{"torn-header", want[:40]},
+		{"torn-section-table", want[:150]},
+		{"torn-payload", want[:len(want)/2]},
+		{"v4-arena", asV4(want)},
+	} {
+		dir := t.TempDir()
+		if _, err := mdes.LoadCached("ss.mdes", src, mdes.FormAndOr, mdes.LevelFull, dir); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := filepath.Glob(filepath.Join(dir, "*.mdar"))
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("glob: %v %v", ents, err)
+		}
+		if err := os.WriteFile(ents[0], d.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := mdes.LoadCached("ss.mdes", src, mdes.FormAndOr, mdes.LevelFull, dir)
+		if err != nil {
+			t.Fatalf("%s: damaged entry not recovered: %v", d.name, err)
+		}
+		if c.Frozen() {
+			t.Fatalf("%s: damaged entry served instead of recompiled", d.name)
+		}
+		got, err := mdes.EncodeArena(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: recovered description differs from a fresh compile", d.name)
+		}
 	}
 }
 

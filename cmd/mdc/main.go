@@ -7,7 +7,7 @@
 //
 //	mdc -m supersparc -form andor -level full
 //	mdc -in mymachine.mdes -form or -level time-shift -dir backward
-//	mdc -m k5 -level full -o k5.lmdes
+//	mdc -m k5 -form or -level full -emit-arena k5.mdar
 //	mdc -m k5 -dump
 //	mdc -in mymachine.mdes -emit
 package main

@@ -1,5 +1,5 @@
 // Package descache is the content-addressed on-disk cache of compiled
-// machine descriptions in the flat arena format (lowlevel MDAR v4). It is
+// machine descriptions in the flat arena format (lowlevel MDAR v5). It is
 // what lets a cold worker skip the HMDES parse → compile → optimize
 // pipeline entirely: entries are keyed by the hash of the HMDES *source
 // text* crossed with every compilation input that changes the output
@@ -12,11 +12,13 @@
 //     renamed over the final name — a crashed writer can never leave a
 //     half-written entry under a valid key;
 //   - reads are checksum-verified: Get maps (or reads) the file and runs
-//     lowlevel.OpenArena, whose FNV-64a checksum + structural validation
-//     rejects torn or corrupted entries — the caller treats any error as a
-//     miss and recompiles;
+//     lowlevel.OpenArena, whose CRC pair (CRC-32C ‖ CRC-32) + structural
+//     validation rejects torn, corrupted or stale-format entries — the
+//     caller treats any error as a miss and recompiles;
 //   - eviction is LRU by file modification time, which Get bumps on every
 //     hit; GC removes oldest-first until the store fits its byte budget.
+//     Entries under an older format's names (a4-, MDAR v4) are never read,
+//     so they age out first.
 //
 // Tuned layouts (mdreport -tune output) occupy a second slot per key:
 // "<key>.tuned-<fingerprint>-<profileaddr>.mdar", addressed by the base
@@ -66,10 +68,10 @@ func HashSource(source string) string {
 }
 
 // ID renders the key as its on-disk entry name (without extension). The
-// arena format version is baked in so a layout bump can never read stale
-// bytes.
+// arena format version is baked in ("a5-" for MDAR v5) so a format bump
+// turns old entries into misses instead of reading stale bytes.
 func (k Key) ID() string {
-	id := fmt.Sprintf("a4-%s-%s-%s", k.SourceHash, sanitize(k.Form), sanitize(k.Level))
+	id := fmt.Sprintf("a5-%s-%s-%s", k.SourceHash, sanitize(k.Form), sanitize(k.Level))
 	if k.Flags != "" {
 		id += "-" + sanitize(k.Flags)
 	}

@@ -1,9 +1,12 @@
 package descache
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +60,43 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// asV4 rewrites an arena in the previous format: the same layout under
+// version 4, checked by FNV-64a.
+func asV4(arena []byte) []byte {
+	v4 := append([]byte(nil), arena...)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
+	h := fnv.New64a()
+	h.Write(v4[24:])
+	binary.LittleEndian.PutUint64(v4[16:], h.Sum64())
+	return v4
+}
+
+// damagedEntries are the ways an entry file can go bad: torn writes cut
+// inside the header, the section table and the payload, flipped bits in
+// the payload and in the check field, and a v4 arena stored under the v5
+// name.
+func damagedEntries(arena []byte) []struct {
+	name string
+	data []byte
+} {
+	flip := func(i int) []byte {
+		b := append([]byte(nil), arena...)
+		b[i] ^= 0x40
+		return b
+	}
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"flip-payload", flip(len(arena) - 1)},
+		{"flip-check", flip(18)},
+		{"torn-header", arena[:40]},
+		{"torn-section-table", arena[:150]},
+		{"torn-payload", arena[:len(arena)/2]},
+		{"v4-arena", asV4(arena)},
+	}
+}
+
 func TestCorruptEntryRejected(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -68,21 +108,18 @@ func TestCorruptEntryRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte on disk: Get must reject, not serve garbage.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(key); err == nil || errors.Is(err, ErrMiss) {
-		t.Fatalf("corrupt entry not rejected with a validation error: %v", err)
-	}
-	// Put refuses garbage up front.
-	if _, err := s.Put(key, data); err == nil {
-		t.Fatal("Put accepted a corrupt arena")
+	for _, d := range damagedEntries(arena) {
+		// Damage the entry on disk: Get must reject, not serve garbage.
+		if err := os.WriteFile(path, d.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get(key); err == nil || errors.Is(err, ErrMiss) {
+			t.Fatalf("%s: damaged entry not rejected with a validation error: %v", d.name, err)
+		}
+		// Put refuses garbage up front.
+		if _, err := s.Put(key, d.data); err == nil {
+			t.Fatalf("%s: Put accepted a damaged arena", d.name)
+		}
 	}
 }
 
@@ -165,6 +202,46 @@ func TestLRUGC(t *testing.T) {
 	}
 }
 
+// TestGCEvictsStaleFormatOrphans: entries under the previous format's
+// "a4-" names are never read again, so they never gain recency, and a byte
+// budget evicts them before any live entry.
+func TestGCEvictsStaleFormatOrphans(t *testing.T) {
+	dir := t.TempDir()
+	arena := testArena(t, machines.Pentium, lowlevel.FormOR)
+	s, err := Open(dir, int64(len(arena)*2+len(arena)/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := testKey(machines.Pentium)
+	orphan := filepath.Join(dir, "a4"+strings.TrimPrefix(old.ID(), "a5")+".mdar")
+	if err := os.WriteFile(orphan, asV4(arena), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(orphan, ts, ts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(old, arena); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); err != nil {
+		t.Fatalf("orphan evicted while the store fit its budget: %v", err)
+	}
+	if _, err := s.Put(testKey(machines.K5), arena); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a4- orphan survived GC over budget: %v", err)
+	}
+	for _, k := range []Key{old, testKey(machines.K5)} {
+		e, err := s.Get(k)
+		if err != nil {
+			t.Fatalf("live entry %s evicted: %v", k.ID(), err)
+		}
+		e.Close()
+	}
+}
+
 func TestListVerify(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -174,7 +251,7 @@ func TestListVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One corrupt file alongside.
-	bad := filepath.Join(s.Dir(), "a4-ffffffffffffffff-or-none.mdar")
+	bad := filepath.Join(s.Dir(), "a5-ffffffffffffffff-or-none.mdar")
 	if err := os.WriteFile(bad, []byte("MDARjunk"), 0o644); err != nil {
 		t.Fatal(err)
 	}

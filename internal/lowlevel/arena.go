@@ -1,12 +1,11 @@
 package lowlevel
 
-// Flat arena serialization (v4 / MDAR). Where the v3 stream format
-// (encode.go) minimizes bytes with varints and rebuilds the object graph
-// node by node, the arena format minimizes *load work*: the whole
-// description is one contiguous little-endian buffer of fixed-width,
-// offset-indexed records, 8-byte aligned per section, so opening it is
+// Flat arena serialization (MDAR v5), the one binary format of a compiled
+// description. It minimizes *load work*: the whole description is one
+// contiguous little-endian buffer of fixed-width, offset-indexed records,
+// 8-byte aligned per section, so opening it is
 //
-//	validate header + FNV-64a checksum once  →  cast section offsets.
+//	validate header + CRC pair once  →  cast section offsets.
 //
 // Nothing in the payload is varint-coded and nothing needs per-node
 // decoding: on a little-endian host every section is reinterpreted in
@@ -28,7 +27,7 @@ package lowlevel
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"sort"
 	"unsafe"
@@ -39,14 +38,19 @@ import (
 // arenaMagic identifies the flat arena format; arenaVersion guards layout.
 var arenaMagic = [4]byte{'M', 'D', 'A', 'R'}
 
-const arenaVersion = 4
+const arenaVersion = 5
+
+// castagnoli is the CRC-32C table; hash/crc32 computes both CRC-32C and
+// CRC-32 (IEEE) with hardware instructions where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Header layout (all little-endian):
 //
 //	[0:4)   magic "MDAR"
-//	[4:8)   version u32
+//	[4:8)   version u32 (5)
 //	[8:16)  totalLen u64 — must equal len(buf)
-//	[16:24) checksum u64 — FNV-64a over buf[24:totalLen]
+//	[16:20) CRC-32C (Castagnoli) u32 over buf[24:totalLen]
+//	[20:24) CRC-32 (IEEE) u32 over buf[24:totalLen]
 //	[24:28) form u32
 //	[28:32) packed u32 (0/1)
 //	[32:36) numResources u32
@@ -58,13 +62,20 @@ const arenaVersion = 4
 //	[56:296) section table: numArenaSections × {offset u64, byteLen u64}
 //
 // Section offsets are absolute, 8-byte aligned, and empty sections store
-// {0, 0}. Everything from byte 24 on is covered by the checksum, so a
-// single hash verification vouches for the scalars, the table, and every
-// payload byte.
+// {0, 0}. Everything from byte 24 on is covered by both CRCs, so one
+// verification vouches for the scalars, the table, and every payload
+// byte. CRC-32C detects every burst error of up to 32 bits; the pair is a
+// 64-bit check value, and because the encoding is canonical it doubles as
+// the description's fingerprint (arenaCheck).
 const (
 	arenaHdrFixed   = 56
 	arenaHeaderSize = arenaHdrFixed + numArenaSections*16
 )
+
+// arenaCheck returns the header's 64-bit check value: CRC-32C ‖ CRC-32.
+func arenaCheck(buf []byte) uint64 {
+	return uint64(le32(buf[16:]))<<32 | uint64(le32(buf[20:]))
+}
 
 // Section identifiers, in file order.
 const (
@@ -241,146 +252,240 @@ func planRowWords(numResources int) int {
 	return w
 }
 
-// emitPlan lowers the description into probeplan's flat span layout:
-// identical emission order and word contents as probeplan.Compile (one
-// word per CycleMask when packed, one single-bit word per scalar Usage
-// otherwise; trailing sentinels), cross-checked by probeplan's
-// TestArenaPlanMatchesCompile.
-func (m *MDES) emitPlan() (words []PlanWord, optStart, treeStart, conStart []int32, maxTrees int) {
-	for _, con := range m.Constraints {
-		conStart = append(conStart, int32(len(treeStart)))
-		if len(con.Trees) > maxTrees {
-			maxTrees = len(con.Trees)
-		}
-		for _, tree := range con.Trees {
-			treeStart = append(treeStart, int32(len(optStart)))
-			for _, o := range tree.Options {
-				optStart = append(optStart, int32(len(words)))
-				if o.Masks != nil {
-					for _, cm := range o.Masks {
-						words = append(words, PlanWord{Time: cm.Time, Widx: cm.Word, Mask: cm.Mask})
-					}
-				} else {
-					for _, u := range o.Usages {
-						words = append(words, PlanWord{
-							Time: u.Time,
-							Widx: u.Res / bitset.WordBits,
-							Mask: 1 << uint(u.Res%bitset.WordBits),
-						})
-					}
-				}
-			}
+// arenaWriter writes fixed-width little-endian fields at a cursor into a
+// pre-sized arena buffer; each section gets its own cursor.
+type arenaWriter struct {
+	buf []byte
+	pos int
+}
+
+func (w *arenaWriter) u32(v uint32) {
+	binary.LittleEndian.PutUint32(w.buf[w.pos:], v)
+	w.pos += 4
+}
+
+func (w *arenaWriter) i32(v int32) { w.u32(uint32(v)) }
+
+func (w *arenaWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(w.buf[w.pos:], v)
+	w.pos += 8
+}
+
+func (w *arenaWriter) span(sp arenaSpan) {
+	w.u32(sp.Start)
+	w.u32(sp.End)
+}
+
+// arenaStrings interns the description's strings into the string section
+// and queues each reference's span in the order the records are written.
+type arenaStrings struct {
+	buf   []byte
+	index map[string]arenaSpan
+	spans []arenaSpan
+	next  int
+}
+
+func (s *arenaStrings) add(str string) {
+	sp, ok := s.index[str]
+	if !ok {
+		sp = arenaSpan{Start: uint32(len(s.buf)), End: uint32(len(s.buf) + len(str))}
+		s.buf = append(s.buf, str...)
+		s.index[str] = sp
+	}
+	s.spans = append(s.spans, sp)
+}
+
+// take returns the next queued span.
+func (s *arenaStrings) take() arenaSpan {
+	sp := s.spans[s.next]
+	s.next++
+	return sp
+}
+
+// poolIndex returns x's position in pool: its recorded ID when that is
+// current (always, for descriptions the compiler and the opt passes
+// produce), else a lookup in an index built on first need.
+func poolIndex[T comparable](pool []T, x T, id int, index *map[T]int) (int, bool) {
+	if id >= 0 && id < len(pool) && pool[id] == x {
+		return id, true
+	}
+	if *index == nil {
+		*index = make(map[T]int, len(pool))
+		for i, p := range pool {
+			(*index)[p] = i
 		}
 	}
-	conStart = append(conStart, int32(len(treeStart)))
-	treeStart = append(treeStart, int32(len(optStart)))
-	optStart = append(optStart, int32(len(words)))
-	return
+	i, ok := (*index)[x]
+	return i, ok
 }
 
 // EncodeArena serializes the description into the flat arena format,
-// including the compiled probe-plan spans. The round trip is lossless with
-// respect to the v3 encoding: Decode(v3) → EncodeArena → OpenArena →
-// MDES() → Encode(v3) reproduces the original v3 bytes (and therefore the
-// original Fingerprint).
+// including the compiled probe-plan spans, and stamps the header's check
+// value. The encoding is canonical — pool order is kept, strings are
+// interned in first-use order and bypasses are sorted — so OpenArena →
+// MDES() → EncodeArena reproduces the input byte for byte, and the check
+// value identifies the description (Fingerprint). On a frozen description
+// the check value is memoized as its fingerprint.
 func (m *MDES) EncodeArena() ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("lowlevel: arena: encode: %w", err)
+	buf, err := m.encodeArena()
+	if err == nil && m.Frozen() {
+		m.fpOnce.Do(func() { m.fp = arenaCheck(buf) })
 	}
+	return buf, err
+}
 
-	var strs []byte
-	strIdx := map[string]arenaSpan{}
-	intern := func(s string) arenaSpan {
-		if sp, ok := strIdx[s]; ok {
-			return sp
+// encodeArena sizes every section in one pass over the description,
+// allocates the arena once, and writes each section in place. A frozen
+// description was validated when it froze and cannot have changed since,
+// so only unfrozen ones are validated here.
+func (m *MDES) encodeArena() ([]byte, error) {
+	if !m.Frozen() {
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("lowlevel: arena: encode: %w", err)
 		}
-		sp := arenaSpan{Start: uint32(len(strs)), End: uint32(len(strs) + len(s))}
-		strs = append(strs, s...)
-		strIdx[s] = sp
-		return sp
 	}
 
-	nameSpan := intern(m.MachineName)
-
-	resSpans := make([]arenaSpan, len(m.ResourceNames))
-	for i, n := range m.ResourceNames {
-		resSpans[i] = intern(n)
+	// Pass 1: intern strings and count every section's records.
+	nStrs := 1 + len(m.ResourceNames) + len(m.Options) + 2*len(m.Trees) + len(m.Constraints) + len(m.Operations)
+	strs := arenaStrings{
+		index: make(map[string]arenaSpan, nStrs),
+		spans: make([]arenaSpan, 0, nStrs),
 	}
-
-	var usages []Usage
-	var masks []CycleMask
-	opts := make([]arenaOpt, len(m.Options))
-	optIdx := make(map[*Option]int, len(m.Options))
-	for i, o := range m.Options {
-		optIdx[o] = i
-		rec := arenaOpt{
-			UsageStart: uint32(len(usages)),
-			UsageCount: uint32(len(o.Usages)),
-			MaskStart:  uint32(len(masks)),
+	strs.add(m.MachineName)
+	for _, n := range m.ResourceNames {
+		strs.add(n)
+	}
+	var n [numArenaSections]int
+	for _, o := range m.Options {
+		n[secUsages] += len(o.Usages)
+		n[secMasks] += len(o.Masks)
+		strs.add(o.Src)
+	}
+	for _, t := range m.Trees {
+		n[secTreeOpts] += len(t.Options)
+		strs.add(t.Name)
+		strs.add(t.Src)
+	}
+	maxTrees := 0
+	for _, c := range m.Constraints {
+		n[secConTrees] += len(c.Trees)
+		maxTrees = max(maxTrees, len(c.Trees))
+		for _, t := range c.Trees {
+			n[secPlanOpt] += len(t.Options)
+			for _, o := range t.Options {
+				n[secPlanWords] += o.NumChecks()
+			}
 		}
-		usages = append(usages, o.Usages...)
+		strs.add(c.Name)
+	}
+	for _, op := range m.Operations {
+		strs.add(op.Name)
+	}
+	if uint64(len(strs.buf)) > math.MaxUint32 {
+		return nil, fmt.Errorf("lowlevel: arena: encode: string table exceeds 4 GiB")
+	}
+	n[secStrings] = len(strs.buf)
+	n[secResSpans] = len(m.ResourceNames)
+	n[secOptions] = len(m.Options)
+	n[secTrees] = len(m.Trees)
+	n[secCons] = len(m.Constraints)
+	n[secOps] = len(m.Operations)
+	n[secBypasses] = len(m.Bypasses)
+	n[secPlanOpt]++ // sentinels
+	n[secPlanTree] = n[secConTrees] + 1
+	n[secPlanCon] = len(m.Constraints) + 1
+
+	// Lay the non-empty sections out 8-byte aligned after the header.
+	var off [numArenaSections]int
+	total := arenaHeaderSize
+	for i, cnt := range n {
+		if cnt == 0 {
+			continue
+		}
+		total = (total + 7) &^ 7
+		off[i] = total
+		total += cnt * arenaElemSizes[i]
+	}
+	buf := make([]byte, total)
+	w := func(sec int) arenaWriter { return arenaWriter{buf: buf, pos: off[sec]} }
+
+	// Pass 2: write every section in place.
+	copy(buf[off[secStrings]:], strs.buf)
+	machineName := strs.take()
+	resW := w(secResSpans)
+	for range m.ResourceNames {
+		resW.span(strs.take())
+	}
+
+	optW, useW, maskW := w(secOptions), w(secUsages), w(secMasks)
+	usages, masks := 0, 0
+	for _, o := range m.Options {
+		flags, maskCount := uint32(0), uint32(0)
 		if o.Masks != nil {
-			rec.Flags |= arenaOptHasMasks
-			rec.MaskCount = uint32(len(o.Masks))
-			masks = append(masks, o.Masks...)
+			flags, maskCount = arenaOptHasMasks, uint32(len(o.Masks))
 		}
-		sp := intern(o.Src)
-		rec.SrcStart, rec.SrcEnd = sp.Start, sp.End
-		opts[i] = rec
+		optW.u32(uint32(usages))
+		optW.u32(uint32(len(o.Usages)))
+		optW.u32(uint32(masks))
+		optW.u32(maskCount)
+		optW.u32(flags)
+		optW.span(strs.take())
+		for _, u := range o.Usages {
+			useW.i32(u.Time)
+			useW.i32(u.Res)
+		}
+		for _, cm := range o.Masks {
+			maskW.i32(cm.Time)
+			maskW.i32(cm.Word)
+			maskW.u64(cm.Mask)
+		}
+		usages += len(o.Usages)
+		masks += len(o.Masks)
 	}
 
-	var treeOpts []uint32
-	trees := make([]arenaTree, len(m.Trees))
-	treeIdx := make(map[*Tree]int, len(m.Trees))
-	for i, t := range m.Trees {
-		treeIdx[t] = i
-		nsp, ssp := intern(t.Name), intern(t.Src)
-		rec := arenaTree{
-			NameStart: nsp.Start, NameEnd: nsp.End,
-			SrcStart: ssp.Start, SrcEnd: ssp.End,
-			SharedBy: uint32(t.SharedBy),
-			OptStart: uint32(len(treeOpts)),
-			OptCount: uint32(len(t.Options)),
-		}
+	var optIdx map[*Option]int
+	treeW, treeOptW := w(secTrees), w(secTreeOpts)
+	treeOpts := 0
+	for _, t := range m.Trees {
+		treeW.span(strs.take())
+		treeW.span(strs.take())
+		treeW.u32(uint32(t.SharedBy))
+		treeW.u32(uint32(treeOpts))
+		treeW.u32(uint32(len(t.Options)))
 		for _, o := range t.Options {
-			oi, ok := optIdx[o]
+			oi, ok := poolIndex(m.Options, o, o.ID, &optIdx)
 			if !ok {
 				return nil, fmt.Errorf("lowlevel: arena: encode: tree %q references unpooled option", t.Name)
 			}
-			treeOpts = append(treeOpts, uint32(oi))
+			treeOptW.u32(uint32(oi))
 		}
-		trees[i] = rec
+		treeOpts += len(t.Options)
 	}
 
-	var conTrees []uint32
-	cons := make([]arenaCon, len(m.Constraints))
-	for i, c := range m.Constraints {
-		nsp := intern(c.Name)
-		rec := arenaCon{
-			NameStart: nsp.Start, NameEnd: nsp.End,
-			TreeStart: uint32(len(conTrees)),
-			TreeCount: uint32(len(c.Trees)),
-		}
+	var treeIdx map[*Tree]int
+	conW, conTreeW := w(secCons), w(secConTrees)
+	conTrees := 0
+	for _, c := range m.Constraints {
+		conW.span(strs.take())
+		conW.u32(uint32(conTrees))
+		conW.u32(uint32(len(c.Trees)))
 		for _, t := range c.Trees {
-			ti, ok := treeIdx[t]
+			ti, ok := poolIndex(m.Trees, t, t.ID, &treeIdx)
 			if !ok {
 				return nil, fmt.Errorf("lowlevel: arena: encode: constraint %q references unpooled tree", c.Name)
 			}
-			conTrees = append(conTrees, uint32(ti))
+			conTreeW.u32(uint32(ti))
 		}
-		cons[i] = rec
+		conTrees += len(c.Trees)
 	}
 
-	ops := make([]arenaOp, len(m.Operations))
-	for i, op := range m.Operations {
-		nsp := intern(op.Name)
-		ops[i] = arenaOp{
-			NameStart: nsp.Start, NameEnd: nsp.End,
-			Constraint: int32(op.Constraint),
-			Cascaded:   int32(op.Cascaded),
-			Latency:    int32(op.Latency),
-			SrcTime:    int32(op.SrcTime),
-		}
+	opW := w(secOps)
+	for _, op := range m.Operations {
+		opW.span(strs.take())
+		opW.i32(int32(op.Constraint))
+		opW.i32(int32(op.Cascaded))
+		opW.i32(int32(op.Latency))
+		opW.i32(int32(op.SrcTime))
 	}
 
 	bypKeys := make([][2]int, 0, len(m.Bypasses))
@@ -393,129 +498,75 @@ func (m *MDES) EncodeArena() ([]byte, error) {
 		}
 		return bypKeys[i][1] < bypKeys[j][1]
 	})
-	byps := make([]arenaBypass, len(bypKeys))
-	for i, k := range bypKeys {
-		byps[i] = arenaBypass{From: int32(k[0]), To: int32(k[1]), Adj: int32(m.Bypasses[k])}
+	bypW := w(secBypasses)
+	for _, k := range bypKeys {
+		bypW.i32(int32(k[0]))
+		bypW.i32(int32(k[1]))
+		bypW.i32(int32(m.Bypasses[k]))
 	}
 
-	planWords, planOpt, planTree, planCon, maxTrees := m.emitPlan()
-
-	if uint64(len(strs)) > math.MaxUint32 {
-		return nil, fmt.Errorf("lowlevel: arena: encode: string table exceeds 4 GiB")
+	// The probe plan in probeplan.Compile's emission order and word
+	// contents: one word per CycleMask when packed, one single-bit word
+	// per scalar Usage otherwise, trailing sentinels (cross-checked by
+	// probeplan's TestArenaPlanMatchesCompile).
+	wordW, pOptW, pTreeW, pConW := w(secPlanWords), w(secPlanOpt), w(secPlanTree), w(secPlanCon)
+	words, planOpts, planTrees := 0, 0, 0
+	for _, c := range m.Constraints {
+		pConW.u32(uint32(planTrees))
+		for _, t := range c.Trees {
+			pTreeW.u32(uint32(planOpts))
+			for _, o := range t.Options {
+				pOptW.u32(uint32(words))
+				if o.Masks != nil {
+					for _, cm := range o.Masks {
+						wordW.i32(cm.Time)
+						wordW.i32(cm.Word)
+						wordW.u64(cm.Mask)
+					}
+				} else {
+					for _, u := range o.Usages {
+						wordW.i32(u.Time)
+						wordW.i32(u.Res / bitset.WordBits)
+						wordW.u64(1 << uint(u.Res%bitset.WordBits))
+					}
+				}
+				words += o.NumChecks()
+			}
+			planOpts += len(t.Options)
+		}
+		planTrees += len(c.Trees)
 	}
+	pConW.u32(uint32(planTrees))
+	pTreeW.u32(uint32(planOpts))
+	pOptW.u32(uint32(words))
 
-	// Assemble: serialize each section to little-endian bytes, then lay
-	// them out 8-byte aligned after the header.
-	secs := make([][]byte, numArenaSections)
-	secs[secStrings] = strs
-	secs[secResSpans] = encRecords(resSpans, 8, func(b []byte, v arenaSpan) {
-		put32(b, v.Start)
-		put32(b[4:], v.End)
-	})
-	secs[secUsages] = encRecords(usages, 8, func(b []byte, v Usage) {
-		putI32(b, v.Time)
-		putI32(b[4:], v.Res)
-	})
-	secs[secMasks] = encRecords(masks, 16, func(b []byte, v CycleMask) {
-		putI32(b, v.Time)
-		putI32(b[4:], v.Word)
-		put64(b[8:], v.Mask)
-	})
-	secs[secOptions] = encRecords(opts, 28, func(b []byte, v arenaOpt) {
-		put32(b, v.UsageStart)
-		put32(b[4:], v.UsageCount)
-		put32(b[8:], v.MaskStart)
-		put32(b[12:], v.MaskCount)
-		put32(b[16:], v.Flags)
-		put32(b[20:], v.SrcStart)
-		put32(b[24:], v.SrcEnd)
-	})
-	secs[secTreeOpts] = encRecords(treeOpts, 4, func(b []byte, v uint32) { put32(b, v) })
-	secs[secTrees] = encRecords(trees, 28, func(b []byte, v arenaTree) {
-		put32(b, v.NameStart)
-		put32(b[4:], v.NameEnd)
-		put32(b[8:], v.SrcStart)
-		put32(b[12:], v.SrcEnd)
-		put32(b[16:], v.SharedBy)
-		put32(b[20:], v.OptStart)
-		put32(b[24:], v.OptCount)
-	})
-	secs[secConTrees] = encRecords(conTrees, 4, func(b []byte, v uint32) { put32(b, v) })
-	secs[secCons] = encRecords(cons, 16, func(b []byte, v arenaCon) {
-		put32(b, v.NameStart)
-		put32(b[4:], v.NameEnd)
-		put32(b[8:], v.TreeStart)
-		put32(b[12:], v.TreeCount)
-	})
-	secs[secOps] = encRecords(ops, 24, func(b []byte, v arenaOp) {
-		put32(b, v.NameStart)
-		put32(b[4:], v.NameEnd)
-		putI32(b[8:], v.Constraint)
-		putI32(b[12:], v.Cascaded)
-		putI32(b[16:], v.Latency)
-		putI32(b[20:], v.SrcTime)
-	})
-	secs[secBypasses] = encRecords(byps, 12, func(b []byte, v arenaBypass) {
-		putI32(b, v.From)
-		putI32(b[4:], v.To)
-		putI32(b[8:], v.Adj)
-	})
-	secs[secPlanWords] = encRecords(planWords, 16, func(b []byte, v PlanWord) {
-		putI32(b, v.Time)
-		putI32(b[4:], v.Widx)
-		put64(b[8:], v.Mask)
-	})
-	secs[secPlanOpt] = encRecords(planOpt, 4, func(b []byte, v int32) { putI32(b, v) })
-	secs[secPlanTree] = encRecords(planTree, 4, func(b []byte, v int32) { putI32(b, v) })
-	secs[secPlanCon] = encRecords(planCon, 4, func(b []byte, v int32) { putI32(b, v) })
-
-	buf := make([]byte, arenaHeaderSize, arenaHeaderSize+len(strs)+1024)
 	copy(buf, arenaMagic[:])
-	put32(buf[4:], arenaVersion)
-	put32(buf[24:], uint32(m.Form))
+	hdr := arenaWriter{buf: buf, pos: 4}
+	hdr.u32(arenaVersion)
+	hdr.u64(uint64(total))
+	hdr.pos = 24
+	hdr.u32(uint32(m.Form))
 	packed := uint32(0)
 	if m.Packed {
 		packed = 1
 	}
-	put32(buf[28:], packed)
-	put32(buf[32:], uint32(m.NumResources))
-	put32(buf[36:], uint32(planRowWords(m.NumResources)))
-	put32(buf[40:], uint32(maxTrees))
-	put32(buf[44:], nameSpan.Start)
-	put32(buf[48:], nameSpan.End)
-
-	for i, s := range secs {
-		if len(s) == 0 {
-			continue
+	hdr.u32(packed)
+	hdr.u32(uint32(m.NumResources))
+	hdr.u32(uint32(planRowWords(m.NumResources)))
+	hdr.u32(uint32(maxTrees))
+	hdr.span(machineName)
+	hdr.pos = arenaHdrFixed
+	for i, cnt := range n {
+		if cnt > 0 {
+			hdr.u64(uint64(off[i]))
+			hdr.u64(uint64(cnt * arenaElemSizes[i]))
+		} else {
+			hdr.pos += 16
 		}
-		for len(buf)%8 != 0 {
-			buf = append(buf, 0)
-		}
-		put64(buf[arenaHdrFixed+i*16:], uint64(len(buf)))
-		put64(buf[arenaHdrFixed+i*16+8:], uint64(len(s)))
-		buf = append(buf, s...)
 	}
-
-	put64(buf[8:], uint64(len(buf)))
-	h := fnv.New64a()
-	h.Write(buf[24:])
-	put64(buf[16:], h.Sum64())
+	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(buf[24:], castagnoli))
+	binary.LittleEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[24:]))
 	return buf, nil
-}
-
-func put32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-func putI32(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) }
-func put64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-
-func encRecords[T any](recs []T, elemSize int, put func([]byte, T)) []byte {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]byte, len(recs)*elemSize)
-	for i, r := range recs {
-		put(out[i*elemSize:], r)
-	}
-	return out
 }
 
 // Arena is a validated, opened flat-arena description. All typed section
@@ -553,7 +604,7 @@ func arenaErrf(format string, args ...any) error {
 	return fmt.Errorf("lowlevel: arena: "+format, args...)
 }
 
-// OpenArena validates an arena buffer — header, checksum, then one
+// OpenArena validates an arena buffer — header, CRC pair, then one
 // structural pass over every section — and returns the typed view. After a
 // successful open no access path can read out of bounds, so
 // materialization performs no further checks. Corrupted input is rejected
@@ -573,10 +624,8 @@ func OpenArena(buf []byte) (*Arena, error) {
 	if total := le64(buf[8:]); total != uint64(len(buf)) {
 		return nil, arenaErrf("length mismatch at offset 8: header says %d bytes, have %d", total, len(buf))
 	}
-	h := fnv.New64a()
-	h.Write(buf[24:])
-	if got, want := h.Sum64(), le64(buf[16:]); got != want {
-		return nil, arenaErrf("checksum mismatch at offset 16: computed %016x, stored %016x", got, want)
+	if got, want := uint64(crc32.Checksum(buf[24:], castagnoli))<<32|uint64(crc32.ChecksumIEEE(buf[24:])), arenaCheck(buf); got != want {
+		return nil, arenaErrf("checksum mismatch at offset 16: computed CRC-32C ‖ CRC-32 %016x, stored %016x", got, want)
 	}
 
 	a := &Arena{
@@ -828,9 +877,9 @@ func (a *Arena) Close() error {
 }
 
 // MDES materializes a deep, mutable copy of the description: nothing
-// aliases the arena buffer, so the result is a normal unfrozen MDES — the
-// lossless side of the v3↔arena converter, safe to hand to the opt
-// pipeline or tools that outlive the buffer.
+// aliases the arena buffer, so the result is a normal unfrozen MDES that
+// re-encodes to the same arena bytes, safe to hand to the opt pipeline or
+// tools that outlive the buffer.
 func (a *Arena) MDES() *MDES {
 	return a.build(true)
 }
@@ -841,11 +890,12 @@ func (a *Arena) MDES() *MDES {
 // strength of OpenArena's validation pass (Validate is not re-run). The
 // frozen contract is what makes aliasing safe: the opt pipeline refuses
 // frozen descriptions, so nothing can ever write through to a read-only
-// mapping.
+// mapping. The view's Fingerprint is the header's check value.
 func (a *Arena) FrozenMDES() *MDES {
 	m := a.build(false)
 	m.arenaPlan = a.plan
 	m.freezeTrusted()
+	m.fpOnce.Do(func() { m.fp = arenaCheck(a.buf) })
 	return m
 }
 

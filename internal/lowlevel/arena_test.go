@@ -31,59 +31,53 @@ func testDescriptions(t testing.TB) map[string]*lowlevel.MDES {
 	return out
 }
 
-func v3Bytes(t testing.TB, m *lowlevel.MDES) []byte {
+// arenaBytes re-encodes a description to its arena bytes.
+func arenaBytes(t testing.TB, m *lowlevel.MDES) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatalf("v3 encode: %v", err)
+	buf, err := m.EncodeArena()
+	if err != nil {
+		t.Fatalf("arena encode: %v", err)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-// TestArenaRoundTripLossless is the converter contract: v3 → arena →
-// MDES() → v3 must reproduce the original v3 bytes exactly, which also
-// pins provenance (Src), SharedBy, capacity-relevant counts, the
-// nil-vs-empty Masks distinction, and the Fingerprint.
+// TestArenaRoundTripLossless is the format contract: arena → MDES() →
+// arena must reproduce the original bytes exactly, which pins provenance
+// (Src), SharedBy, capacity-relevant counts, the nil-vs-empty Masks
+// distinction, and therefore the Fingerprint, which is the same for the
+// source (unfrozen and frozen), the deep copy and the frozen view.
 func TestArenaRoundTripLossless(t *testing.T) {
 	for name, m := range testDescriptions(t) {
-		want := v3Bytes(t, m)
-		arena, err := m.EncodeArena()
-		if err != nil {
-			t.Fatalf("%s: EncodeArena: %v", name, err)
-		}
+		arena := arenaBytes(t, m)
 		a, err := lowlevel.OpenArena(arena)
 		if err != nil {
 			t.Fatalf("%s: OpenArena: %v", name, err)
 		}
-		got := v3Bytes(t, a.MDES())
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: v3 bytes differ after arena round trip (%d vs %d bytes)", name, len(want), len(got))
+		if got := arenaBytes(t, a.MDES()); !bytes.Equal(arena, got) {
+			t.Fatalf("%s: arena bytes differ after round trip (%d vs %d bytes)", name, len(arena), len(got))
 		}
 		wantFP, err := m.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotFP, err := a.MDES().Fingerprint()
-		if err != nil {
+		if err := m.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		if wantFP != gotFP {
-			t.Fatalf("%s: fingerprint drift: %s vs %s", name, wantFP, gotFP)
-		}
-		// Encoding the materialized copy again must be an arena fixpoint.
-		arena2, err := a.MDES().EncodeArena()
-		if err != nil {
-			t.Fatalf("%s: re-encode arena: %v", name, err)
-		}
-		if !bytes.Equal(arena, arena2) {
-			t.Fatalf("%s: arena encode is not a fixpoint", name)
+		for _, c := range []*lowlevel.MDES{m, a.MDES(), a.FrozenMDES()} {
+			gotFP, err := c.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantFP != gotFP {
+				t.Fatalf("%s: fingerprint drift: %s vs %s", name, wantFP, gotFP)
+			}
 		}
 	}
 }
 
 // TestArenaFrozenView checks the zero-copy materialization: the view is
-// frozen, passes Validate, carries the persisted probe plan, and encodes
-// to the same v3 bytes as the deep copy.
+// frozen, passes Validate, carries the persisted probe plan, and
+// re-encodes to the arena it was opened from.
 func TestArenaFrozenView(t *testing.T) {
 	for name, m := range testDescriptions(t) {
 		arena, err := m.EncodeArena()
@@ -104,7 +98,7 @@ func TestArenaFrozenView(t *testing.T) {
 		if fm.ArenaPlan() == nil {
 			t.Fatalf("%s: frozen view carries no arena plan", name)
 		}
-		if got, want := v3Bytes(t, fm), v3Bytes(t, m); !bytes.Equal(got, want) {
+		if got := arenaBytes(t, fm); !bytes.Equal(got, arena) {
 			t.Fatalf("%s: frozen view encodes differently from source", name)
 		}
 		if fm.MachineName != a.MachineName() {
@@ -144,8 +138,9 @@ func TestArenaRejectsTruncation(t *testing.T) {
 }
 
 // TestArenaRejectsBitFlips flips one bit at a sweep of positions: every
-// corruption must be rejected (the checksum covers all bytes past the
-// fixed header, and the header fields are each independently validated).
+// corruption must be rejected (the CRC pair covers all bytes past the
+// check field, and the header fields before it are each independently
+// validated).
 func TestArenaRejectsBitFlips(t *testing.T) {
 	m := lowlevel.Compile(machines.MustLoad(machines.SuperSPARC), lowlevel.FormAndOr)
 	opt.Apply(m, opt.LevelFull, opt.Forward)
@@ -211,7 +206,7 @@ func TestArenaMisalignedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("misaligned open: %v", err)
 	}
-	if got, want := v3Bytes(t, a.MDES()), v3Bytes(t, m); !bytes.Equal(got, want) {
+	if got := arenaBytes(t, a.MDES()); !bytes.Equal(got, arena) {
 		t.Fatal("misaligned open decoded a different description")
 	}
 }
@@ -235,7 +230,7 @@ func TestArenaEmptyDescription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := v3Bytes(t, a.MDES()), v3Bytes(t, m); !bytes.Equal(got, want) {
+	if got := arenaBytes(t, a.MDES()); !bytes.Equal(got, arena) {
 		t.Fatal("empty description round trip drifted")
 	}
 }

@@ -2,22 +2,45 @@ package lowlevel
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"mdes/internal/hmdes"
 )
 
+// roundTrip encodes m to an arena, reopens it and returns the deep-copy
+// materialization, after checking that the copy re-encodes to the same
+// bytes.
 func roundTrip(t *testing.T, m *MDES) *MDES {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(&buf)
+	buf, err := m.EncodeArena()
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, err := OpenArena(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := a.MDES()
+	again, err := back.EncodeArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, again) {
+		t.Fatal("arena re-encode is not byte-identical")
+	}
 	return back
+}
+
+// restamp rewrites the header's length and check fields so that only the
+// structural pass can reject the buffer.
+func restamp(buf []byte) []byte {
+	binary.LittleEndian.PutUint64(buf[8:], uint64(len(buf)))
+	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(buf[24:], castagnoli))
+	binary.LittleEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[24:]))
+	return buf
 }
 
 func TestEncodeRoundTripBasics(t *testing.T) {
@@ -98,52 +121,70 @@ func TestEncodePackedMasks(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsGarbage feeds OpenArena garbage and the stale formats
+// it replaced: a v3 stream and a v4 arena header.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not an mdes file"))); err == nil {
+	if _, err := OpenArena([]byte("not an mdes file")); err == nil {
 		t.Fatalf("garbage accepted")
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
+	if _, err := OpenArena(nil); err == nil {
 		t.Fatalf("empty input accepted")
 	}
-	// Right magic, wrong version.
-	if _, err := Decode(bytes.NewReader([]byte{'M', 'D', 'E', 'S', 99})); err == nil {
-		t.Fatalf("bad version accepted")
+	v3 := append([]byte{'M', 'D', 'E', 'S', 3}, make([]byte, arenaHeaderSize)...)
+	if _, err := OpenArena(v3); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("v3 stream: got %v, want a bad-magic rejection", err)
+	}
+	buf, err := Compile(loadMini(t), FormAndOr).EncodeArena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf[4:], 4)
+	if _, err := OpenArena(buf); err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("v4 arena: got %v, want a version rejection", err)
 	}
 }
 
+// TestDecodeRejectsTruncation cuts the arena and re-stamps the header so
+// the length and check fields agree with the short buffer: the section
+// table's bounds checks must still reject every cut inside a section.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	m := Compile(loadMini(t), FormAndOr)
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	data, err := Compile(loadMini(t), FormAndOr).EncodeArena()
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	for _, cut := range []int{5, len(data) / 2, len(data) - 1} {
-		if _, err := Decode(bytes.NewReader(data[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for _, cut := range []int{arenaHeaderSize + 1, len(data) / 2, len(data) - 1} {
+		mut := restamp(append([]byte(nil), data[:cut]...))
+		if _, err := OpenArena(mut); err == nil || !strings.Contains(err.Error(), "outside arena") {
+			t.Fatalf("truncation at %d: got %v, want a section-bounds rejection", cut, err)
 		}
 	}
 }
 
+// TestDecodeValidates corrupts an index inside a valid arena and
+// re-stamps the check value: the structural pass, not the CRC pair, must
+// catch every such corruption.
 func TestDecodeValidates(t *testing.T) {
-	// Corrupt an option index inside a valid stream: flip bytes near the
-	// end and require an error (either decode or validation).
-	m := Compile(loadMini(t), FormAndOr)
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	data, err := Compile(loadMini(t), FormAndOr).EncodeArena()
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	corrupted := 0
-	for i := len(data) / 2; i < len(data); i += 7 {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0xff
-		if _, err := Decode(bytes.NewReader(mut)); err != nil {
-			corrupted++
-		}
+	cases := []struct {
+		sec   int
+		field uint64 // byte offset of the corrupted u32 in the first record
+		want  string
+	}{
+		{secTreeOpts, 0, "option index"},
+		{secConTrees, 0, "tree index"},
+		{secOps, 8, "constraint"},
+		{secPlanCon, 0, "section plan-con-starts"},
 	}
-	if corrupted == 0 {
-		t.Fatalf("no corruption detected across mutations")
+	for _, tc := range cases {
+		mut := append([]byte(nil), data...)
+		off := le64(mut[arenaHdrFixed+tc.sec*16:])
+		binary.LittleEndian.PutUint32(mut[off+tc.field:], 1<<30)
+		if _, err := OpenArena(restamp(mut)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("section %s: got %v, want a rejection mentioning %q", arenaSectionNames[tc.sec], err, tc.want)
+		}
 	}
 }
 

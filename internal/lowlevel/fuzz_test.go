@@ -7,68 +7,60 @@ import (
 	"mdes/internal/machines"
 )
 
-// FuzzEncodeDecode asserts the binary format's safety contract on
-// arbitrary bytes: Decode never panics and never returns a description
-// Validate rejects, and anything it accepts re-encodes to a decode-stable
-// fixpoint. The corpus is seeded with real encodings of the hand-written
-// machines in both forms, so mutation starts from deep in the format.
+// FuzzEncodeDecode asserts the arena encoder's fixpoint on arbitrary
+// bytes: whatever OpenArena accepts materializes into a Validate-clean
+// description whose encoding, reopened and materialized again, encodes to
+// the same bytes (EncodeArena → OpenArena → MDES() → EncodeArena). The
+// corpus is seeded with real encodings of the hand-written machines in
+// both forms, so mutation starts from deep in the format. The committed
+// corpus (testdata/fuzz/FuzzEncodeDecode) holds the same machines in the
+// retired v3 stream format, which must be refused without a panic.
 func FuzzEncodeDecode(f *testing.F) {
 	for _, n := range machines.All {
 		mach := machines.MustLoad(n)
 		for _, form := range []Form{FormOR, FormAndOr} {
-			var buf bytes.Buffer
-			if err := Compile(mach, form).Encode(&buf); err != nil {
+			arena, err := Compile(mach, form).EncodeArena()
+			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(buf.Bytes())
+			f.Add(arena)
+			// A corrupted seed too: without one, the first mutation of a
+			// large seed that fails the CRC pair is new coverage, and
+			// minimizing a 400 KB input stalls the fuzzer for its whole
+			// minimization budget.
+			bad := append([]byte(nil), arena...)
+			bad[len(bad)/3] ^= 0x10
+			f.Add(bad)
 		}
 	}
-	f.Add([]byte("MDES"))
+	f.Add([]byte("MDAR"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
-		m, err := Decode(bytes.NewReader(data))
+		a, err := OpenArena(data)
 		if err != nil {
 			return
 		}
+		m := a.MDES()
 		if err := m.Validate(); err != nil {
-			t.Fatalf("Decode accepted a description Validate rejects: %v", err)
+			t.Fatalf("OpenArena accepted a description Validate rejects: %v", err)
 		}
-		var first bytes.Buffer
-		if err := m.Encode(&first); err != nil {
-			t.Fatalf("decoded description does not re-encode: %v", err)
-		}
-		m2, err := Decode(bytes.NewReader(first.Bytes()))
+		first, err := m.EncodeArena()
 		if err != nil {
-			t.Fatalf("re-encoded bytes do not decode: %v", err)
+			t.Fatalf("accepted arena does not re-encode: %v", err)
 		}
-		var second bytes.Buffer
-		if err := m2.Encode(&second); err != nil {
+		a2, err := OpenArena(first)
+		if err != nil {
+			t.Fatalf("re-encoded arena rejected: %v", err)
+		}
+		second, err := a2.MDES().EncodeArena()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatal("encode is not a fixpoint across decode")
-		}
-		// Anything v3 accepts must survive the arena round trip losslessly:
-		// encode to MDAR, reopen, materialize, and land on the same v3
-		// bytes. This welds the two formats' semantics together under
-		// arbitrary (decodable) inputs, not just the hand-written machines.
-		arena, err := m.EncodeArena()
-		if err != nil {
-			t.Fatalf("decoded description does not arena-encode: %v", err)
-		}
-		a, err := OpenArena(arena)
-		if err != nil {
-			t.Fatalf("self-produced arena rejected: %v", err)
-		}
-		var third bytes.Buffer
-		if err := a.MDES().Encode(&third); err != nil {
-			t.Fatalf("arena round trip does not re-encode: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), third.Bytes()) {
-			t.Fatal("arena round trip is lossy against the v3 encoding")
+		if !bytes.Equal(first, second) {
+			t.Fatal("EncodeArena is not a fixpoint across OpenArena")
 		}
 	})
 }

@@ -218,6 +218,13 @@ type MDES struct {
 	freezeErr  error
 	frozen     atomic.Bool
 
+	// Memoized fingerprint of a frozen description (see Fingerprint):
+	// the arena check value, preset from the header by Arena.FrozenMDES
+	// or computed by the first Fingerprint or EncodeArena after Freeze.
+	fpOnce sync.Once
+	fp     uint64
+	fpErr  error
+
 	// arenaPlan is the persisted probe-plan layout attached by
 	// Arena.FrozenMDES; probeplan.Compile adopts it instead of re-walking
 	// the tree graph. Unexported on purpose: only checksum-verified arena

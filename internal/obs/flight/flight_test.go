@@ -160,7 +160,7 @@ func TestAutoDumpRateLimited(t *testing.T) {
 
 func TestSnapshotRecentOrderAndMeta(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 4})
-	r.SetMeta("K5", "deadbeef00000000", "probeplan")
+	r.SetMeta("K5", func() string { return "deadbeef00000000" }, "probeplan")
 	entries := make([]Entry, 6)
 	for i := range entries {
 		entries[i] = Entry{Block: int64(i), Phase: stats.PhaseList, WallNs: int64(100 * (i + 1))}
@@ -199,7 +199,7 @@ func TestSnapshotRecentOrderAndMeta(t *testing.T) {
 
 func TestWriteDumpAndPrometheus(t *testing.T) {
 	r := NewRecorder(Config{})
-	r.SetMeta("K5", "deadbeef00000000", "automaton")
+	r.SetMeta("K5", func() string { return "deadbeef00000000" }, "automaton")
 	mergeEntries(r,
 		Entry{Block: 1, Phase: stats.PhaseList, WallNs: 1000, Attempts: 10},
 		Entry{Block: 2, Phase: stats.PhaseOpDriven, WallNs: 2000, Attempts: 20})

@@ -108,7 +108,7 @@ type Recorder struct {
 
 	// Identity labels (SetMeta): constant after engine construction.
 	machine     atomic.Pointer[string]
-	machineHash atomic.Pointer[string]
+	machineHash atomic.Pointer[func() string]
 	checker     atomic.Pointer[string]
 
 	// Armed thresholds, read lock-free by Classify once per block.
@@ -151,8 +151,10 @@ func NewRecorder(cfg Config) *Recorder {
 // SetMeta records the identity of what is being observed: the machine
 // name, the compiled description's content fingerprint, and the checker
 // backend (mdes.NewEngine sets them). Dumps and exporters report them so
-// a flight dump is attributable to an exact description.
-func (r *Recorder) SetMeta(machine, machineHash, checker string) {
+// a flight dump is attributable to an exact description. machineHash is
+// called when a snapshot is taken, never here, so stamping an engine
+// costs no fingerprint.
+func (r *Recorder) SetMeta(machine string, machineHash func() string, checker string) {
 	r.machine.Store(&machine)
 	r.machineHash.Store(&machineHash)
 	r.checker.Store(&checker)
@@ -161,6 +163,13 @@ func (r *Recorder) SetMeta(machine, machineHash, checker string) {
 func loadStr(p *atomic.Pointer[string]) string {
 	if s := p.Load(); s != nil {
 		return *s
+	}
+	return ""
+}
+
+func callStr(p *atomic.Pointer[func() string]) string {
+	if f := p.Load(); f != nil {
+		return (*f)()
 	}
 	return ""
 }
@@ -341,7 +350,7 @@ type Snapshot struct {
 func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		Machine:     loadStr(&r.machine),
-		MachineHash: loadStr(&r.machineHash),
+		MachineHash: callStr(&r.machineHash),
 		Checker:     loadStr(&r.checker),
 		Dumps:       r.dumps.Load(),
 	}

@@ -8,7 +8,7 @@ import (
 
 func testSnapshot() Snapshot {
 	p := New(testMDES())
-	p.SetMeta("toy", "0123456789abcdef", "probeplan")
+	p.SetMeta("toy", func() string { return "0123456789abcdef" }, "probeplan")
 	p.SetWorkload("seeded ops=100 seed=1")
 	// alu succeeds once picking A[1] (A[0] probed busy) and fails once on
 	// tree A blocked by r2; mem succeeds once.

@@ -157,6 +157,7 @@ type Meta struct {
 type Profile struct {
 	layout       *Layout
 	meta         atomic.Pointer[Meta]
+	machineHash  atomic.Pointer[func() string]
 	attempts     []atomic.Int64
 	conflicts    []atomic.Int64
 	firstBlock   []atomic.Int64
@@ -188,10 +189,12 @@ func New(m *lowlevel.MDES) *Profile {
 func (p *Profile) Layout() *Layout { return p.layout }
 
 // SetMeta stamps the description identity (mirrors flight.Recorder.SetMeta;
-// called by the engine before scheduling starts).
-func (p *Profile) SetMeta(machine, machineHash, checker string) {
+// called by the engine before scheduling starts). machineHash is called
+// by Meta, never here, so stamping an engine costs no fingerprint.
+func (p *Profile) SetMeta(machine string, machineHash func() string, checker string) {
 	m := *p.meta.Load()
-	m.Machine, m.MachineHash, m.Checker = machine, machineHash, checker
+	m.Machine, m.Checker = machine, checker
+	p.machineHash.Store(&machineHash)
 	p.meta.Store(&m)
 }
 
@@ -203,7 +206,13 @@ func (p *Profile) SetWorkload(workload string) {
 }
 
 // Meta returns the current identity stamp.
-func (p *Profile) Meta() Meta { return *p.meta.Load() }
+func (p *Profile) Meta() Meta {
+	m := *p.meta.Load()
+	if f := p.machineHash.Load(); f != nil {
+		m.MachineHash = (*f)()
+	}
+	return m
+}
 
 // The Add methods fold one observation buffer's journaled counts into
 // the shared counters when its context is released; they are atomic and

@@ -65,7 +65,7 @@ func TestLayoutShape(t *testing.T) {
 
 func TestMetaStamps(t *testing.T) {
 	p := New(testMDES())
-	p.SetMeta("toy", "deadbeefdeadbeef", "probeplan")
+	p.SetMeta("toy", func() string { return "deadbeefdeadbeef" }, "probeplan")
 	p.SetWorkload("seeded ops=100 seed=1")
 	m := p.Meta()
 	if m.Machine != "toy" || m.MachineHash != "deadbeefdeadbeef" ||

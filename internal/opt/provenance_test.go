@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -75,19 +74,20 @@ func TestProvenanceExpandAndIndexSyntax(t *testing.T) {
 	}
 }
 
-// TestProvenanceEncodeRoundTrip checks Src fields survive the binary
-// encoding (format version 3).
+// TestProvenanceEncodeRoundTrip checks Src fields survive the arena
+// encoding.
 func TestProvenanceEncodeRoundTrip(t *testing.T) {
 	m := compileFixture(t, lowlevel.FormAndOr)
 	Apply(m, LevelFull, Forward)
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := lowlevel.Decode(&buf)
+	buf, err := m.EncodeArena()
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, err := lowlevel.OpenArena(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := a.MDES()
 	if len(back.Options) != len(m.Options) || len(back.Trees) != len(m.Trees) {
 		t.Fatalf("round trip changed pools")
 	}

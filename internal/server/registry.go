@@ -253,10 +253,6 @@ func (s *Server) buildVersion(req *mdesclient.UploadRequest) (*version, error) {
 		}
 	}
 
-	fingerprint, err := compiled.Fingerprint()
-	if err != nil {
-		return nil, &wireError{code: "internal", msg: fmt.Sprintf("fingerprint: %v", err)}
-	}
 	metrics := mdes.NewMetrics(compiled)
 	flightRec := mdes.NewFlightRecorder(mdes.FlightConfig{})
 	prof := mdes.NewConflictProfile(compiled)
@@ -268,6 +264,13 @@ func (s *Server) buildVersion(req *mdesclient.UploadRequest) (*version, error) {
 	)
 	if err != nil {
 		return nil, badRequest("engine: %v", err)
+	}
+	// The engine froze the description, so its fingerprint is computed at
+	// most once (a cached arena view reads it from the header) and the
+	// views stamped above share it.
+	fingerprint, err := compiled.Fingerprint()
+	if err != nil {
+		return nil, &wireError{code: "internal", msg: fmt.Sprintf("fingerprint: %v", err)}
 	}
 	v := &version{
 		keyID:       key.ID(),

@@ -20,7 +20,7 @@ import (
 
 // RunMDC is the mdc tool: compile a machine description, optimize it,
 // report per-pass effects and sizes, optionally emit canonical source,
-// dump structure, or write the binary fast-load form.
+// dump structure, or write the arena (the binary fast-load form).
 func RunMDC(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdc", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -33,7 +33,6 @@ func RunMDC(args []string, stdout io.Writer) error {
 		dirFlag     = fs.String("dir", "forward", "usage-time shift direction: forward | backward")
 		dumpFlag    = fs.Bool("dump", false, "dump the compiled constraint structure")
 		emitFlag    = fs.Bool("emit", false, "emit the canonicalized high-level source and exit")
-		outFlag     = fs.String("o", "", "write the optimized low-level MDES to this file (binary fast-load format)")
 		arenaFlag   = fs.String("emit-arena", "", "write the optimized description as a flat arena (MDAR, zero-copy load format) to this file")
 		factorFlag  = fs.Bool("factor", false, "discover AND/OR structure in flat OR-trees before optimizing")
 		verifyFlag  = fs.Bool("verify", false, "differentially verify the machine: every pass and checker backend against the reference interpreter")
@@ -98,34 +97,6 @@ func RunMDC(args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout, t.String())
 	fmt.Fprintf(stdout, "size reduction: %s\n", textutil.Percent(float64(before.Total()), float64(after.Total())))
 
-	if *outFlag != "" {
-		f, err := os.Create(*outFlag)
-		if err != nil {
-			return err
-		}
-		if err := ll.Encode(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		// Verify by reloading.
-		rf, err := os.Open(*outFlag)
-		if err != nil {
-			return err
-		}
-		back, err := lowlevel.Decode(rf)
-		rf.Close()
-		if err != nil {
-			return (fmt.Errorf("reload verification failed: %w", err))
-		}
-		if back.Size() != ll.Size() {
-			return (fmt.Errorf("reload verification: size mismatch"))
-		}
-		st, _ := os.Stat(*outFlag)
-		fmt.Fprintf(stdout, "wrote %s (%d bytes on disk, verified)\n", *outFlag, st.Size())
-	}
-
 	if *arenaFlag != "" {
 		arena, err := ll.EncodeArena()
 		if err != nil {
@@ -134,8 +105,8 @@ func RunMDC(args []string, stdout io.Writer) error {
 		if err := os.WriteFile(*arenaFlag, arena, 0o644); err != nil {
 			return err
 		}
-		// Verify by reopening the written file and checking losslessness
-		// against the in-memory description.
+		// Verify by reopening the written file and re-encoding what it
+		// holds: a lossless round trip reproduces the arena byte for byte.
 		data, err := os.ReadFile(*arenaFlag)
 		if err != nil {
 			return err
@@ -144,14 +115,11 @@ func RunMDC(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("arena reload verification failed: %w", err)
 		}
-		var wantV3, gotV3 bytes.Buffer
-		if err := ll.Encode(&wantV3); err != nil {
-			return err
-		}
-		if err := a.MDES().Encode(&gotV3); err != nil {
+		again, err := a.MDES().EncodeArena()
+		if err != nil {
 			return fmt.Errorf("arena reload verification: %w", err)
 		}
-		if !bytes.Equal(wantV3.Bytes(), gotV3.Bytes()) {
+		if !bytes.Equal(arena, again) {
 			return fmt.Errorf("arena reload verification: round trip is lossy")
 		}
 		fmt.Fprintf(stdout, "wrote %s (%d bytes, machine %s, reopened and verified lossless)\n",

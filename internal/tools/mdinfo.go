@@ -236,7 +236,7 @@ func cacheEntryKey(name string) string {
 }
 
 // cacheEntryLevel extracts the optimization-level component of an entry
-// name ("a4-<hash>-<form>-<level>[-flags][.tuned-...].mdar").
+// name ("a5-<hash>-<form>-<level>[-flags][.tuned-...].mdar").
 func cacheEntryLevel(name string) string {
 	name = strings.TrimSuffix(name, ".mdar")
 	if i := strings.Index(name, ".tuned-"); i >= 0 {

@@ -41,7 +41,7 @@ func RunMDReport(args []string, stdout io.Writer) error {
 		checkerFlag = fs.String("checker", "", "with -tune: conflict-checker backend (default probeplan, or the recording's with -trace)")
 		shardsFlag  = fs.Int("shards", 4, "with -tune: workload generator shards when recording")
 		workersFlag = fs.Int("workers", 8, "with -tune: scheduling goroutines")
-		tuneOut     = fs.String("tune-out", "", "with -tune: directory for TUNED_*.mdes and PROFILE_*.mdpf artifacts")
+		tuneOut     = fs.String("tune-out", "", "with -tune: directory for TUNED_*.mdar and PROFILE_*.mdpf artifacts")
 		tuneMinGain = fs.Float64("tune-min-gain", 0, "with -tune: reject unless OptionsChecked+ResourceChecks drop at least this many percent")
 		tuneCache   = fs.String("cache-dir", "", "with -tune: publish the accepted tuned layout as an arena into this compiled-description cache (LoadCached WithTuned slot)")
 

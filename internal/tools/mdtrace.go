@@ -238,9 +238,8 @@ func mdtraceReplay(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if meta.MachineHash != rec.Meta.MachineHash {
-		return fmt.Errorf("mdtrace replay: description drift: %s compiles to hash %s, trace was recorded against %s",
-			rec.Meta.Machine, meta.MachineHash, rec.Meta.MachineHash)
+	if err := rec.CheckHash(meta.MachineHash); err != nil {
+		return fmt.Errorf("mdtrace replay: %w", err)
 	}
 	// Another backend must reproduce every schedule and the
 	// backend-independent counters; options and resource checks measure

@@ -47,9 +47,9 @@ type tuneConfig struct {
 //     stream + probe grid), a byte-identical trace replay, unchanged
 //     Attempts/Conflicts/Backtracks, and an OptionsChecked+ResourceChecks
 //     reduction of at least minGain percent;
-//  5. on accept, persist the tuned layout (TUNED_*.mdes, lowlevel
-//     encoding) and the profile evidence (PROFILE_*.mdpf, content-
-//     addressed, keyed by description fingerprint x workload).
+//  5. on accept, persist the tuned layout (TUNED_*.mdar, the arena) and
+//     the profile evidence (PROFILE_*.mdpf, content-addressed, keyed by
+//     description fingerprint x workload).
 //
 // A tuned description that changes any scheduling decision, or that does
 // not pay for itself, is rejected with a non-zero exit — never written.
@@ -91,9 +91,8 @@ func runTune(stdout io.Writer, cfg tuneConfig) error {
 	if err != nil {
 		return err
 	}
-	if baseMeta.MachineHash != rec.Meta.MachineHash {
-		return fmt.Errorf("mdreport -tune: description drift: %s compiles to hash %s, trace was recorded against %s",
-			rec.Meta.Machine, baseMeta.MachineHash, rec.Meta.MachineHash)
+	if err := rec.CheckHash(baseMeta.MachineHash); err != nil {
+		return fmt.Errorf("mdreport -tune: %w", err)
 	}
 	kind, err := mdes.ParseCheckerKind(checker)
 	if err != nil {
@@ -191,20 +190,17 @@ func runTune(stdout io.Writer, cfg tuneConfig) error {
 		if err := os.MkdirAll(cfg.out, 0o777); err != nil {
 			return err
 		}
+		// tuned froze in NewEngine, so encoding it memoizes its fingerprint.
+		arena, err := mdes.EncodeArena(tuned)
+		if err != nil {
+			return err
+		}
 		tunedFP, err := tuned.Fingerprint()
 		if err != nil {
 			return err
 		}
-		tunedPath := filepath.Join(cfg.out, fmt.Sprintf("TUNED_%s_%s.mdes", rec.Meta.Machine, tunedFP))
-		f, err := os.Create(tunedPath)
-		if err != nil {
-			return err
-		}
-		err = tuned.Encode(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		tunedPath := filepath.Join(cfg.out, fmt.Sprintf("TUNED_%s_%s.mdar", rec.Meta.Machine, tunedFP))
+		if err := os.WriteFile(tunedPath, arena, 0o666); err != nil {
 			return err
 		}
 		profPath := filepath.Join(cfg.out, fmt.Sprintf("PROFILE_%s_%s.mdpf", rec.Meta.Machine, baseMeta.MachineHash))

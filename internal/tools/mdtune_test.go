@@ -3,13 +3,16 @@ package tools
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mdes/internal/experiments"
+	"mdes/internal/lowlevel"
 	"mdes/internal/obs/profile"
+	"mdes/internal/trace"
 )
 
 // tuneTrace records a small K5 trace at -level time-shift (no static §8
@@ -48,13 +51,23 @@ func TestTuneAcceptsAndIsDeterministic(t *testing.T) {
 	// (same fingerprint in the name, same encoded bytes).
 	readTuned := func(outDir string) (string, []byte) {
 		t.Helper()
-		matches, err := filepath.Glob(filepath.Join(outDir, "TUNED_k5_*.mdes"))
+		matches, err := filepath.Glob(filepath.Join(outDir, "TUNED_k5_*.mdar"))
 		if err != nil || len(matches) != 1 {
 			t.Fatalf("TUNED artifacts in %s: %v (err %v)", outDir, matches, err)
 		}
 		data, err := os.ReadFile(matches[0])
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The artifact is an arena whose header carries the fingerprint
+		// in its name.
+		a, err := lowlevel.OpenArena(data)
+		if err != nil {
+			t.Fatalf("TUNED artifact does not open: %v", err)
+		}
+		fp, err := a.FrozenMDES().Fingerprint()
+		if err != nil || !strings.Contains(filepath.Base(matches[0]), fp) {
+			t.Fatalf("TUNED artifact %s has fingerprint %s (err %v)", matches[0], fp, err)
 		}
 		return filepath.Base(matches[0]), data
 	}
@@ -198,5 +211,22 @@ func TestBenchCompareArgErrors(t *testing.T) {
 	}
 	if err := RunMDReport([]string{"-seed-bench-budgets", "out.json"}, &buf); err == nil {
 		t.Error("missing records arg accepted")
+	}
+}
+
+// TestReplayRefusesStaleFingerprint replays a K5 recording made while
+// fingerprints were FNV-64a over the retired v3 encoding: its machine hash
+// no longer matches the description, and both replaying tools refuse it
+// with the one sentinel error.
+func TestReplayRefusesStaleFingerprint(t *testing.T) {
+	tr := filepath.Join("testdata", "k5-fnv-fingerprint.mdtr")
+	var buf bytes.Buffer
+	err := RunMdtrace([]string{"replay", tr}, &buf)
+	if !errors.Is(err, trace.ErrHashMismatch) {
+		t.Fatalf("mdtrace replay: err=%v, want trace.ErrHashMismatch", err)
+	}
+	err = RunMDReport([]string{"-tune", "-trace", tr, "-tune-out", t.TempDir()}, &buf)
+	if !errors.Is(err, trace.ErrHashMismatch) {
+		t.Fatalf("mdreport -tune: err=%v, want trace.ErrHashMismatch", err)
 	}
 }

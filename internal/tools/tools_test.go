@@ -51,8 +51,8 @@ func TestMDCDump(t *testing.T) {
 
 func TestMDCFactorAndOutput(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "k5.lmdes")
-	out := runTool(t, mdc, "-m", "k5", "-form", "or", "-level", "full", "-factor", "-o", path)
+	path := filepath.Join(dir, "k5.mdar")
+	out := runTool(t, mdc, "-m", "k5", "-form", "or", "-level", "full", "-factor", "-emit-arena", path)
 	if !strings.Contains(out, "treesFactored=") || !strings.Contains(out, "verified") {
 		t.Fatalf("factor/output missing:\n%s", out)
 	}

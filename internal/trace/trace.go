@@ -22,6 +22,7 @@ package trace
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -151,11 +152,29 @@ type ReplayReport struct {
 // Identical reports whether the replay reproduced the recording exactly.
 func (r *ReplayReport) Identical() bool { return len(r.Mismatches) == 0 }
 
+// ErrHashMismatch reports that the description a recording names now
+// compiles to a different fingerprint than the one it was recorded
+// against: the description, or the encoding its fingerprint is taken
+// over, changed since, so replay would compare schedules of different
+// descriptions. mdtrace replay and mdreport -tune refuse such recordings.
+var ErrHashMismatch = errors.New("trace: description hash mismatch")
+
+// CheckHash returns an error wrapping ErrHashMismatch unless fingerprint,
+// the fingerprint of the description about to replay the recording, is
+// the one the recording was made against.
+func (rec *Recording) CheckHash(fingerprint string) error {
+	if fingerprint != rec.Meta.MachineHash {
+		return fmt.Errorf("%w: %s compiles to hash %s, trace was recorded against %s",
+			ErrHashMismatch, rec.Meta.Machine, fingerprint, rec.Meta.MachineHash)
+	}
+	return nil
+}
+
 // Replay re-runs a recording's workload through the engine and compares
 // every block's schedule and counters against the recorded outcomes.
 // The caller is responsible for constructing the engine from the same
-// description the recording names (check Meta.MachineHash against the
-// description's fingerprint first; mdtrace does).
+// description the recording names (CheckHash against the description's
+// fingerprint first; mdtrace does).
 func Replay(ctx context.Context, eng BlockScheduler, rec *Recording, parallelism int) (*ReplayReport, error) {
 	blocks, err := rec.Blocks()
 	if err != nil {

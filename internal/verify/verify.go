@@ -20,6 +20,7 @@
 package verify
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -426,8 +427,8 @@ func diffPlan(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid
 }
 
 // diffArena round-trips m through the flat arena format and requires the
-// persisted description to be indistinguishable from the original: the v3
-// encoding of the deep-copy materialization must match m's byte for byte
+// persisted description to be indistinguishable from the original: the
+// deep-copy materialization must re-encode to the same arena bytes
 // (losslessness), and the zero-copy frozen view — probe plan adopted from
 // the arena, not recompiled — must drive the prober to the oracle's
 // schedules and probe answers. This is the differential gate behind the
@@ -441,16 +442,13 @@ func diffArena(stage string, m *lowlevel.MDES, stream, arrivals, want []int, gri
 	if err != nil {
 		return stageErrf(stage, "open: %v", err)
 	}
-	var wantV3, gotV3 strings.Builder
-	if err := m.Encode(&wantV3); err != nil {
-		return stageErrf(stage, "v3 encode: %v", err)
+	again, err := a.MDES().EncodeArena()
+	if err != nil {
+		return stageErrf(stage, "re-encode: %v", err)
 	}
-	if err := a.MDES().Encode(&gotV3); err != nil {
-		return stageErrf(stage, "round-trip v3 encode: %v", err)
-	}
-	if gotV3.String() != wantV3.String() {
-		return stageErrf(stage, "arena round trip is lossy: v3 encodings differ (%d vs %d bytes)",
-			gotV3.Len(), wantV3.Len())
+	if !bytes.Equal(buf, again) {
+		return stageErrf(stage, "arena round trip is lossy: re-encoding differs (%d vs %d bytes)",
+			len(again), len(buf))
 	}
 	view := a.FrozenMDES()
 	if view.ArenaPlan() == nil {

@@ -224,14 +224,6 @@ func FormatLedger(l *Ledger) string {
 	return obs.FormatLedger(l)
 }
 
-// DecodeCompiled reads a compiled description serialized with
-// Compiled.Encode — the fast-load path a compiler uses at startup (the
-// paper's low-level representation is designed to load without re-running
-// any sharing analysis).
-func DecodeCompiled(r io.Reader) (*Compiled, error) {
-	return lowlevel.Decode(r)
-}
-
 // NewScheduler freezes the compiled description and returns a list
 // scheduler driven by it; optimize first, since Optimize panics on a
 // frozen description. The scheduler is single-goroutine; for concurrent
@@ -502,20 +494,19 @@ func NewEngine(c *Compiled, opts ...EngineOption) (*Engine, error) {
 		return e, nil
 	}
 	// Stamp every view with what it observes — machine, content
-	// fingerprint (one v3 encode, only for the views that record it) and
-	// checker backend — then attach them all as one set.
+	// fingerprint and checker backend — then attach them all as one set.
+	// The views ask for the fingerprint only when they report it; the
+	// frozen description memoizes it, so all views share one computation.
 	checker := e.checker.String()
-	if e.flight != nil || e.profile != nil {
-		fp, err := c.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		if e.flight != nil {
-			e.flight.SetMeta(c.MachineName, fp, checker)
-		}
-		if e.profile != nil {
-			e.profile.SetMeta(c.MachineName, fp, checker)
-		}
+	fingerprint := func() string {
+		fp, _ := c.Fingerprint() // cannot fail: c froze, so it validated
+		return fp
+	}
+	if e.flight != nil {
+		e.flight.SetMeta(c.MachineName, fingerprint, checker)
+	}
+	if e.profile != nil {
+		e.profile.SetMeta(c.MachineName, fingerprint, checker)
 	}
 	if e.metrics != nil {
 		e.metrics.SetBackend(checker)

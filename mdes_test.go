@@ -1,7 +1,6 @@
 package mdes
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -101,14 +100,15 @@ func TestCompiledEncodeDecode(t *testing.T) {
 	machine, _ := Builtin(PA7100)
 	c := Compile(machine, FormAndOr)
 	Optimize(c, LevelFull)
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeCompiled(&buf)
+	buf, err := EncodeArena(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, err := OpenArena(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := a.MDES()
 	if back.Size() != c.Size() {
 		t.Fatalf("size changed after round trip")
 	}

@@ -148,3 +148,24 @@ func TestObservationViewsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// The views an engine stamps report the description's fingerprint,
+// computed on first use rather than by NewEngine.
+func TestEngineViewsShareFingerprint(t *testing.T) {
+	c := freshCompiled(t, mdes.K5, mdes.FormAndOr, mdes.LevelFull)
+	want, err := c.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight := mdes.NewFlightRecorder(mdes.FlightConfig{})
+	prof := mdes.NewConflictProfile(c)
+	if _, err := mdes.NewEngine(c, mdes.WithFlight(flight), mdes.WithProfile(prof)); err != nil {
+		t.Fatal(err)
+	}
+	if got := prof.Snapshot().Meta.MachineHash; got != want {
+		t.Fatalf("profile stamped %q, want %s", got, want)
+	}
+	if got := flight.Snapshot().MachineHash; got != want {
+		t.Fatalf("flight recorder stamped %q, want %s", got, want)
+	}
+}
