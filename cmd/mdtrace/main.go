@@ -8,6 +8,7 @@
 //
 //	mdtrace record -machine k5 -checker probeplan -o k5.mdtr
 //	mdtrace dump k5.mdtr
+//	mdtrace dump -jsonl k5.mdtr > k5.jsonl        # per-attempt trace, one line per block
 //	mdtrace replay k5.mdtr
 //	mdtrace replay -checker automaton k5.mdtr   # cross-backend equivalence
 //	mdtrace diff a.mdtr b.mdtr

@@ -34,6 +34,41 @@ func (o *Operation) String() string {
 	return fmt.Sprintf("%d:%s d%v s%v", o.ID, o.Opcode, o.Dests, o.Srcs)
 }
 
+// Per-block bounds of untrusted input. Every decoder of blocks from
+// outside the process — the mdesd request decoder and the MDTR recording
+// decoder — refuses a block outside them, by arithmetic on counts, before
+// the graph builder sizes its per-register tables by them.
+const (
+	// MaxOpsPerBlock bounds one block's operation count.
+	MaxOpsPerBlock = 16384
+	// MaxOperands bounds one operation's source/destination lists.
+	MaxOperands = 16
+	// MaxRegister bounds register numbers (the graph builder indexes
+	// per-register tables by them).
+	MaxRegister = 1 << 20
+	// MaxOpcodeLen bounds one opcode string.
+	MaxOpcodeLen = 64
+)
+
+// CheckOperation returns an error unless one operation's opcode and
+// register operands are within the per-block bounds.
+func CheckOperation(opcode string, srcs, dests []int) error {
+	if opcode == "" || len(opcode) > MaxOpcodeLen {
+		return fmt.Errorf("opcode length %d outside [1,%d]", len(opcode), MaxOpcodeLen)
+	}
+	if len(srcs) > MaxOperands || len(dests) > MaxOperands {
+		return fmt.Errorf("operand count exceeds %d", MaxOperands)
+	}
+	for _, list := range [2][]int{srcs, dests} {
+		for _, r := range list {
+			if r < 0 || r >= MaxRegister {
+				return fmt.Errorf("register %d outside [0,%d)", r, MaxRegister)
+			}
+		}
+	}
+	return nil
+}
+
 // Block is a basic block: a straight-line operation sequence, optionally
 // ending in a branch.
 type Block struct {

@@ -9,18 +9,22 @@ import (
 
 // Views is the set of observation views one pool's contexts fold into:
 // the metrics registry, the conflict profile, the flight recorder and the
-// tracer. A nil field is a detached view. NewLocal sizes a buffer for
+// trace. A nil field is a detached view. NewLocal sizes a buffer for
 // exactly the attached views, and Local.Merge is the one fold of a
 // buffer into all of them.
 type Views struct {
 	Metrics *Registry
 	Profile *profile.Profile
 	Flight  *flight.Recorder
-	Tracer  Tracer
+	// Trace receives each block's record at the block's end: every
+	// attempt and conflict, the block's ID, size, length and counters.
+	// The buffer reuses one record for all of a context's blocks, so the
+	// callback must not retain it past its return.
+	Trace func(*BlockRecord)
 	// MDES is the observed description, and every attached view must be
 	// shaped by it. It sizes the per-constraint and per-resource counters
 	// and names the machine and the resources in trace records; it is
-	// required when Metrics, Profile or Tracer is set.
+	// required when Metrics, Profile or Trace is set.
 	MDES *lowlevel.MDES
 }
 
@@ -49,11 +53,10 @@ type optCount struct{ selected, blocked int64 }
 // not to the description's size.
 type Local struct {
 	v *Views
-	// The attached per-attempt views, copied out of v for the hot path.
+	// The attached metrics view, copied out of v for the hot path.
 	reg *Registry
-	tr  Tracer
 	// probes reports that some view consumes Attempt events (metrics,
-	// profile or tracer); blame, that the metrics or profile share wants
+	// profile or trace); blame, that the metrics or profile share wants
 	// every failed attempt attributed.
 	probes, blame bool
 
@@ -75,10 +78,11 @@ type Local struct {
 	touchedOpt  []int32
 	touchedTree []int32
 
-	// Tracer share: the open block's record once the tracer samples it,
-	// and whether the block's sampling is decided.
-	bt      *BlockTrace
-	decided bool
+	// Trace share: the one record every block of this buffer fills (nil
+	// without the trace view), and whether the attempt just reported
+	// went into it.
+	rec    *BlockRecord
+	traced bool
 	// failed is the constraint index of the last failed attempt, which
 	// a Conflict event attributes.
 	failed int
@@ -97,9 +101,11 @@ func (v *Views) NewLocal() *Local {
 	l := &Local{
 		v:      v,
 		reg:    v.Metrics,
-		tr:     v.Tracer,
-		probes: v.Metrics != nil || v.Profile != nil || v.Tracer != nil,
+		probes: v.Metrics != nil || v.Profile != nil || v.Trace != nil,
 		blame:  v.Metrics != nil || v.Profile != nil,
+	}
+	if v.Trace != nil {
+		l.rec = &BlockRecord{Machine: v.MDES.MachineName, Events: []Event{}}
 	}
 	// Each journal can hold every slot of its counters, so recording a
 	// first touch never grows it.
@@ -143,8 +149,8 @@ func (l *Local) PerAttempt() bool { return l != nil && l.probes }
 
 // Attributes reports whether the attempt just reported, having failed,
 // wants the Conflict event: always for the metrics and profile shares,
-// and for the tracer only inside a sampled block.
-func (l *Local) Attributes() bool { return l.blame || l.bt != nil }
+// and for the trace share when the attempt belongs to a block.
+func (l *Local) Attributes() bool { return l.blame || l.traced }
 
 // Start begins one attempt: it returns a clock reading for the one
 // attempt in TimestampPeriod the metrics view times, -1 otherwise. The
@@ -158,7 +164,7 @@ func (l *Local) Start() int64 {
 
 // Attempt is the event of one instrumented Check: the phase, the
 // constraint probed, the operation's index in its block (op < 0 for a
-// probe outside any block, such as a query, which the tracer skips) and
+// probe outside any block, such as a query, which the trace skips) and
 // opcode, the candidate cycle, the options and resource checks consumed,
 // the Check's wall time in ns (-1 when untimed, see Start), whether it
 // succeeded, and on success the option chosen in each tree.
@@ -207,26 +213,26 @@ func (l *Local) Attempt(p Phase, con *lowlevel.Constraint, op int, opcode string
 			}
 		}
 	}
-	if l.tr != nil && op >= 0 {
+	if l.rec != nil {
 		l.traceAttempt(op, opcode, cycle, options, ok, chosen)
 	}
 }
 
-// traceAttempt is the tracer's share of an Attempt: the first event of a
-// block asks the tracer whether to sample it, and a sampled block's
-// record gains the attempt. Out of line, so the other views' shares stay
-// cheap to call.
+// traceAttempt is the trace share of an Attempt: the open block's record
+// gains the attempt, with the option chosen in the constraint's first
+// tree. Out of line, so the other views' shares stay cheap to call.
 func (l *Local) traceAttempt(op int, opcode string, cycle int, options int64, ok bool, chosen []int) {
-	if !l.decided {
-		l.bt, l.decided = l.tr.StartBlock(0, l.v.MDES.MachineName, 0), true
+	if l.traced = op >= 0; !l.traced {
+		return
 	}
-	if l.bt != nil {
-		choice := 0
-		if ok && len(chosen) > 0 {
-			choice = chosen[0]
-		}
-		l.bt.Attempt(op, opcode, cycle, int(options), choice, ok)
+	choice := 0
+	if ok && len(chosen) > 0 {
+		choice = chosen[0]
 	}
+	l.rec.Events = append(l.rec.Events, Event{
+		Kind: "attempt", Op: op, Opcode: opcode, Cycle: cycle,
+		Options: int(options), Choice: choice, OK: ok,
+	})
 }
 
 // opt returns option slot j's counts, journaling its first touch.
@@ -268,13 +274,13 @@ func (l *Local) Conflict(tree, res, time int) {
 			l.first[t]++
 		}
 	}
-	if l.bt != nil && res >= 0 {
+	if l.traced && res >= 0 {
 		l.traceConflict(tree, res, time)
 	}
 }
 
-// traceConflict records a conflict in the open block's trace record ahead
-// of the failed attempt it explains, naming the blocked tree's preferred
+// traceConflict records a conflict in the open block's record ahead of
+// the failed attempt it explains, naming the blocked tree's preferred
 // option by its HMDES provenance (falling back to the tree's).
 func (l *Local) traceConflict(tree, res, time int) {
 	cons := l.v.MDES.Constraints
@@ -286,20 +292,20 @@ func (l *Local) traceConflict(tree, res, time int) {
 	if src == "" {
 		src = t.Src
 	}
-	ev := append(l.bt.rec.Events, Event{})
+	ev := append(l.rec.Events, Event{})
 	a := &ev[len(ev)-2]
 	ev[len(ev)-1] = *a
 	*a = Event{Kind: "conflict", Op: a.Op, Opcode: a.Opcode, Cycle: a.Cycle,
 		Res: l.v.MDES.ResourceNames[res], Time: time, Src: src}
-	l.bt.rec.Events = ev
+	l.rec.Events = ev
 }
 
 // BlockDone is the event every scheduler exit emits exactly once: the
 // block's phase and ID, its operation count, its schedule length (-1 for
 // a failed schedule) and its counters. It folds the block's backtracks
-// into the metrics share, emits the block's trace record, and records
-// one flight entry with one clock reading. A nil buffer ignores it, at
-// the cost of the inlined nil check.
+// into the metrics share, hands the block's record to the trace view,
+// and records one flight entry with one clock reading. A nil buffer
+// ignores it, at the cost of the inlined nil check.
 func (l *Local) BlockDone(p Phase, block int64, ops, length int, c stats.Counters) {
 	if l != nil {
 		l.blockDone(p, block, ops, length, &c)
@@ -311,15 +317,10 @@ func (l *Local) blockDone(p Phase, block int64, ops, length int, c *stats.Counte
 		l.dirty = true
 		l.phases[p].backtracks += c.Backtracks
 	}
-	if tr := l.tr; tr != nil {
-		if !l.decided {
-			l.bt = tr.StartBlock(block, l.v.MDES.MachineName, ops)
-		}
-		if l.bt != nil {
-			l.bt.rec.Block, l.bt.rec.Ops = block, ops
-			l.bt.Finish(length, *c)
-		}
-		l.bt, l.decided = nil, false
+	if r := l.rec; r != nil {
+		r.Block, r.Ops, r.Length, r.Counters = block, ops, length, *c
+		l.v.Trace(r)
+		r.Events, l.traced = r.Events[:0], false
 	}
 	if fr := l.v.Flight; fr != nil {
 		now := Nanotime()
@@ -400,6 +401,8 @@ func (l *Local) reset() {
 	}
 	l.touchedCon, l.touchedRes = l.touchedCon[:0], l.touchedRes[:0]
 	l.touchedTree, l.touchedOpt = l.touchedTree[:0], l.touchedOpt[:0]
-	l.bt, l.decided = nil, false
+	if l.rec != nil {
+		l.rec.Events, l.traced = l.rec.Events[:0], false
+	}
 	l.n = 0
 }

@@ -40,24 +40,28 @@ func (l testLocal) attempt(p Phase, class int, options, checks, ns int64, ok boo
 	l.Attempt(p, l.m.Constraints[class], 0, "op", 0, options, checks, ns, ok, []int{0})
 }
 
-// The tracer view renders a Conflict event ahead of the failed attempt it
+// The trace view renders a Conflict event ahead of the failed attempt it
 // explains, naming the blocking resource and the blocked tree's preferred
 // option by its HMDES provenance, and stamps the block's ID, size, length
-// and counters on the record at BlockDone.
+// and counters on the record it hands the callback at BlockDone.
 func TestTraceConflictProvenance(t *testing.T) {
 	m := toyMDES([]string{"alu"}, []string{"r0", "r1"})
-	ring := NewRingSink(4)
-	l := (&Views{Tracer: New(ring), MDES: m}).NewLocal()
+	var recs []BlockRecord
+	keep := func(r *BlockRecord) {
+		r2 := *r
+		r2.Events = append([]Event(nil), r.Events...)
+		recs = append(recs, r2)
+	}
+	l := (&Views{Trace: keep, MDES: m}).NewLocal()
 	l.Begin()
 	con := m.Constraints[0]
 	l.Attempt(PhaseList, con, 0, "ADD", 0, 1, 1, -1, true, []int{0})
 	l.Attempt(PhaseList, con, 1, "ADD", 0, 1, 1, -1, false, nil)
 	if !l.Attributes() {
-		t.Fatal("a sampled block does not want its conflicts attributed")
+		t.Fatal("a traced block does not want its conflicts attributed")
 	}
 	l.Conflict(0, 1, 2)
 	l.BlockDone(PhaseList, 7, 2, -1, stats.Counters{Attempts: 2, Conflicts: 1})
-	recs := ring.Snapshot()
 	if len(recs) != 1 {
 		t.Fatalf("%d records, want 1", len(recs))
 	}
@@ -77,5 +81,34 @@ func TestTraceConflictProvenance(t *testing.T) {
 		if rec.Events[i] != want[i] {
 			t.Fatalf("event %d = %+v, want %+v", i, rec.Events[i], want[i])
 		}
+	}
+}
+
+// The trace view hands its callback one record, reused for every block:
+// once its event slice has grown, a traced block allocates nothing.
+func TestTraceViewReusesRecord(t *testing.T) {
+	m := toyMDES([]string{"alu"}, []string{"r0"})
+	var first *BlockRecord
+	blocks := 0
+	l := (&Views{MDES: m, Trace: func(r *BlockRecord) {
+		if first == nil {
+			first = r
+		}
+		if r != first || len(r.Events) != 8 {
+			t.Fatalf("block %d: record %p with %d events, want %p with 8", blocks, r, len(r.Events), first)
+		}
+		blocks++
+	}}).NewLocal()
+	l.Begin()
+	con := m.Constraints[0]
+	block := func() {
+		for op := 0; op < 8; op++ {
+			l.Attempt(PhaseList, con, op, "ADD", op, 1, 1, -1, true, []int{0})
+		}
+		l.BlockDone(PhaseList, int64(blocks), 8, 8, stats.Counters{Attempts: 8})
+	}
+	block()
+	if allocs := testing.AllocsPerRun(100, block); allocs != 0 {
+		t.Fatalf("a traced block allocates %.1f times, want 0", allocs)
 	}
 }

@@ -8,7 +8,7 @@
 // long-running service: it attributes cost to description structure
 // (which scheduler phase, which opcode class, which blocking resource)
 // and to wall-clock time (log2-bucketed ns-per-Check histograms), and it
-// can emit a machine-readable trace of every scheduling decision.
+// can render a machine-readable trace of every scheduling decision.
 //
 // One per-context buffer feeds every view. Each borrowed
 // resctx.Context carries one Local, fed three events: Attempt and
@@ -24,13 +24,14 @@
 //     and option — per-constraint and per-resource counts are kept once
 //     in the buffer for it and the registry;
 //   - the flight recorder (internal/obs/flight), one entry per block;
-//   - the Tracer, producing one BlockRecord per sampled block: every
-//     issue attempt with its chosen option and cycle, and conflict
-//     details naming the blocking resource and usage time — the
-//     machine-readable version of the paper's Figure 2 data. A record is
-//     accumulated privately per block and handed to a Sink (JSONL writer
-//     or in-memory ring buffer) as one atomic unit, so records from
-//     concurrent goroutines never interleave.
+//   - the trace, one BlockRecord per block: every issue attempt with its
+//     chosen option and cycle, and conflict details naming the blocking
+//     resource and usage time — the machine-readable version of the
+//     paper's Figure 2 data. The buffer fills one reused record and hands
+//     it to a callback (Views.Trace) at each BlockDone. Scheduling is
+//     deterministic, so the trace is re-derived after the fact from an
+//     MDTR recording (trace.Render, `mdtrace dump -jsonl`) instead of
+//     being attached to a serving engine.
 //
 // The hot path never touches the shared aggregates: Local.Merge folds the
 // buffer into them once, when the context is released. A context with no

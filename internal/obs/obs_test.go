@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -131,81 +129,6 @@ func TestMergeConcurrent(t *testing.T) {
 	}
 	if s.Merges != workers {
 		t.Fatalf("merges = %d", s.Merges)
-	}
-}
-
-func TestSampleEvery(t *testing.T) {
-	ring := NewRingSink(100)
-	tr := New(ring, SampleEvery(3))
-	kept := 0
-	for i := 0; i < 30; i++ {
-		if bt := tr.StartBlock(int64(i), "m", 1); bt != nil {
-			kept++
-			bt.Finish(1, stats.Counters{})
-		}
-	}
-	if kept != 10 {
-		t.Fatalf("kept %d of 30 with SampleEvery(3)", kept)
-	}
-	if ring.Total() != 10 {
-		t.Fatalf("ring total = %d", ring.Total())
-	}
-}
-
-func TestRingSinkEviction(t *testing.T) {
-	ring := NewRingSink(3)
-	for i := 0; i < 5; i++ {
-		ring.Emit(&BlockRecord{Block: int64(i)})
-	}
-	snap := ring.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("len = %d", len(snap))
-	}
-	for i, want := range []int64{2, 3, 4} {
-		if snap[i].Block != want {
-			t.Fatalf("snapshot[%d].Block = %d, want %d", i, snap[i].Block, want)
-		}
-	}
-	if ring.Total() != 5 {
-		t.Fatalf("total = %d", ring.Total())
-	}
-}
-
-func TestJSONLSinkAtomicLines(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	tr := New(sink)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				bt := tr.StartBlock(int64(w*100+i), "m", 2)
-				bt.Attempt(0, "op", 0, 1, 0, true)
-				bt.Attempt(1, "op", 0, 2, 0, true)
-				bt.Finish(2, stats.Counters{Attempts: 2})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := sink.Err(); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var rec BlockRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %d does not parse: %v", lines, err)
-		}
-		if len(rec.Events) != 2 {
-			t.Fatalf("record %d has %d events (interleaved?)", rec.Block, len(rec.Events))
-		}
-		lines++
-	}
-	if lines != 400 {
-		t.Fatalf("got %d lines, want 400", lines)
 	}
 }
 

@@ -51,8 +51,9 @@ type Scheduler struct {
 	// dependence graph (used by tests).
 	SelfCheck bool
 	// BlockID labels the next block's BlockDone event (its trace record
-	// and flight entry); mdes.Engine.ScheduleBlocks sets it to the block's
-	// index within the batch. The scheduler never modifies it.
+	// and flight entry); mdes.Engine.ScheduleBlocks and ScheduleAll set
+	// it to the block's index within the batch. ScheduleBlock never
+	// modifies it.
 	BlockID int64
 }
 

@@ -16,21 +16,15 @@ import (
 // much memory one description can demand (maxResourceInstances,
 // per-tree option caps); these bounds do the same job one layer up, at
 // the HTTP boundary, so a hostile request is rejected by arithmetic on
-// counts before any allocation proportional to them happens.
+// counts before any allocation proportional to them happens. Each block
+// is also held to the per-block bounds of internal/ir (ir.MaxOpsPerBlock
+// and the operand bounds of ir.CheckOperation), which the MDTR recording
+// decoder shares.
 const (
 	// MaxBlocksPerRequest bounds one schedule request's batch size.
 	MaxBlocksPerRequest = 4096
-	// MaxOpsPerBlock bounds one block's operation count.
-	MaxOpsPerBlock = 16384
 	// MaxOpsPerRequest bounds the total operation count of a request.
 	MaxOpsPerRequest = 1 << 18
-	// MaxOperands bounds one operation's source/destination lists.
-	MaxOperands = 16
-	// MaxRegister bounds register numbers (the graph builder indexes
-	// per-register tables by them).
-	MaxRegister = 1 << 20
-	// MaxOpcodeLen bounds one opcode string.
-	MaxOpcodeLen = 64
 )
 
 // wireError is a decoder rejection carrying the structured error code the
@@ -104,8 +98,8 @@ func ParseScheduleRequest(data []byte) (*mdesclient.ScheduleRequest, error) {
 		if len(ops) == 0 {
 			return nil, badRequest("block %d is empty", bi)
 		}
-		if len(ops) > MaxOpsPerBlock {
-			return nil, badRequest("block %d: %d ops exceed the per-block cap of %d", bi, len(ops), MaxOpsPerBlock)
+		if len(ops) > ir.MaxOpsPerBlock {
+			return nil, badRequest("block %d: %d ops exceed the per-block cap of %d", bi, len(ops), ir.MaxOpsPerBlock)
 		}
 		totalOps += len(ops)
 		if totalOps > MaxOpsPerRequest {
@@ -113,18 +107,8 @@ func ParseScheduleRequest(data []byte) (*mdesclient.ScheduleRequest, error) {
 		}
 		for oi := range ops {
 			op := &ops[oi]
-			if op.Opcode == "" || len(op.Opcode) > MaxOpcodeLen {
-				return nil, badRequest("block %d op %d: opcode length %d outside [1,%d]", bi, oi, len(op.Opcode), MaxOpcodeLen)
-			}
-			if len(op.Srcs) > MaxOperands || len(op.Dests) > MaxOperands {
-				return nil, badRequest("block %d op %d: operand count exceeds %d", bi, oi, MaxOperands)
-			}
-			for _, list := range [2][]int{op.Srcs, op.Dests} {
-				for _, r := range list {
-					if r < 0 || r >= MaxRegister {
-						return nil, badRequest("block %d op %d: register %d outside [0,%d)", bi, oi, r, MaxRegister)
-					}
-				}
+			if err := ir.CheckOperation(op.Opcode, op.Srcs, op.Dests); err != nil {
+				return nil, badRequest("block %d op %d: %v", bi, oi, err)
 			}
 			switch op.Mem {
 			case "", "load", "store":

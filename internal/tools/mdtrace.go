@@ -1,6 +1,7 @@
 package tools
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -11,14 +12,14 @@ import (
 	"mdes/internal/cli"
 	"mdes/internal/machines"
 	"mdes/internal/trace"
-	"mdes/internal/workload"
 )
 
 const mdtraceUsage = `usage: mdtrace <command> [flags]
 
 commands:
   record  schedule a workload and write a replayable binary trace
-  dump    print a trace's metadata and outcomes
+  dump    print a trace's metadata and outcomes, or (-jsonl) re-derive
+          its per-attempt trace as one JSON line per block
   replay  re-run a trace and assert byte-identical schedules
   diff    compare two traces
 
@@ -26,8 +27,9 @@ run "mdtrace <command> -h" for each command's flags.
 `
 
 // RunMdtrace is the mdtrace tool: record scheduling runs as
-// content-addressed binary traces, inspect them, replay them asserting
-// byte-identical schedules, and diff two recordings.
+// content-addressed binary traces, inspect them, render their
+// per-attempt trace as JSON lines, replay them asserting byte-identical
+// schedules, and diff two recordings.
 func RunMdtrace(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		fmt.Fprint(stdout, mdtraceUsage)
@@ -110,9 +112,9 @@ func mdtraceRecord(args []string, stdout io.Writer) error {
 		formFlag    = fs.String("form", "andor", "representation form: or | andor")
 		levelFlag   = fs.String("level", "full", "optimization level: none | redundancy | bit-vector | time-shift | full")
 		checkerFlag = fs.String("checker", "probeplan", "conflict-checker backend: probeplan or automaton")
-		opsFlag     = fs.Int("ops", 20000, "static operations in the generated workload")
+		opsFlag     = fs.Int("ops", 20000, fmt.Sprintf("static operations in the generated workload (at most %d)", trace.MaxWorkloadOps))
 		seedFlag    = fs.Int64("seed", 1996, "workload seed")
-		shardsFlag  = fs.Int("shards", 4, "workload generator shards")
+		shardsFlag  = fs.Int("shards", 4, fmt.Sprintf("workload generator shards (at most %d)", trace.MaxWorkloadShards))
 		inlineFlag  = fs.Bool("inline", false, "embed the generated blocks in the trace instead of the (ops, seed, shards) spec")
 		workersFlag = fs.Int("workers", 8, "scheduling goroutines")
 		outFlag     = fs.String("o", "", "output trace file (required)")
@@ -127,15 +129,15 @@ func mdtraceRecord(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Materializing the workload refuses one outside the bounds a
+	// recording may ask replay to build (trace.Workload.Check).
 	wl := trace.Workload{Seeded: true, NumOps: *opsFlag, Seed: *seedFlag, Shards: *shardsFlag}
 	if *inlineFlag {
-		prog, err := workload.GenerateParallel(workload.Config{
-			Machine: machines.Name(*machineFlag), NumOps: *opsFlag, Seed: *seedFlag,
-		}, *shardsFlag)
+		blocks, err := (&trace.Recording{Meta: meta, Workload: wl}).Blocks()
 		if err != nil {
 			return err
 		}
-		wl = trace.Workload{Blocks: prog.Blocks}
+		wl = trace.Workload{Blocks: blocks}
 	}
 	rec, err := trace.Capture(context.Background(), eng, meta, wl, *workersFlag)
 	if err != nil {
@@ -173,7 +175,10 @@ func mdtraceReadFile(path string) (*trace.Recording, error) {
 func mdtraceDump(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mdtrace dump", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	blocksFlag := fs.Int("blocks", 0, "also print the first N per-block outcomes")
+	var (
+		blocksFlag = fs.Int("blocks", 0, "also print the first N per-block outcomes")
+		jsonlFlag  = fs.Bool("jsonl", false, "instead, replay the trace serially and print each block's per-attempt record as one JSON line, in block order; fails unless the replay reproduces the recording")
+	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -183,6 +188,21 @@ func mdtraceDump(args []string, stdout io.Writer) error {
 	rec, err := mdtraceReadFile(fs.Arg(0))
 	if err != nil {
 		return err
+	}
+	if *jsonlFlag {
+		compiled, _, err := mdtraceCompile(rec.Meta.Machine, rec.Meta.Form, rec.Meta.Level)
+		if err != nil {
+			return err
+		}
+		w := bufio.NewWriter(stdout)
+		err = trace.Render(w, compiled, rec)
+		if ferr := w.Flush(); err == nil {
+			err = ferr
+		}
+		if err != nil {
+			return fmt.Errorf("mdtrace dump -jsonl: %w", err)
+		}
+		return nil
 	}
 	fmt.Fprintf(stdout, "trace id:     %s (format v%d)\n", rec.ID, trace.Version)
 	fmt.Fprintf(stdout, "machine:      %s (hash %s)\n", rec.Meta.Machine, rec.Meta.MachineHash)

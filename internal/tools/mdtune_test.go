@@ -230,3 +230,20 @@ func TestReplayRefusesStaleFingerprint(t *testing.T) {
 		t.Fatalf("mdreport -tune: err=%v, want trace.ErrHashMismatch", err)
 	}
 }
+
+// The tuning loop refuses a workload outside the bounds a recording may
+// ask replay to build, whether its flags ask for it or a recording does.
+func TestTuneRefusesOversizedWorkload(t *testing.T) {
+	var buf bytes.Buffer
+	for _, args := range [][]string{
+		{"-ops", "1099511627776"},
+		{"-shards", "1099511627776"},
+		{"-trace", "../trace/testdata/seeded-2e40-shards.mdtr"},
+		{"-trace", "../trace/testdata/inline-2e40-register.mdtr"},
+	} {
+		err := RunMDReport(append([]string{"-tune", "-tune-out", t.TempDir()}, args...), &buf)
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("mdreport -tune %v: err = %v", args, err)
+		}
+	}
+}

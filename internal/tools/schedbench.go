@@ -20,8 +20,8 @@ import (
 )
 
 // RunSchedbench is the schedbench tool: regenerate the paper's tables and
-// Figure 2, or (with -metrics/-trace/-report) run one machine's workload
-// under the observability layer.
+// Figure 2, or (with -metrics/-report/-profile/-flight) run one machine's
+// workload under the observability layer.
 func RunSchedbench(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("schedbench", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -34,10 +34,8 @@ func RunSchedbench(args []string, stdout io.Writer) error {
 		opsFlag      = fs.Int("ops", 20000, "static operations per machine")
 		seedFlag     = fs.Int64("seed", 1996, "workload seed")
 
-		machineFlag    = fs.String("machine", string(machines.K5), "machine for the observability run (-metrics/-trace/-report)")
+		machineFlag    = fs.String("machine", string(machines.K5), "machine for the observability run (-metrics/-report/-profile/-flight)")
 		metricsFlag    = fs.String("metrics", "", "serve /metrics, /metrics.json, /healthz and /debug/pprof on this address during the run (e.g. :8080)")
-		traceFlag      = fs.String("trace", "", "write one JSON trace line per scheduled block to this file")
-		sampleFlag     = fs.Int("tracesample", 1, "trace 1 in N blocks")
 		reportFlag     = fs.Bool("report", false, "print the metrics registry as tables after the run")
 		profileFlag    = fs.Bool("profile", false, "attach the conflict-attribution profiler (served at /debug/profile with -metrics, printed with -report)")
 		checkerFlag    = fs.String("checker", "probeplan", "conflict-checker backend for the observability run: probeplan or automaton")
@@ -92,7 +90,7 @@ func RunSchedbench(args []string, stdout io.Writer) error {
 		return runBenchJSON(stdout, p, *benchjsonFlag)
 	}
 
-	if *metricsFlag != "" || *traceFlag != "" || *reportFlag || *flightFlag || *flightdumpFlag != "" || *profileFlag || *cachedirFlag != "" {
+	if *metricsFlag != "" || *reportFlag || *flightFlag || *flightdumpFlag != "" || *profileFlag || *cachedirFlag != "" {
 		kind, err := mdes.ParseCheckerKind(*checkerFlag)
 		if err != nil {
 			fmt.Fprintf(stdout, "unknown checker %q\n%s", *checkerFlag, cli.FormatCheckerKinds())
@@ -102,8 +100,6 @@ func RunSchedbench(args []string, stdout io.Writer) error {
 			machine:    machines.Name(*machineFlag),
 			checker:    kind,
 			metrics:    *metricsFlag,
-			trace:      *traceFlag,
-			sample:     *sampleFlag,
 			report:     *reportFlag,
 			profile:    *profileFlag,
 			repeat:     *repeatFlag,
@@ -144,8 +140,6 @@ type observeConfig struct {
 	machine    machines.Name
 	checker    mdes.CheckerKind
 	metrics    string
-	trace      string
-	sample     int
 	report     bool
 	profile    bool
 	repeat     int
@@ -157,8 +151,9 @@ type observeConfig struct {
 
 // runObserve schedules one machine's workload on an Engine with the
 // observability layer attached: a metrics registry (optionally served
-// over HTTP alongside pprof), a JSONL block tracer, and the
-// human-readable report.
+// over HTTP alongside pprof), the conflict profile, the flight recorder,
+// and the human-readable report. The per-attempt trace of the same
+// workload is `mdtrace record` followed by `mdtrace dump -jsonl`.
 func runObserve(stdout io.Writer, p experiments.Params, cfg observeConfig) error {
 	var compiled *mdes.Compiled
 	if cfg.cachedir != "" {
@@ -199,14 +194,6 @@ func runObserve(stdout io.Writer, p experiments.Params, cfg observeConfig) error
 		metrics.SetTranslator(led)
 	}
 	opts := []mdes.EngineOption{mdes.WithMetrics(metrics), mdes.WithChecker(cfg.checker)}
-	if cfg.trace != "" {
-		f, err := os.Create(cfg.trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opts = append(opts, mdes.WithTracer(mdes.NewJSONLTracer(f, cfg.sample)))
-	}
 	var flight *mdes.FlightRecorder
 	if cfg.flight {
 		flight = mdes.NewFlightRecorder(mdes.FlightConfig{})
@@ -257,9 +244,6 @@ func runObserve(stdout io.Writer, p experiments.Params, cfg observeConfig) error
 	fmt.Fprintf(stdout, "%s [checker=%s]: scheduled %d blocks x%d (%d ops) with %d workers in %s: %s\n",
 		cfg.machine, eng.CheckerKind(), len(prog.Blocks), cfg.repeat, p.NumOps, cfg.workers,
 		elapsed.Round(time.Microsecond), eng.Totals())
-	if cfg.trace != "" {
-		fmt.Fprintf(stdout, "trace written to %s\n", cfg.trace)
-	}
 	if flight != nil {
 		blocks, anomalies := flight.Status()
 		fmt.Fprintf(stdout, "flight recorder: %d blocks merged, %d anomalies\n", blocks, anomalies)

@@ -3,6 +3,7 @@ package tools
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -234,28 +235,16 @@ func TestMDVizCustomFileAndBadForm(t *testing.T) {
 }
 
 func TestSchedbenchObserve(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "trace.jsonl")
 	out := runTool(t, schedbench,
-		"-machine", "k5", "-ops", "1700",
-		"-trace", trace, "-metrics", "127.0.0.1:0", "-report")
+		"-machine", "k5", "-ops", "1700", "-metrics", "127.0.0.1:0", "-report")
 	for _, want := range []string{
 		"serving http://127.0.0.1:",
-		"trace written to",
 		"Per-phase scheduling metrics",
 		"Conflicts by blocking resource",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in observe output:\n%s", want, out)
 		}
-	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Count(data, []byte("\n"))
-	if lines < 100 {
-		t.Fatalf("trace has %d block records, want >= 100 at -ops 1700", lines)
 	}
 }
 
@@ -528,6 +517,73 @@ func TestMdtraceInlineRecordReplay(t *testing.T) {
 	}
 }
 
+// The block trace of a recorded workload: `mdtrace dump -jsonl` prints
+// one JSON line per block, in block order, for the ~100 K5 blocks of the
+// CI trace artifact.
+func TestMdtraceDumpJSONL(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "k5.mdtr")
+	runTool(t, mdtrace, "record", "-machine", "k5", "-ops", "1700", "-o", tr)
+	rec, err := mdtraceReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runTool(t, mdtrace, "dump", "-jsonl", tr)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) < 100 || len(lines) != len(rec.Outcomes) {
+		t.Fatalf("dump -jsonl printed %d lines for %d recorded blocks, want one per block and >= 100 at -ops 1700", len(lines), len(rec.Outcomes))
+	}
+	for i, line := range lines {
+		var r struct {
+			Block  int64 `json:"block"`
+			Length int   `json:"length"`
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("line %d does not parse: %v", i, err)
+		}
+		if r.Block != int64(i) || r.Length != rec.Outcomes[i].Length {
+			t.Fatalf("line %d is block %d of length %d, recorded length %d", i, r.Block, r.Length, rec.Outcomes[i].Length)
+		}
+	}
+}
+
+// dump -jsonl refuses a recording of another description, and fails when
+// the replay diverges from the recording.
+func TestMdtraceDumpJSONLRefuses(t *testing.T) {
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "k5.mdtr")
+	runTool(t, mdtrace, "record", "-machine", "k5", "-ops", "600", "-o", tr)
+	rec, err := mdtraceReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, r trace.Recording) string {
+		path := filepath.Join(dir, name)
+		data, _, err := trace.Encode(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	stale := *rec
+	stale.Meta.MachineHash = "0123456789abcdef"
+	diverged := *rec
+	diverged.Outcomes = append([]trace.Outcome(nil), rec.Outcomes...)
+	diverged.Outcomes[3].Counters.Attempts++
+	for _, c := range []struct{ path, want string }{
+		{write("stale.mdtr", stale), "hash mismatch"},
+		{write("diverged.mdtr", diverged), fmt.Sprintf("1 of %d blocks diverged", len(rec.Outcomes))},
+	} {
+		var buf bytes.Buffer
+		err := RunMdtrace([]string{"dump", "-jsonl", c.path}, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("dump -jsonl %s: err = %v, want %q", filepath.Base(c.path), err, c.want)
+		}
+	}
+}
+
 func TestMdtraceErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunMdtrace(nil, &buf); err == nil {
@@ -541,6 +597,25 @@ func TestMdtraceErrors(t *testing.T) {
 	}
 	if err := RunMdtrace([]string{"replay", "/nonexistent.mdtr"}, &buf); err == nil {
 		t.Error("replay of missing file succeeded")
+	}
+	// A workload outside the bounds a recording may ask replay to build
+	// is refused before anything is generated, whether flags or a
+	// recording ask for it.
+	out := filepath.Join(t.TempDir(), "x.mdtr")
+	for _, args := range [][]string{
+		{"record", "-o", out, "-ops", "1099511627776"},
+		{"record", "-o", out, "-ops", "0"},
+		{"record", "-o", out, "-shards", "1099511627776"},
+		{"record", "-o", out, "-shards", "-1"},
+		{"record", "-o", out, "-inline", "-shards", "1099511627776"},
+		{"replay", "../trace/testdata/seeded-2e40-shards.mdtr"},
+		{"replay", "../trace/testdata/inline-2e40-register.mdtr"},
+		{"dump", "-jsonl", "../trace/testdata/seeded-2e40-shards.mdtr"},
+		{"dump", "-jsonl", "../trace/testdata/inline-2e40-register.mdtr"},
+	} {
+		if err := RunMdtrace(args, &buf); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("mdtrace %v: err = %v, want a workload bound violation", args, err)
+		}
 	}
 	// A corrupt file must be rejected by the trailer hash.
 	dir := t.TempDir()

@@ -11,6 +11,9 @@
 // a fixed description and workload, Replay can re-run the recording and
 // assert byte-identical schedules — turning any flight-recorder anomaly
 // or bug report that ships a trace file into a reproducible test case.
+// For the same reason Render re-derives the per-attempt trace — every
+// attempt, option and conflict of every block, the paper's Figure 2 data
+// — from a recording after the fact, so no serving path pays for it.
 //
 // The format is a single self-delimiting binary blob: a magic/version
 // header, varint-encoded body, and an FNV-64a trailer hash over
@@ -22,13 +25,19 @@ package trace
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 
+	"mdes/internal/check"
 	"mdes/internal/ir"
+	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
+	"mdes/internal/obs"
+	"mdes/internal/resctx"
 	"mdes/internal/sched"
 	"mdes/internal/stats"
 	"mdes/internal/workload"
@@ -68,6 +77,46 @@ type Workload struct {
 	Blocks []*ir.Block
 }
 
+// Bounds of a seeded workload, which replay regenerates from a few
+// bytes: Decode refuses a recording asking for more, and Capture refuses
+// to record one. MaxWorkloadOps admits the paper's
+// largest stream (282,219 static operations, §4). Inline blocks are held
+// to the per-block bounds of internal/ir, which the mdesd request decoder
+// shares.
+const (
+	MaxWorkloadOps    = 1 << 19
+	MaxWorkloadShards = 256
+)
+
+// Check returns an error unless the workload is within the bounds Decode
+// enforces: a seeded spec within MaxWorkloadOps and MaxWorkloadShards,
+// inline blocks within ir.MaxOpsPerBlock and ir.CheckOperation.
+func (wl *Workload) Check() error {
+	if wl.Seeded {
+		if wl.NumOps < 1 || wl.NumOps > MaxWorkloadOps {
+			return fmt.Errorf("trace: seeded workload of %d ops outside [1,%d]", wl.NumOps, MaxWorkloadOps)
+		}
+		if wl.Shards < 0 || wl.Shards > MaxWorkloadShards {
+			return fmt.Errorf("trace: %d workload shards outside [0,%d]", wl.Shards, MaxWorkloadShards)
+		}
+		return nil
+	}
+	for bi, b := range wl.Blocks {
+		if len(b.Ops) > ir.MaxOpsPerBlock {
+			return fmt.Errorf("trace: block %d: %d ops exceed the per-block cap of %d", bi, len(b.Ops), ir.MaxOpsPerBlock)
+		}
+		for oi, op := range b.Ops {
+			if err := ir.CheckOperation(op.Opcode, op.Srcs, op.Dests); err != nil {
+				return fmt.Errorf("trace: block %d op %d: %w", bi, oi, err)
+			}
+			if op.Mem < ir.MemNone || op.Mem > ir.MemStore {
+				return fmt.Errorf("trace: block %d op %d: unknown mem kind %d", bi, oi, op.Mem)
+			}
+		}
+	}
+	return nil
+}
+
 // Outcome is one block's recorded scheduling result.
 type Outcome struct {
 	// Length is the schedule length in cycles.
@@ -90,8 +139,12 @@ type Recording struct {
 
 // Blocks materializes the recording's workload: inline blocks are
 // returned directly, seeded workloads are regenerated deterministically
-// from (machine, ops, seed, shards).
+// from (machine, ops, seed, shards). A workload outside the bounds of
+// Workload.Check is refused before anything is built.
 func (rec *Recording) Blocks() ([]*ir.Block, error) {
+	if err := rec.Workload.Check(); err != nil {
+		return nil, err
+	}
 	if !rec.Workload.Seeded {
 		return rec.Workload.Blocks, nil
 	}
@@ -134,7 +187,8 @@ func Capture(ctx context.Context, eng BlockScheduler, meta Meta, wl Workload, pa
 }
 
 // Mismatch reports one block whose replayed outcome differs from the
-// recording.
+// recording. What names the first differing field, the replayed value
+// before the recorded one.
 type Mismatch struct {
 	Block int
 	What  string
@@ -176,30 +230,8 @@ func (rec *Recording) CheckHash(fingerprint string) error {
 // description the recording names (CheckHash against the description's
 // fingerprint first; mdtrace does).
 func Replay(ctx context.Context, eng BlockScheduler, rec *Recording, parallelism int) (*ReplayReport, error) {
-	blocks, err := rec.Blocks()
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) != len(rec.Outcomes) {
-		return nil, fmt.Errorf("trace: recording has %d outcomes for %d blocks", len(rec.Outcomes), len(blocks))
-	}
-	results, _, err := eng.ScheduleBlocks(ctx, blocks, parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("trace: replay: %w", err)
-	}
-	rep := &ReplayReport{Blocks: len(blocks)}
-	for i, r := range results {
-		want := &rec.Outcomes[i]
-		switch {
-		case r.Length != want.Length:
-			rep.Mismatches = append(rep.Mismatches, Mismatch{i, fmt.Sprintf("length %d, recorded %d", r.Length, want.Length)})
-		case !intsEqual(r.Issue, want.Issue):
-			rep.Mismatches = append(rep.Mismatches, Mismatch{i, "issue cycles differ"})
-		case r.Counters != want.Counters:
-			rep.Mismatches = append(rep.Mismatches, Mismatch{i, fmt.Sprintf("counters %+v, recorded %+v", r.Counters, want.Counters)})
-		}
-	}
-	return rep, nil
+	rep, _, err := replay(ctx, eng, rec, parallelism, true)
+	return rep, err
 }
 
 // ReplaySchedules re-runs a recording's workload and compares only the
@@ -213,28 +245,120 @@ func Replay(ctx context.Context, eng BlockScheduler, rec *Recording, parallelism
 // against the recording's summed counters itself (tuning accepts only
 // when they drop).
 func ReplaySchedules(ctx context.Context, eng BlockScheduler, rec *Recording, parallelism int) (*ReplayReport, stats.Counters, error) {
-	blocks, err := rec.Blocks()
+	return replay(ctx, eng, rec, parallelism, false)
+}
+
+// replay is Replay (counters set) and ReplaySchedules.
+func replay(ctx context.Context, eng BlockScheduler, rec *Recording, parallelism int, counters bool) (*ReplayReport, stats.Counters, error) {
+	blocks, err := rec.replayBlocks()
 	if err != nil {
 		return nil, stats.Counters{}, err
-	}
-	if len(blocks) != len(rec.Outcomes) {
-		return nil, stats.Counters{}, fmt.Errorf("trace: recording has %d outcomes for %d blocks", len(rec.Outcomes), len(blocks))
 	}
 	results, total, err := eng.ScheduleBlocks(ctx, blocks, parallelism)
 	if err != nil {
 		return nil, stats.Counters{}, fmt.Errorf("trace: replay: %w", err)
 	}
-	rep := &ReplayReport{Blocks: len(blocks)}
+	return rec.compare(results, counters), total, nil
+}
+
+// Render re-derives a recording's per-attempt trace: it replays the
+// workload serially with sched.ScheduleAll on description m, on one
+// context borrowed from a pool whose only observation view is the trace,
+// and writes each block's obs.BlockRecord to w as one JSON line, in
+// block order. Scheduling is deterministic, so these are the records the
+// recorded run would have produced with the view attached.
+//
+// Render freezes m. It refuses a recording made against another
+// description (ErrHashMismatch), and returns an error when any replayed
+// schedule or counter differs from the recording; the lines already
+// written then describe the diverging replay.
+func Render(w io.Writer, m *lowlevel.MDES, rec *Recording) error {
+	if err := m.Freeze(); err != nil {
+		return err
+	}
+	fp, err := m.Fingerprint()
+	if err != nil {
+		return err
+	}
+	if err := rec.CheckHash(fp); err != nil {
+		return err
+	}
+	kind, err := check.ParseKind(rec.Meta.Checker)
+	if err != nil {
+		return err
+	}
+	blocks, err := rec.replayBlocks()
+	if err != nil {
+		return err
+	}
+	f, err := check.NewFactory(m, kind)
+	if err != nil {
+		return err
+	}
+	pool := resctx.NewPoolFor(f)
+	enc := json.NewEncoder(w)
+	var werr error
+	pool.Observe(&obs.Views{MDES: m, Trace: func(r *obs.BlockRecord) {
+		if werr == nil {
+			werr = enc.Encode(r)
+		}
+	}})
+	cx := pool.Get()
+	defer cx.Release()
+	results, _, err := sched.NewWithContext(m, cx).ScheduleAll(blocks)
+	if err == nil {
+		err = werr
+	}
+	if err != nil {
+		return fmt.Errorf("trace: render: %w", err)
+	}
+	if rep := rec.compare(results, true); !rep.Identical() {
+		first := rep.Mismatches[0]
+		return fmt.Errorf("trace: render: %d of %d blocks diverged from trace %s (block %d: %s)",
+			len(rep.Mismatches), rep.Blocks, rec.ID, first.Block, first.What)
+	}
+	return nil
+}
+
+// replayBlocks materializes the workload of a recording about to be
+// replayed, which must hold one outcome per block.
+func (rec *Recording) replayBlocks() ([]*ir.Block, error) {
+	blocks, err := rec.Blocks()
+	if err != nil {
+		return nil, err
+	}
+	if len(blocks) != len(rec.Outcomes) {
+		return nil, fmt.Errorf("trace: recording has %d outcomes for %d blocks", len(rec.Outcomes), len(blocks))
+	}
+	return blocks, nil
+}
+
+// compare reports every block whose replayed result differs from its
+// recorded outcome, counters included when counters is set.
+func (rec *Recording) compare(results []*sched.Result, counters bool) *ReplayReport {
+	rep := &ReplayReport{Blocks: len(results)}
 	for i, r := range results {
-		want := &rec.Outcomes[i]
-		switch {
-		case r.Length != want.Length:
-			rep.Mismatches = append(rep.Mismatches, Mismatch{i, fmt.Sprintf("length %d, recorded %d", r.Length, want.Length)})
-		case !intsEqual(r.Issue, want.Issue):
-			rep.Mismatches = append(rep.Mismatches, Mismatch{i, "issue cycles differ"})
+		got := Outcome{Length: r.Length, Issue: r.Issue, Counters: r.Counters}
+		if what := differ(&got, &rec.Outcomes[i], counters); what != "" {
+			rep.Mismatches = append(rep.Mismatches, Mismatch{i, what})
 		}
 	}
-	return rep, total, nil
+	return rep
+}
+
+// differ is the one outcome comparison of Replay, ReplaySchedules, Render
+// and Diff: it names the first field in which a differs from b — length,
+// issue cycles, then counters when counters is set — or returns "".
+func differ(a, b *Outcome, counters bool) string {
+	switch {
+	case a.Length != b.Length:
+		return fmt.Sprintf("length %d vs %d", a.Length, b.Length)
+	case !slices.Equal(a.Issue, b.Issue):
+		return "issue cycles differ"
+	case counters && a.Counters != b.Counters:
+		return fmt.Sprintf("counters %+v vs %+v", a.Counters, b.Counters)
+	}
+	return ""
 }
 
 // Totals sums the recorded per-block counters: the baseline a tuning run
@@ -245,18 +369,6 @@ func (rec *Recording) Totals() stats.Counters {
 		total.Add(rec.Outcomes[i].Counters)
 	}
 	return total
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Diff compares two recordings and returns human-readable differences,
@@ -284,16 +396,8 @@ func Diff(a, b *Recording) []string {
 	const maxBlockDiffs = 10
 	diffs := 0
 	for i := range a.Outcomes {
-		x, y := &a.Outcomes[i], &b.Outcomes[i]
-		var what string
-		switch {
-		case x.Length != y.Length:
-			what = fmt.Sprintf("length %d vs %d", x.Length, y.Length)
-		case !intsEqual(x.Issue, y.Issue):
-			what = "issue cycles differ"
-		case x.Counters != y.Counters:
-			what = fmt.Sprintf("counters %+v vs %+v", x.Counters, y.Counters)
-		default:
+		what := differ(&a.Outcomes[i], &b.Outcomes[i], true)
+		if what == "" {
 			continue
 		}
 		diffs++
@@ -398,8 +502,10 @@ func Read(r io.Reader) (*Recording, error) {
 	return Decode(data)
 }
 
-// Decode decodes one encoded recording, verifying magic, version, and
-// the trailer hash.
+// Decode decodes one encoded recording, verifying magic, version, the
+// trailer hash, and that the workload is within the bounds of
+// Workload.Check, so replaying an accepted recording builds no more than
+// those bounds allow.
 func Decode(data []byte) (*Recording, error) {
 	if len(data) < len(magic)+1+8 {
 		return nil, fmt.Errorf("trace: truncated stream (%d bytes)", len(data))
@@ -479,6 +585,9 @@ func Decode(data []byte) (*Recording, error) {
 	}
 	if d.pos != len(d.buf) {
 		return nil, fmt.Errorf("trace: %d trailing bytes after recording", len(d.buf)-d.pos)
+	}
+	if err := rec.Workload.Check(); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }

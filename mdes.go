@@ -50,10 +50,8 @@ package mdes
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"mdes/internal/check"
 	"mdes/internal/hmdes"
@@ -243,39 +241,10 @@ type Metrics = obs.Registry
 // registry.
 type MetricsSnapshot = obs.Snapshot
 
-// Tracer receives structured scheduling trace records; attach one to an
-// Engine with WithTracer. Build one with NewJSONLTracer or NewRingTracer,
-// or implement obs-level sinks directly.
-type Tracer = obs.Tracer
-
-// TraceRecord is one block's complete trace: every issue attempt with
-// its candidate cycle and chosen option, conflict attributions naming
-// the blocking resource, and the block's final length and counters.
-type TraceRecord = obs.BlockRecord
-
-// TraceRing is an in-memory flight recorder retaining the most recent
-// trace records.
-type TraceRing = obs.RingSink
-
 // NewMetrics returns an observability registry sized for the compiled
 // description's opcode classes and resources.
 func NewMetrics(c *Compiled) *Metrics {
 	return obs.NewRegistry(c.ConstraintNames(), c.ResourceNames)
-}
-
-// NewJSONLTracer returns a tracer writing one JSON line per scheduled
-// block to w. sampleEvery keeps 1 in n blocks (<= 1 keeps every block).
-// Records are written under a mutex, so lines from concurrent scheduling
-// goroutines never interleave.
-func NewJSONLTracer(w io.Writer, sampleEvery int) Tracer {
-	return obs.New(obs.NewJSONLSink(w), obs.SampleEvery(sampleEvery))
-}
-
-// NewRingTracer returns a tracer retaining the last n block records in
-// memory, plus the ring to inspect them with.
-func NewRingTracer(n int, sampleEvery int) (Tracer, *TraceRing) {
-	ring := obs.NewRingSink(n)
-	return obs.New(ring, obs.SampleEvery(sampleEvery)), ring
 }
 
 // FormatMetrics renders a registry's current state as human-readable
@@ -423,12 +392,6 @@ func WithMetrics(m *Metrics) EngineOption {
 	return func(e *Engine) { e.metrics = m }
 }
 
-// WithTracer attaches a structured tracer: every scheduled block emits
-// one TraceRecord (subject to the tracer's sampling).
-func WithTracer(t Tracer) EngineOption {
-	return func(e *Engine) { e.tracer = t }
-}
-
 // WithFlight attaches an always-on flight recorder as a view of every
 // borrowed context's observation buffer: one compact entry per
 // scheduled block, spilled into rec whenever the context's ring fills
@@ -460,18 +423,18 @@ func WithProfile(p *ConflictProfile) EngineOption {
 // scheduling structures and needs no locks on the hot path.
 //
 // Observability is opt-in per engine (WithMetrics, WithProfile,
-// WithFlight, WithTracer): the attached views share one observation
-// buffer per borrowed context, and with none attached the scheduling hot
-// path performs only nil checks.
+// WithFlight): the attached views share one observation buffer per
+// borrowed context, and with none attached the scheduling hot path
+// performs only nil checks. The per-attempt trace is not an engine
+// option: it is rendered after the fact from an MDTR recording
+// (`mdtrace dump -jsonl`), since scheduling is deterministic.
 type Engine struct {
 	compiled *Compiled
 	pool     *resctx.Pool
 	checker  CheckerKind
 	metrics  *obs.Registry
-	tracer   obs.Tracer
 	flight   *flight.Recorder
 	profile  *profile.Profile
-	blockSeq atomic.Int64
 }
 
 // NewEngine freezes the compiled description and returns an engine
@@ -490,7 +453,7 @@ func NewEngine(c *Compiled, opts ...EngineOption) (*Engine, error) {
 		return nil, err
 	}
 	e.pool = resctx.NewPoolFor(factory)
-	if e.metrics == nil && e.tracer == nil && e.flight == nil && e.profile == nil {
+	if e.metrics == nil && e.flight == nil && e.profile == nil {
 		return e, nil
 	}
 	// Stamp every view with what it observes — machine, content
@@ -511,7 +474,7 @@ func NewEngine(c *Compiled, opts ...EngineOption) (*Engine, error) {
 	if e.metrics != nil {
 		e.metrics.SetBackend(checker)
 	}
-	e.pool.Observe(&obs.Views{Metrics: e.metrics, Profile: e.profile, Flight: e.flight, Tracer: e.tracer, MDES: c})
+	e.pool.Observe(&obs.Views{Metrics: e.metrics, Profile: e.profile, Flight: e.flight, MDES: c})
 	return e, nil
 }
 
@@ -534,16 +497,11 @@ func (e *Engine) Profile() *ConflictProfile { return e.profile }
 // completed session (scheduling call or closed query) so far.
 func (e *Engine) Totals() Counters { return e.pool.Totals() }
 
-// ScheduleBlock schedules one block on a borrowed context. Trace records
-// from this entry point are numbered by a per-engine sequence.
+// ScheduleBlock schedules one block on a borrowed context.
 func (e *Engine) ScheduleBlock(b *Block) (*Result, error) {
 	cx := e.pool.Get()
 	defer cx.Release()
-	s := sched.NewWithContext(e.compiled, cx)
-	if e.tracer != nil {
-		s.BlockID = e.blockSeq.Add(1) - 1
-	}
-	return s.ScheduleBlock(b)
+	return sched.NewWithContext(e.compiled, cx).ScheduleBlock(b)
 }
 
 // ScheduleBlocks schedules every block, fanning the work out over a pool

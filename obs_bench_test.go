@@ -6,12 +6,17 @@ import (
 	"testing"
 
 	"mdes"
+	"mdes/internal/obs"
+	"mdes/internal/sched"
+	"mdes/internal/trace"
 	"mdes/internal/workload"
 )
 
 // BenchmarkObsOverhead measures the cost of each observation view on the
-// parallel scheduling hot path, relative to the disabled baseline — the
-// per-view cost of the one observation buffer in one command:
+// scheduling hot path, relative to the disabled baseline — the per-view
+// cost of the one observation buffer in one command. The engine variants
+// schedule at parallelism 4; the two trace variants run at parallelism 1,
+// as the trace is rendered, on one borrowed context:
 //
 //	disabled     no views — the nil fast path
 //	metrics      per-phase/per-class registry attached (sampled timestamps +
@@ -25,15 +30,11 @@ import (
 //	             (TestFlightRecorderOverheadGate, <2%)
 //	all          metrics + profile + flight, as every mdesd tenant runs
 //	             (TestAllViewsOverheadGate, <12%)
-//	trace-ring   full tracing into an in-memory ring on top of metrics
-//	trace-jsonl  full tracing serialized to a discarded JSONL stream
+//	trace-ring   the trace view alone, its records discarded
+//	trace-jsonl  trace.Render of a recording of the workload to io.Discard
+//	             (what `mdtrace dump -jsonl` costs)
 func BenchmarkObsOverhead(b *testing.B) {
-	machine, err := mdes.Builtin(mdes.K5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled := mdes.Compile(machine, mdes.FormAndOr)
-	mdes.Optimize(compiled, mdes.LevelFull)
+	compiled := freshCompiled(b, mdes.K5, mdes.FormAndOr, mdes.LevelFull)
 	prog, err := workload.GenerateParallel(workload.Config{Machine: mdes.K5, NumOps: 20000, Seed: 1996}, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -41,47 +42,52 @@ func BenchmarkObsOverhead(b *testing.B) {
 	blocks := make([]*mdes.Block, len(prog.Blocks))
 	copy(blocks, prog.Blocks)
 
+	engine := func(b *testing.B, opts ...mdes.EngineOption) func() error {
+		eng, err := mdes.NewEngine(compiled, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return func() error {
+			_, _, err := eng.ScheduleBlocks(context.Background(), blocks, 4)
+			return err
+		}
+	}
 	variants := []struct {
-		name string
-		opts func() []mdes.EngineOption
+		name  string
+		setup func(*testing.B) func() error
 	}{
-		{"disabled", func() []mdes.EngineOption { return nil }},
-		{"metrics", func() []mdes.EngineOption {
-			return []mdes.EngineOption{mdes.WithMetrics(mdes.NewMetrics(compiled))}
+		{"disabled", func(b *testing.B) func() error { return engine(b) }},
+		{"metrics", func(b *testing.B) func() error { return engine(b, mdes.WithMetrics(mdes.NewMetrics(compiled))) }},
+		{"profile", func(b *testing.B) func() error { return engine(b, mdes.WithProfile(mdes.NewConflictProfile(compiled))) }},
+		{"flight", func(b *testing.B) func() error {
+			return engine(b, mdes.WithFlight(mdes.NewFlightRecorder(mdes.FlightConfig{})))
 		}},
-		{"profile", func() []mdes.EngineOption {
-			return []mdes.EngineOption{mdes.WithProfile(mdes.NewConflictProfile(compiled))}
-		}},
-		{"flight", func() []mdes.EngineOption {
-			return []mdes.EngineOption{mdes.WithFlight(mdes.NewFlightRecorder(mdes.FlightConfig{}))}
-		}},
-		{"all", func() []mdes.EngineOption {
-			return []mdes.EngineOption{
+		{"all", func(b *testing.B) func() error {
+			return engine(b,
 				mdes.WithMetrics(mdes.NewMetrics(compiled)),
 				mdes.WithProfile(mdes.NewConflictProfile(compiled)),
-				mdes.WithFlight(mdes.NewFlightRecorder(mdes.FlightConfig{})),
+				mdes.WithFlight(mdes.NewFlightRecorder(mdes.FlightConfig{})))
+		}},
+		{"trace-ring", func(b *testing.B) func() error {
+			pool := observedPool(b, compiled, &obs.Views{MDES: compiled, Trace: func(*obs.BlockRecord) {}})
+			return func() error {
+				cx := pool.Get()
+				defer cx.Release()
+				_, _, err := sched.NewWithContext(compiled, cx).ScheduleAll(blocks)
+				return err
 			}
 		}},
-		{"trace-ring", func() []mdes.EngineOption {
-			tracer, _ := mdes.NewRingTracer(1024, 1)
-			return []mdes.EngineOption{
-				mdes.WithMetrics(mdes.NewMetrics(compiled)),
-				mdes.WithTracer(tracer),
-			}
-		}},
-		{"trace-jsonl", func() []mdes.EngineOption {
-			return []mdes.EngineOption{mdes.WithTracer(mdes.NewJSONLTracer(io.Discard, 1))}
+		{"trace-jsonl", func(b *testing.B) func() error {
+			traced, rec := recordTrace(b, mdes.K5, mdes.FormAndOr, trace.Workload{Blocks: blocks}, 4)
+			return func() error { return trace.Render(io.Discard, traced, rec) }
 		}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			eng, err := mdes.NewEngine(compiled, v.opts()...)
-			if err != nil {
-				b.Fatal(err)
-			}
+			run := v.setup(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.ScheduleBlocks(context.Background(), blocks, 4); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 
 	"mdes"
 	"mdes/internal/obs"
 	"mdes/internal/sched"
+	"mdes/internal/trace"
 )
 
 // Totals must reflect completed sessions exactly once: borrowing and
@@ -49,59 +49,33 @@ func TestEngineTotalsStableAcrossSessionReuse(t *testing.T) {
 	}
 }
 
-// Under the 8-goroutine stress run, every JSONL trace line must parse,
-// carry its block ID, and describe exactly one block: records from
-// concurrent goroutines may appear in any order but must never
-// interleave within one record.
+// A recording captured by 8 goroutines renders one JSONL line per block,
+// in block order, each with the recorded length and counters: every op
+// issues exactly once, at its recorded cycle, every event belongs to the
+// block's ops, and the attempt events sum to the block's counters.
 func TestTraceOrderingUnderParallelStress(t *testing.T) {
-	machine, err := mdes.Builtin(mdes.K5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled := mdes.Compile(machine, mdes.FormAndOr)
-	mdes.Optimize(compiled, mdes.LevelFull)
-
-	var buf syncBuffer
-	eng, err := mdes.NewEngine(compiled, mdes.WithTracer(mdes.NewJSONLTracer(&buf, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	blocks := testBlocks(t, mdes.K5, 2000)
-
-	results, _, err := eng.ScheduleBlocks(context.Background(), blocks, 8)
-	if err != nil {
-		t.Fatal(err)
+	compiled, rec := recordTrace(t, mdes.K5, mdes.FormAndOr, trace.Workload{Blocks: blocks}, 8)
+	recs := renderTrace(t, compiled, rec)
+	if len(recs) != len(blocks) {
+		t.Fatalf("trace has %d lines, want one per block (%d)", len(recs), len(blocks))
 	}
-
-	seen := make(map[int64]int)
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var rec mdes.TraceRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("trace line does not parse (interleaved write?): %v\n%s", err, sc.Text())
+	for bi, r := range recs {
+		want := &rec.Outcomes[bi]
+		if r.Block != int64(bi) {
+			t.Fatalf("line %d names block %d", bi, r.Block)
 		}
-		seen[rec.Block]++
-		if rec.Block < 0 || rec.Block >= int64(len(blocks)) {
-			t.Fatalf("record names unknown block %d", rec.Block)
+		if r.Ops != len(blocks[bi].Ops) {
+			t.Fatalf("block %d record has %d ops, block has %d", bi, r.Ops, len(blocks[bi].Ops))
 		}
-		if rec.Ops != len(blocks[rec.Block].Ops) {
-			t.Fatalf("block %d record has %d ops, block has %d", rec.Block, rec.Ops, len(blocks[rec.Block].Ops))
+		if r.Length != want.Length || r.Counters != want.Counters {
+			t.Fatalf("block %d record length %d counters %+v, recorded %d %+v", bi, r.Length, r.Counters, want.Length, want.Counters)
 		}
-		if rec.Length != results[rec.Block].Length {
-			t.Fatalf("block %d record length %d, result %d", rec.Block, rec.Length, results[rec.Block].Length)
-		}
-		if rec.Counters != results[rec.Block].Counters {
-			t.Fatalf("block %d record counters %+v, result %+v", rec.Block, rec.Counters, results[rec.Block].Counters)
-		}
-		// Internal consistency: the successful attempts must place every
-		// op exactly once, all events must belong to this block's ops, and
-		// the attempt events must sum to the record's counters.
 		issued := make(map[int]bool)
 		var attempts, options int64
-		for _, ev := range rec.Events {
-			if ev.Op < 0 || ev.Op >= rec.Ops {
-				t.Fatalf("block %d event for op %d outside 0..%d", rec.Block, ev.Op, rec.Ops-1)
+		for _, ev := range r.Events {
+			if ev.Op < 0 || ev.Op >= r.Ops {
+				t.Fatalf("block %d event for op %d outside 0..%d", bi, ev.Op, r.Ops-1)
 			}
 			switch ev.Kind {
 			case "attempt":
@@ -109,63 +83,58 @@ func TestTraceOrderingUnderParallelStress(t *testing.T) {
 				options += int64(ev.Options)
 				if ev.OK {
 					if issued[ev.Op] {
-						t.Fatalf("block %d op %d issued twice", rec.Block, ev.Op)
+						t.Fatalf("block %d op %d issued twice", bi, ev.Op)
+					}
+					if ev.Cycle != want.Issue[ev.Op] {
+						t.Fatalf("block %d op %d issued at cycle %d, recorded %d", bi, ev.Op, ev.Cycle, want.Issue[ev.Op])
 					}
 					issued[ev.Op] = true
 				}
 			case "conflict":
 				if ev.Res == "" {
-					t.Fatalf("block %d conflict event without resource", rec.Block)
+					t.Fatalf("block %d conflict event without resource", bi)
 				}
 			default:
-				t.Fatalf("block %d unknown event kind %q", rec.Block, ev.Kind)
+				t.Fatalf("block %d unknown event kind %q", bi, ev.Kind)
 			}
 		}
-		if len(issued) != rec.Ops {
-			t.Fatalf("block %d: %d ops issued in trace, want %d", rec.Block, len(issued), rec.Ops)
+		if len(issued) != r.Ops {
+			t.Fatalf("block %d: %d ops issued in trace, want %d", bi, len(issued), r.Ops)
 		}
-		if attempts != rec.Counters.Attempts || options != rec.Counters.OptionsChecked {
+		if attempts != r.Counters.Attempts || options != r.Counters.OptionsChecked {
 			t.Fatalf("block %d: trace events sum to attempts=%d options=%d, counters say %+v",
-				rec.Block, attempts, options, rec.Counters)
+				bi, attempts, options, r.Counters)
 		}
+	}
+}
+
+// renderTrace renders a recording and parses its JSONL lines.
+func renderTrace(t *testing.T, compiled *mdes.Compiled, rec *trace.Recording) []obs.BlockRecord {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.Render(&buf, compiled, rec); err != nil {
+		t.Fatal(err)
+	}
+	var recs []obs.BlockRecord
+	sc := bufio.NewScanner(&buf)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var r obs.BlockRecord
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("trace line %d does not parse: %v\n%s", len(recs), err, sc.Text())
+		}
+		recs = append(recs, r)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(blocks) {
-		t.Fatalf("trace covers %d blocks, want %d", len(seen), len(blocks))
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("block %d traced %d times", id, n)
-		}
-	}
-}
-
-// syncBuffer is a goroutine-safe bytes.Buffer for the stress test's shared
-// JSONL writer (the sink serializes records, but Write itself must also be
-// safe for the race detector).
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Bytes()
+	return recs
 }
 
 // Figure 2's per-attempt options-checked distribution must be
 // reconstructible from trace events alone: rebuilding the histogram from
-// the attempt events of a fully-sampled trace must match the scheduler's
-// own OptionsHist sample for sample.
+// the attempt events of a rendered trace must match the scheduler's own
+// OptionsHist sample for sample.
 func TestFigure2FromTraceEvents(t *testing.T) {
 	machine, err := mdes.Builtin(mdes.K5)
 	if err != nil {
@@ -185,18 +154,12 @@ func TestFigure2FromTraceEvents(t *testing.T) {
 		}
 	}
 
-	// Same workload through a traced engine; rebuild from events alone.
-	tracer, ring := mdes.NewRingTracer(len(blocks), 1)
-	eng, err := mdes.NewEngine(compiled, mdes.WithTracer(tracer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.ScheduleBlocks(context.Background(), blocks, 8); err != nil {
-		t.Fatal(err)
-	}
+	// Same workload recorded by a parallel engine; rebuild from the
+	// rendered events alone.
+	traced, rec := recordTrace(t, mdes.K5, mdes.FormAndOr, trace.Workload{Blocks: blocks}, 8)
 	rebuilt := mdes.NewHistogram()
-	for _, rec := range ring.Snapshot() {
-		for _, ev := range rec.Events {
+	for _, r := range renderTrace(t, traced, rec) {
+		for _, ev := range r.Events {
 			if ev.Kind == "attempt" {
 				rebuilt.Observe(ev.Options)
 			}
@@ -411,7 +374,7 @@ func TestAllViewsOverheadGate(t *testing.T) {
 	}
 }
 
-// With observability disabled (no WithMetrics, no WithTracer), the engine
+// With observability disabled (no views attached), the engine
 // path must allocate exactly what the raw scheduler allocates per block —
 // the nil fast path adds zero allocations.
 func TestDisabledObservabilityAllocs(t *testing.T) {

@@ -1,11 +1,14 @@
 package mdes_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"mdes"
+	"mdes/internal/check"
+	"mdes/internal/obs"
+	"mdes/internal/resctx"
+	"mdes/internal/sched"
 )
 
 // viewOutputs is what each observation view reports for one run, with
@@ -16,7 +19,7 @@ type viewOutputs struct {
 	metrics []any
 	profile mdes.ProfileSnapshot
 	flight  []any
-	trace   []*mdes.TraceRecord
+	trace   []obs.BlockRecord
 }
 
 // flightCounters is one flight entry without its wall time, merge
@@ -32,49 +35,43 @@ const (
 	viewMetrics = 1 << iota
 	viewProfile
 	viewFlight
-	viewTracer
+	viewTrace
 	numViewSets = 1 << 4
 )
 
-// runViews schedules blocks at parallelism 1 on an engine with the views
-// named by mask attached and returns what each attached view recorded.
+// runViews schedules blocks serially on one context borrowed from a pool
+// observing the views named by mask — resctx.Pool.Observe, the attach
+// point NewEngine and trace.Render share — and returns what each attached
+// view recorded.
 func runViews(t *testing.T, compiled *mdes.Compiled, blocks []*mdes.Block, mask int) viewOutputs {
 	t.Helper()
-	var (
-		opts    []mdes.EngineOption
-		metrics *mdes.Metrics
-		prof    *mdes.ConflictProfile
-		rec     *mdes.FlightRecorder
-		ring    *mdes.TraceRing
-	)
+	var out viewOutputs
+	views := &obs.Views{MDES: compiled}
 	if mask&viewMetrics != 0 {
-		metrics = mdes.NewMetrics(compiled)
-		opts = append(opts, mdes.WithMetrics(metrics))
+		views.Metrics = mdes.NewMetrics(compiled)
 	}
 	if mask&viewProfile != 0 {
-		prof = mdes.NewConflictProfile(compiled)
-		opts = append(opts, mdes.WithProfile(prof))
+		views.Profile = mdes.NewConflictProfile(compiled)
 	}
 	if mask&viewFlight != 0 {
-		rec = mdes.NewFlightRecorder(mdes.FlightConfig{})
-		opts = append(opts, mdes.WithFlight(rec))
+		views.Flight = mdes.NewFlightRecorder(mdes.FlightConfig{})
 	}
-	if mask&viewTracer != 0 {
-		var tracer mdes.Tracer
-		tracer, ring = mdes.NewRingTracer(len(blocks), 1)
-		opts = append(opts, mdes.WithTracer(tracer))
+	if mask&viewTrace != 0 {
+		views.Trace = func(r *obs.BlockRecord) {
+			kept := *r
+			kept.Events = append([]obs.Event(nil), r.Events...)
+			out.trace = append(out.trace, kept)
+		}
 	}
-	eng, err := mdes.NewEngine(compiled, opts...)
+	cx := observedPool(t, compiled, views).Get()
+	_, _, err := sched.NewWithContext(compiled, cx).ScheduleAll(blocks)
+	cx.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.ScheduleBlocks(context.Background(), blocks, 1); err != nil {
-		t.Fatal(err)
-	}
 
-	var out viewOutputs
-	if metrics != nil {
-		s := metrics.Snapshot()
+	if views.Metrics != nil {
+		s := views.Metrics.Snapshot()
 		for _, p := range s.Phases {
 			out.metrics = append(out.metrics, [6]any{p.Phase, p.Attempts, p.OptionsChecked, p.ResourceChecks, p.Conflicts, p.Backtracks})
 		}
@@ -85,11 +82,11 @@ func runViews(t *testing.T, compiled *mdes.Compiled, blocks []*mdes.Block, mask 
 			out.metrics = append(out.metrics, r)
 		}
 	}
-	if prof != nil {
-		out.profile = prof.Snapshot()
+	if views.Profile != nil {
+		out.profile = views.Profile.Snapshot()
 	}
-	if rec != nil {
-		s := rec.Snapshot()
+	if views.Flight != nil {
+		s := views.Flight.Snapshot()
 		out.flight = append(out.flight, s.Blocks)
 		for _, e := range s.Recent {
 			out.flight = append(out.flight, flightCounters{
@@ -99,15 +96,28 @@ func runViews(t *testing.T, compiled *mdes.Compiled, blocks []*mdes.Block, mask 
 			})
 		}
 	}
-	if ring != nil {
-		out.trace = ring.Snapshot()
-	}
 	return out
 }
 
+// observedPool freezes compiled and returns a default-backend context
+// pool whose contexts fold into views.
+func observedPool(tb testing.TB, compiled *mdes.Compiled, views *obs.Views) *resctx.Pool {
+	tb.Helper()
+	if err := compiled.Freeze(); err != nil {
+		tb.Fatal(err)
+	}
+	f, err := check.NewFactory(compiled, check.KindProbePlan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := resctx.NewPoolFor(f)
+	pool.Observe(views)
+	return pool
+}
+
 // Every observation view must report the same thing whichever other
-// views share the engine: for each of the 15 non-empty subsets of
-// {metrics, profile, flight, tracer}, each attached view's output must
+// views share the buffer: for each of the 15 non-empty subsets of
+// {metrics, profile, flight, trace}, each attached view's output must
 // equal its output when attached alone — metrics counts by phase, class
 // and resource, the profile snapshot, flight per-block counters and
 // block IDs, and trace events.
@@ -141,8 +151,8 @@ func TestObservationViewsIndependent(t *testing.T) {
 				if mask&viewFlight != 0 && !reflect.DeepEqual(got.flight, alone[2].flight) {
 					t.Errorf("%s/%v views %04b: flight differs from flight alone", name, form, mask)
 				}
-				if mask&viewTracer != 0 && !reflect.DeepEqual(got.trace, alone[3].trace) {
-					t.Errorf("%s/%v views %04b: trace differs from tracer alone", name, form, mask)
+				if mask&viewTrace != 0 && !reflect.DeepEqual(got.trace, alone[3].trace) {
+					t.Errorf("%s/%v views %04b: trace differs from trace alone", name, form, mask)
 				}
 			}
 		}
