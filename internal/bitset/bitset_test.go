@@ -1,342 +1,27 @@
 package bitset
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestNewEmpty(t *testing.T) {
-	s := New(130)
-	if s.Len() != 130 {
-		t.Fatalf("Len = %d, want 130", s.Len())
-	}
-	if s.Words() != 3 {
-		t.Fatalf("Words = %d, want 3", s.Words())
-	}
-	if !s.Empty() || s.Count() != 0 {
-		t.Fatalf("new set not empty: %v", s)
-	}
-}
-
-func TestNewZeroWidth(t *testing.T) {
-	s := New(0)
-	if s.Words() != 0 || !s.Empty() {
-		t.Fatalf("zero-width set not empty")
-	}
-}
-
-func TestNewNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("New(-1) did not panic")
-		}
-	}()
-	New(-1)
-}
-
-func TestSetTestClear(t *testing.T) {
-	s := New(100)
-	for _, i := range []int{0, 1, 63, 64, 65, 99} {
-		s.Set(i)
-		if !s.Test(i) {
-			t.Errorf("bit %d not set", i)
-		}
-	}
-	if s.Count() != 6 {
-		t.Fatalf("Count = %d, want 6", s.Count())
-	}
-	s.Clear(64)
-	if s.Test(64) {
-		t.Errorf("bit 64 still set after Clear")
-	}
-	if s.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", s.Count())
-	}
-}
-
-func TestOutOfRangePanics(t *testing.T) {
-	s := New(10)
-	for _, i := range []int{-1, 10, 100} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Test(%d) did not panic", i)
-				}
-			}()
-			s.Test(i)
-		}()
-	}
-}
-
-func TestFromMask(t *testing.T) {
-	s := FromMask(0b1011, 8)
-	want := []int{0, 1, 3}
-	var got []int
-	s.ForEach(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach visited %v, want %v", got, want)
-		}
-	}
-}
-
-func TestFromMaskTooWidePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("FromMask(_, 65) did not panic")
-		}
-	}()
-	FromMask(1, 65)
-}
-
-func TestIntersects(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(69)
-	if a.Intersects(b) {
-		t.Fatalf("disjoint sets report intersection")
-	}
-	b.Set(69)
-	if !a.Intersects(b) {
-		t.Fatalf("overlapping sets report no intersection")
-	}
-}
-
-func TestIntersectsWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("width mismatch did not panic")
-		}
-	}()
-	New(10).Intersects(New(20))
-}
-
-func TestOrAndNot(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(3)
-	b.Set(68)
-	a.Or(b)
-	if !a.Test(3) || !a.Test(68) {
-		t.Fatalf("Or missing bits: %v", a)
-	}
-	a.AndNot(b)
-	if a.Test(68) || !a.Test(3) {
-		t.Fatalf("AndNot wrong result: %v", a)
-	}
-}
+import "testing"
 
 func TestMaskOps(t *testing.T) {
-	s := New(128)
-	s.OrMask(1, 0b101)
-	if !s.Test(64) || !s.Test(66) || s.Test(65) {
-		t.Fatalf("OrMask wrong bits: %v", s)
+	row := make([]uint64, 2)
+	WordOr(row, 1, 0b101)
+	if row[0] != 0 || row[1] != 0b101 {
+		t.Fatalf("WordOr wrong bits: %#x", row)
 	}
-	if !s.IntersectsMask(1, 0b100) {
-		t.Fatalf("IntersectsMask false negative")
+	if !WordIntersects(row, 1, 0b100) {
+		t.Fatalf("WordIntersects false negative")
 	}
-	if s.IntersectsMask(0, ^uint64(0)) {
-		t.Fatalf("IntersectsMask false positive in word 0")
+	if WordIntersects(row, 0, ^uint64(0)) {
+		t.Fatalf("WordIntersects false positive in word 0")
 	}
-	s.AndNotMask(1, 0b1)
-	if s.Test(64) || !s.Test(66) {
-		t.Fatalf("AndNotMask wrong result: %v", s)
+	if b := FirstBlocked(row, 1, 0b110); b != 66 {
+		t.Fatalf("FirstBlocked = %d, want 66", b)
 	}
-}
-
-func TestContains(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(1)
-	a.Set(69)
-	b.Set(69)
-	if !a.Contains(b) {
-		t.Fatalf("a should contain b")
+	if b := FirstBlocked(row, 1, 0b010); b != -1 {
+		t.Fatalf("FirstBlocked on a free mask = %d, want -1", b)
 	}
-	if b.Contains(a) {
-		t.Fatalf("b should not contain a")
-	}
-	if !a.Contains(New(70)) {
-		t.Fatalf("every set contains the empty set")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := New(70)
-	a.Set(5)
-	b := a.Clone()
-	b.Set(6)
-	if a.Test(6) {
-		t.Fatalf("Clone shares storage with original")
-	}
-	if !b.Test(5) {
-		t.Fatalf("Clone lost bit 5")
-	}
-}
-
-func TestCopyFromAndEqual(t *testing.T) {
-	a := New(70)
-	a.Set(7)
-	b := New(70)
-	b.CopyFrom(a)
-	if !a.Equal(b) {
-		t.Fatalf("CopyFrom result not Equal")
-	}
-	b.Set(8)
-	if a.Equal(b) {
-		t.Fatalf("Equal false positive")
-	}
-	if a.Equal(New(71)) {
-		t.Fatalf("Equal across widths")
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New(130)
-	s.Set(0)
-	s.Set(129)
-	s.Reset()
-	if !s.Empty() {
-		t.Fatalf("Reset left bits: %v", s)
-	}
-}
-
-func TestString(t *testing.T) {
-	s := New(70)
-	s.Set(0)
-	s.Set(65)
-	if got, want := s.String(), "{0 65}"; got != want {
-		t.Fatalf("String = %q, want %q", got, want)
-	}
-	if got, want := New(4).String(), "{}"; got != want {
-		t.Fatalf("empty String = %q, want %q", got, want)
-	}
-}
-
-// normalize maps arbitrary int inputs into valid bit indices for width n.
-func normalize(idx []int, n int) []int {
-	out := make([]int, 0, len(idx))
-	for _, i := range idx {
-		v := i % n
-		if v < 0 {
-			v += n
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func TestQuickSetTestRoundTrip(t *testing.T) {
-	f := func(idx []int) bool {
-		const n = 200
-		s := New(n)
-		seen := map[int]bool{}
-		for _, i := range normalize(idx, n) {
-			s.Set(i)
-			seen[i] = true
-		}
-		if s.Count() != len(seen) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if s.Test(i) != seen[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickOrIsUnion(t *testing.T) {
-	f := func(ai, bi []int) bool {
-		const n = 150
-		a, b := New(n), New(n)
-		for _, i := range normalize(ai, n) {
-			a.Set(i)
-		}
-		for _, i := range normalize(bi, n) {
-			b.Set(i)
-		}
-		u := a.Clone()
-		u.Or(b)
-		for i := 0; i < n; i++ {
-			if u.Test(i) != (a.Test(i) || b.Test(i)) {
-				return false
-			}
-		}
-		return u.Contains(a) && u.Contains(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickIntersectsSymmetricAndConsistent(t *testing.T) {
-	f := func(ai, bi []int) bool {
-		const n = 90
-		a, b := New(n), New(n)
-		for _, i := range normalize(ai, n) {
-			a.Set(i)
-		}
-		for _, i := range normalize(bi, n) {
-			b.Set(i)
-		}
-		want := false
-		for i := 0; i < n; i++ {
-			if a.Test(i) && b.Test(i) {
-				want = true
-				break
-			}
-		}
-		return a.Intersects(b) == want && b.Intersects(a) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickAndNotRemovesAll(t *testing.T) {
-	f := func(ai, bi []int) bool {
-		const n = 90
-		a, b := New(n), New(n)
-		for _, i := range normalize(ai, n) {
-			a.Set(i)
-		}
-		for _, i := range normalize(bi, n) {
-			b.Set(i)
-		}
-		d := a.Clone()
-		d.AndNot(b)
-		if d.Intersects(b) {
-			return false
-		}
-		// a == d ∪ (a ∩ b)
-		back := d.Clone()
-		for i := 0; i < n; i++ {
-			if a.Test(i) && b.Test(i) {
-				back.Set(i)
-			}
-		}
-		return back.Equal(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkIntersectsMask(b *testing.B) {
-	s := New(64)
-	s.Set(63)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if s.IntersectsMask(0, 1) {
-			b.Fatal("unexpected intersection")
-		}
+	WordAndNot(row, 1, 0b1)
+	if row[1] != 0b100 {
+		t.Fatalf("WordAndNot wrong result: %#x", row)
 	}
 }

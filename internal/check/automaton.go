@@ -80,3 +80,5 @@ func (a *Automaton) Reset() {
 
 // Capabilities implements Checker.
 func (a *Automaton) Capabilities() Capabilities { return Caps(KindAutomaton) }
+
+var _ Checker = (*Automaton)(nil)

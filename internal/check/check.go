@@ -5,10 +5,11 @@
 // reservation-table answer is the flat probe plan (internal/probeplan),
 // the engine every scheduler, the query layer and the Engine use by
 // default; the §10 finite-state-automaton baseline (internal/automata)
-// stays selectable as the paper's comparison, and the modulo scheduler
-// keeps its own wrapped map. This package puts them behind the Checker
-// interface so consumers select a backend by Kind instead of hard-coding
-// a representation.
+// stays selectable as the paper's comparison. This package puts them
+// behind the Checker interface so consumers select a backend by Kind
+// instead of hard-coding a representation. Modulo scheduling takes no
+// backend: it probes the probe plan folded modulo the initiation interval
+// (probeplan.Modulo) directly.
 //
 // Backends are not interchangeable in every role: the automaton answers
 // probes fast but cannot release a reservation or probe backward (the
@@ -77,16 +78,13 @@ type Capabilities struct {
 	// Backend is the backend's name, as reported in tool output and the
 	// observability layer.
 	Backend string
-	// CanRelease reports whether Release undoes a Reserve — the ability
-	// unscheduling-based techniques (iterative modulo scheduling) require.
+	// CanRelease reports whether Release undoes a Reserve; the query
+	// layer gates its trial placements on it.
 	CanRelease bool
 	// MonotonicOnly restricts probes to non-decreasing issue cycles
 	// (cycle-driven forward scheduling); backward and operation-driven
 	// scheduling need random access and must reject such backends.
 	MonotonicOnly bool
-	// Modulo reports that issue cycles wrap modulo the initiation
-	// interval (the modulo-map backend used by software pipelining).
-	Modulo bool
 }
 
 // Caps returns the static capability report for a selectable Kind.

@@ -49,7 +49,7 @@ func compile(t *testing.T, src string) *lowlevel.MDES {
 
 func TestCapabilityMatrix(t *testing.T) {
 	pp := Caps(KindProbePlan)
-	if !pp.CanRelease || pp.MonotonicOnly || pp.Modulo {
+	if !pp.CanRelease || pp.MonotonicOnly {
 		t.Fatalf("probeplan caps = %+v", pp)
 	}
 	if Kind(0) != KindProbePlan || Kinds()[0] != KindProbePlan {
@@ -58,10 +58,6 @@ func TestCapabilityMatrix(t *testing.T) {
 	au := Caps(KindAutomaton)
 	if au.CanRelease || !au.MonotonicOnly {
 		t.Fatalf("automaton caps = %+v", au)
-	}
-	mm := NewModulo(4, 3).Capabilities()
-	if !mm.CanRelease || !mm.Modulo {
-		t.Fatalf("modmap caps = %+v", mm)
 	}
 }
 
@@ -165,13 +161,4 @@ func TestAutomatonMonotonicPanics(t *testing.T) {
 		}
 	}()
 	ck.Check(ll.Constraints[0], 1, &c)
-}
-
-func TestModuloConfigurePanicsOnBadII(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Configure(0) did not panic")
-		}
-	}()
-	NewModulo(4, 2).Configure(0)
 }

@@ -1,9 +1,10 @@
 // Package modsched implements iterative modulo scheduling (Rau, MICRO-27,
 // 1994 — the paper's reference [12]) on top of the compiled MDES: software
-// pipelining of a loop body at initiation interval II, with a modulo
-// resource-usage map and the unscheduling (eviction) step that the paper
-// highlights as "straightforward with reservation tables ... but unclear
-// ... with finite-state automata" (§10).
+// pipelining of a loop body at initiation interval II, on the
+// description's probe plan folded modulo II (probeplan.Modulo), with the
+// unscheduling (eviction) step that the paper highlights as
+// "straightforward with reservation tables ... but unclear ... with
+// finite-state automata" (§10).
 //
 // The paper also notes that "the number of scheduling attempts required
 // per operation can increase significantly with the use of more advanced
@@ -15,11 +16,12 @@ package modsched
 import (
 	"fmt"
 
-	"mdes/internal/check"
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
+	"mdes/internal/probeplan"
 	"mdes/internal/resctx"
+	"mdes/internal/sched"
 	"mdes/internal/stats"
 )
 
@@ -32,25 +34,6 @@ type Dep struct {
 	From, To int
 	MinDist  int
 	Omega    int
-}
-
-// mdesTiming adapts the compiled MDES's operand-level distances.
-type mdesTiming struct{ m *lowlevel.MDES }
-
-func (t mdesTiming) FlowDist(producer, consumer *ir.Operation) int {
-	pi, pok := t.m.OpIndex[producer.Opcode]
-	ci, cok := t.m.OpIndex[consumer.Opcode]
-	if !pok || !cok {
-		return 1
-	}
-	return t.m.FlowDistance(pi, ci)
-}
-
-func (t mdesTiming) Latency(opcode string) int {
-	if idx, ok := t.m.OpIndex[opcode]; ok {
-		return t.m.Operations[idx].Latency
-	}
-	return 1
 }
 
 // Loop is a candidate for software pipelining: a branch-free body plus its
@@ -81,13 +64,17 @@ type Schedule struct {
 // Scheduler runs iterative modulo scheduling against one compiled MDES.
 //
 // The compiled description is shared, immutable data (see
-// lowlevel.MDES.Freeze). The modulo RU map is private to each Schedule
-// call, so a Scheduler is single-goroutine but many Schedulers — each
-// with its own borrowed resctx.Context — may pipeline loops against the
-// same compiled MDES concurrently.
+// lowlevel.MDES.Freeze). The folded table is private to the Scheduler,
+// which reuses it across candidate IIs and Schedule calls, so a
+// Scheduler is single-goroutine but many Schedulers — each with its own
+// borrowed resctx.Context — may pipeline loops against the same compiled
+// MDES concurrently.
 type Scheduler struct {
 	mdes *lowlevel.MDES
 	cx   *resctx.Context
+	// probe is the context tryII probes through: it holds the folded
+	// table and shares cx's observation buffer.
+	probe resctx.Context
 	// Budget bounds total placements per candidate II as a multiple of the
 	// operation count (Rau's budget_ratio); default 6.
 	Budget int
@@ -96,37 +83,26 @@ type Scheduler struct {
 }
 
 // New returns a modulo scheduler for the compiled description, backed by
-// a standalone context. The modulo map is private to each Schedule call,
-// so the context carries only the counters (and, when borrowed from a
-// pool, the observability buffer).
+// a standalone context that carries only the counters.
 func New(m *lowlevel.MDES) *Scheduler {
 	return NewWithContext(m, &resctx.Context{})
 }
 
 // NewWithContext returns a modulo scheduler over the shared compiled
 // description; the search's counters are also accumulated into the
-// borrowed context, so pooled contexts aggregate service-wide totals.
+// borrowed context, so pooled contexts aggregate service-wide totals, and
+// its probes feed the context's observation buffer. Like
+// resctx.Standalone, it freezes m and compiles its probe plan, panicking
+// when m cannot be frozen or planned.
 func NewWithContext(m *lowlevel.MDES, cx *resctx.Context) *Scheduler {
-	return &Scheduler{mdes: m, cx: cx, Budget: 6}
-}
-
-// NewWithKind returns a modulo scheduler for a session configured with the
-// given checker backend, refusing backends that cannot unschedule:
-// iterative modulo scheduling evicts and replaces placements, which needs
-// Capabilities.CanRelease — "straightforward with reservation tables ...
-// but unclear ... with finite-state automata" (§10). The modulo map itself
-// is always the bit-packed check.Modulo; the kind only gates eligibility.
-func NewWithKind(m *lowlevel.MDES, cx *resctx.Context, kind check.Kind) (*Scheduler, error) {
-	if caps := check.Caps(kind); !caps.CanRelease {
-		return nil, fmt.Errorf("modsched: the %s backend cannot release reservations; iterative modulo scheduling requires unscheduling (paper §10)", caps.Backend)
-	}
-	return NewWithContext(m, cx), nil
+	mod := probeplan.NewModulo(resctx.FrozenPlan(m), 1)
+	return &Scheduler{mdes: m, cx: cx, probe: resctx.Context{Mod: mod}, Budget: 6}
 }
 
 // deps builds the full dependence set: intra-iteration from the IR graph
 // plus the loop's carried edges.
 func (s *Scheduler) deps(l *Loop) ([]Dep, error) {
-	g := ir.BuildGraphTiming(l.Body, mdesTiming{m: s.mdes})
+	g := ir.BuildGraphTiming(l.Body, sched.Timing(s.mdes))
 	var deps []Dep
 	for _, edges := range g.Succs {
 		for _, e := range edges {
@@ -276,15 +252,11 @@ func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
 	if maxII == 0 {
 		maxII = 4 * (mii + len(l.Body.Ops))
 	}
-	// One bit-packed modulo map serves the whole II search; Configure
-	// clears it and grows rows as II increases. Instrumented probes reach
-	// it through a context sharing the borrowed observation buffer.
-	mm := check.NewModulo(s.mdes.NumResources, mii)
-	probe := &resctx.Context{Checker: mm, Obs: s.cx.Obs}
+	s.probe.Obs = s.cx.Obs
 	for ii := mii; ii <= maxII; ii++ {
 		result.TriedIIs++
-		mm.Configure(ii)
-		if s.tryII(mm, probe, l, deps, ii, result) {
+		s.probe.Mod.Configure(ii)
+		if s.tryII(l, deps, ii, result) {
 			result.II = ii
 			return result, nil
 		}
@@ -292,12 +264,13 @@ func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
 	return result, fmt.Errorf("modsched: no schedule found up to II=%d", maxII)
 }
 
-// tryII is one iteration of Rau's algorithm at a fixed II; probe checks
-// mm through the probe helper, so each probe of a candidate slot is one
-// scheduling attempt in the modulo phase — the inflation the paper
-// attributes to iterative modulo scheduling shows up directly in that
-// phase's counters.
-func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps []Dep, ii int, out *Schedule) bool {
+// tryII is one iteration of Rau's algorithm at a fixed II, on the folded
+// table Configure has just cleared. Every probe goes through the probe
+// helper, so each probe of a candidate slot is one scheduling attempt in
+// the modulo phase — the inflation the paper attributes to iterative
+// modulo scheduling shows up directly in that phase's counters.
+func (s *Scheduler) tryII(l *Loop, deps []Dep, ii int, out *Schedule) bool {
+	probe, mod := &s.probe, s.probe.Mod
 	n := len(l.Body.Ops)
 	budget := s.Budget * n
 
@@ -306,7 +279,7 @@ func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps
 
 	issue := make([]int, n)
 	placed := make([]bool, n)
-	sel := make([]check.Selection, n)
+	sel := make([]probeplan.Selection, n)
 	neverScheduled := make([]bool, n)
 	for i := range neverScheduled {
 		neverScheduled[i] = true
@@ -371,23 +344,11 @@ func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps
 
 		// Try II consecutive slots; each try is a scheduling attempt.
 		chosen := -1
-		var chosenSel check.Selection
-		if !probe.Obs.PerAttempt() {
-			// Batch fast path: one CheckWindow pass over the II-wide
-			// window, accounting-equivalent to the serial loop below and
-			// allocation-free on failed cycles.
-			if se, at, ok := mm.CheckWindow(con, estart, estart+ii, &out.Counters); ok {
-				chosen = at
-				chosenSel = se
-			}
-		} else {
-			for t := estart; t < estart+ii; t++ {
-				se, ok, _ := probe.Probe(obs.PhaseModulo, opIdx, op.Opcode, con, t, &out.Counters)
-				if ok {
-					chosen = t
-					chosenSel = se
-					break
-				}
+		var chosenSel probeplan.Selection
+		for t := estart; t < estart+ii; t++ {
+			if se, ok, _ := probe.Probe(obs.PhaseModulo, opIdx, op.Opcode, con, t, &out.Counters); ok {
+				chosen, chosenSel = t, se.Selection
+				break
 			}
 		}
 		if chosen < 0 {
@@ -396,8 +357,7 @@ func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps
 			if !neverScheduled[opIdx] && chosen <= lastTried[opIdx] {
 				chosen = lastTried[opIdx] + 1
 			}
-			evicted := mm.EvictConflicts(con, chosen)
-			for _, v := range evicted {
+			for _, v := range mod.Evict(con, chosen) {
 				if v != opIdx && placed[v] {
 					placed[v] = false
 					out.Evictions++
@@ -411,9 +371,9 @@ func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps
 				// self-collision); this II is infeasible for this op.
 				return false
 			}
-			chosenSel = se
+			chosenSel = se.Selection
 		}
-		mm.ReserveFor(chosenSel, int32(opIdx))
+		mod.Reserve(chosenSel, opIdx)
 		issue[opIdx] = chosen
 		sel[opIdx] = chosenSel
 		placed[opIdx] = true
@@ -426,7 +386,7 @@ func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps
 				continue
 			}
 			if issue[d.To] < chosen+d.MinDist-d.Omega*ii {
-				mm.ReleaseFor(sel[d.To], int32(d.To))
+				mod.Release(sel[d.To], d.To)
 				placed[d.To] = false
 				out.Evictions++
 				out.Counters.Backtracks++
@@ -438,7 +398,7 @@ func (s *Scheduler) tryII(mm *check.Modulo, probe *resctx.Context, l *Loop, deps
 				continue
 			}
 			if chosen < issue[d.From]+d.MinDist-d.Omega*ii {
-				mm.ReleaseFor(sel[d.From], int32(d.From))
+				mod.Release(sel[d.From], d.From)
 				placed[d.From] = false
 				out.Evictions++
 				out.Counters.Backtracks++

@@ -1,7 +1,7 @@
 package modsched
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"mdes/internal/check"
@@ -9,6 +9,7 @@ import (
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
+	"mdes/internal/obs"
 	"mdes/internal/opt"
 	"mdes/internal/probeplan"
 	"mdes/internal/resctx"
@@ -417,41 +418,45 @@ func TestForcedPlacementAndEviction(t *testing.T) {
 	replayIterations(t, ll, l, sched, 5)
 }
 
-// Direct tests of the modulo map's unscheduling primitives.
+// Direct tests of the folded table's unscheduling primitives.
 func TestModMapEvictionPrimitives(t *testing.T) {
 	ll := pipeMDES(t, opt.LevelNone)
 	con := ll.Constraints[ll.ClassIndex["load"]] // M@0
-	m := check.NewModulo(ll.NumResources, 1)
+	m := probeplan.NewModulo(resctx.FrozenPlan(ll), 1)
 	var c stats.Counters
 
 	sel, ok := m.Check(con, 0, &c)
 	if !ok {
 		t.Fatalf("empty map check failed")
 	}
-	m.ReserveFor(sel, 7)
+	m.Reserve(sel, 7)
 	// At II=1 every issue cycle folds onto slot 0: any second load collides.
 	if _, ok := m.Check(con, 1, &c); ok {
 		t.Fatalf("modulo collision missed")
 	}
 	// Evicting for a forced placement at issue 1 removes op 7.
-	victims := m.EvictConflicts(con, 1)
+	victims := m.Evict(con, 1)
 	if len(victims) != 1 || victims[0] != 7 {
 		t.Fatalf("victims = %v", victims)
 	}
 	if _, ok := m.Check(con, 1, &c); !ok {
 		t.Fatalf("slots not freed by eviction")
 	}
-	// Release is a no-op for zero selections and removes valid ones.
-	m.ReleaseFor(check.Selection{}, 3)
+	// Release frees only the slots its operation still owns.
 	sel2, _ := m.Check(con, 1, &c)
-	m.ReserveFor(sel2, 9)
-	m.ReleaseFor(sel2, 9)
+	m.Reserve(sel2, 9)
+	m.Release(sel2, 3)
+	if _, ok := m.Check(con, 1, &c); ok {
+		t.Fatalf("release freed another operation's slot")
+	}
+	m.Release(sel2, 9)
 	if _, ok := m.Check(con, 1, &c); !ok {
 		t.Fatalf("release did not free slots")
 	}
-	m.Reset()
+	m.Reserve(sel2, 9)
+	m.Configure(1)
 	if _, ok := m.Check(con, 0, &c); !ok {
-		t.Fatalf("reset did not clear")
+		t.Fatalf("configure did not clear")
 	}
 }
 
@@ -468,13 +473,13 @@ func TestModMapSelfCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	ll := lowlevel.Compile(mach, lowlevel.FormAndOr)
-	m := check.NewModulo(ll.NumResources, 1)
+	m := probeplan.NewModulo(resctx.FrozenPlan(ll), 1)
 	var c stats.Counters
 	if _, ok := m.Check(ll.Constraints[0], 0, &c); ok {
 		t.Fatalf("self-colliding option accepted at II=1")
 	}
-	m2 := check.NewModulo(ll.NumResources, 2)
-	if _, ok := m2.Check(ll.Constraints[0], 0, &c); !ok {
+	m.Configure(2)
+	if _, ok := m.Check(ll.Constraints[0], 0, &c); !ok {
 		t.Fatalf("option rejected at II=2")
 	}
 	// The scheduler finds II=2 for one divide per iteration.
@@ -491,29 +496,52 @@ func TestModMapSelfCollision(t *testing.T) {
 	}
 }
 
-func TestTimingLatencyAdapter(t *testing.T) {
-	ll := pipeMDES(t, opt.LevelNone)
-	tm := mdesTiming{m: ll}
-	if tm.Latency("MUL") != 2 || tm.Latency("NOPE") != 1 {
-		t.Fatalf("Latency adapter wrong: %d %d", tm.Latency("MUL"), tm.Latency("NOPE"))
+// The observed path: a scheduler on a context borrowed from a pool that a
+// metrics view observes schedules exactly as an unobserved one, and the
+// registry's modulo phase and the pool's totals both equal the sum of the
+// Schedules' counters.
+func TestObservedModuloMatchesUnobserved(t *testing.T) {
+	mach, err := machines.Load(machines.SuperSPARC)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// NewWithKind enforces the capability gate: iterative modulo scheduling
-// unschedules operations, so backends that cannot release must be refused
-// up front with an actionable error.
-func TestNewWithKindCapabilityGate(t *testing.T) {
-	ll := pipeMDES(t, opt.LevelFull)
-	cx := &resctx.Context{}
-
-	if _, err := NewWithKind(ll, cx, check.KindProbePlan); err != nil {
-		t.Fatalf("probeplan backend refused: %v", err)
+	compile := func() *lowlevel.MDES {
+		ll := lowlevel.Compile(mach, lowlevel.FormAndOr)
+		opt.Apply(ll, opt.LevelFull, opt.Forward)
+		return ll
 	}
-	_, err := NewWithKind(ll, cx, check.KindAutomaton)
-	if err == nil {
-		t.Fatalf("automaton backend accepted for modulo scheduling")
+	plain := New(compile())
+	ll := compile()
+	f, err := check.NewFactory(ll, check.KindProbePlan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "release") {
-		t.Fatalf("error does not name the missing capability: %v", err)
+	reg := obs.NewRegistry(ll.ConstraintNames(), ll.ResourceNames)
+	pool := resctx.NewPoolFor(f)
+	pool.Observe(&obs.Views{Metrics: reg, MDES: ll})
+	cx := pool.Get()
+	observed := NewWithContext(ll, cx)
+	var sum stats.Counters
+	for li, l := range moduloCorpus(t, machines.SuperSPARC)[:40] {
+		want, err := plain.Schedule(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := observed.Schedule(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.II != want.II || !slices.Equal(got.Issue, want.Issue) || got.Counters != want.Counters ||
+			got.Evictions != want.Evictions || got.TriedIIs != want.TriedIIs {
+			t.Fatalf("loop %d: observed %+v, unobserved %+v", li, got, want)
+		}
+		sum.Add(got.Counters)
+	}
+	cx.Release()
+	p := reg.Snapshot().Phases[obs.PhaseModulo]
+	phase := stats.Counters{Attempts: p.Attempts, OptionsChecked: p.OptionsChecked,
+		ResourceChecks: p.ResourceChecks, Conflicts: p.Conflicts, Backtracks: p.Backtracks}
+	if phase != sum || pool.Totals() != sum {
+		t.Fatalf("modulo phase %+v, pool totals %+v, schedules %+v", phase, pool.Totals(), sum)
 	}
 }

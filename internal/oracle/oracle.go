@@ -36,6 +36,8 @@ type Slot struct {
 // single-goroutine mutable state, like the checkers it references.
 type Oracle struct {
 	mdes *lowlevel.MDES
+	// ii, when positive, folds every slot's cycle modulo ii (see Fold).
+	ii   int
 	busy map[Slot]bool
 	// trail remembers each placement's slots so Unplace can undo the most
 	// recent one (the naive analog of Checker.Release).
@@ -64,12 +66,37 @@ func (o *Oracle) Reset() {
 	o.trail = nil
 }
 
+// Fold frees every slot and folds the table modulo ii: from then on slot
+// (res, c) is (res, c mod ii), the modulo reservation table of software
+// pipelining, and an option with two usages that fold onto one slot
+// never fits.
+func (o *Oracle) Fold(ii int) {
+	o.Reset()
+	o.ii = ii
+}
+
+// slot returns the table cell usage u occupies when its operation issues
+// at cycle issue.
+func (o *Oracle) slot(u lowlevel.Usage, issue int) Slot {
+	c := issue + int(u.Time)
+	if o.ii > 0 {
+		c = (c%o.ii + o.ii) % o.ii
+	}
+	return Slot{Res: int(u.Res), Cycle: c}
+}
+
 // optionFits reports whether every usage of the flat option is free when
 // the operation issues at cycle issue.
 func (o *Oracle) optionFits(opt *lowlevel.Option, issue int) bool {
-	for _, u := range opt.Usages {
-		if o.busy[Slot{Res: int(u.Res), Cycle: issue + int(u.Time)}] {
+	for i, u := range opt.Usages {
+		s := o.slot(u, issue)
+		if o.busy[s] {
 			return false
+		}
+		for _, v := range opt.Usages[:i] {
+			if o.ii > 0 && o.slot(v, issue) == s {
+				return false
+			}
 		}
 	}
 	return true
@@ -104,7 +131,7 @@ func (o *Oracle) Place(opIdx, issue int) bool {
 	}
 	slots := make([]Slot, 0, len(opt.Usages))
 	for _, u := range opt.Usages {
-		s := Slot{Res: int(u.Res), Cycle: issue + int(u.Time)}
+		s := o.slot(u, issue)
 		o.busy[s] = true
 		slots = append(slots, s)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/probeplan"
@@ -181,3 +182,33 @@ func TestOracleScheduleInOrder(t *testing.T) {
 // lowlevel import is load-bearing for the compile the oracle wraps; keep
 // the explicit reference so the dependency is visible in this test file.
 var _ = lowlevel.FormOR
+
+// Fold maps every slot to its cycle modulo II: a reservation blocks the
+// same resource II cycles later, and an option whose own usages land on
+// one folded slot never fits.
+func TestFoldWrapsAndSelfCollides(t *testing.T) {
+	mach, err := hmdes.Load("fold", `machine F {
+	  resource A;
+	  resource D;
+	  class a { use A @ 0; }
+	  class d { use D @ 0, D @ 2; }
+	  operation OA class a latency 1;
+	  operation OD class d latency 3;
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orc := New(mach)
+	a, d := orc.MDES().OpIndex["OA"], orc.MDES().OpIndex["OD"]
+	orc.Fold(3)
+	if !orc.Place(a, 1) || orc.Probe(a, 4) || orc.Probe(a, -2) || !orc.Probe(a, 5) {
+		t.Fatal("A reserved at cycle 1 must block cycles 4 and -2 only, at II 3")
+	}
+	if !orc.Probe(d, 0) {
+		t.Fatal("D @ 0 and D @ 2 collided at II 3")
+	}
+	orc.Fold(2)
+	if orc.Probe(d, 0) || !orc.Probe(a, 1) {
+		t.Fatal("Fold(2) must free every slot and refuse D @ 0, D @ 2")
+	}
+}

@@ -120,7 +120,7 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 		}
 		scratch[ti-tlo] = found
 	}
-	return p.commit(con, issue, scratch), true
+	return commit(&p.chosen, con, issue, scratch), true
 }
 
 // CheckWindow probes the half-open window of candidate issue cycles
@@ -164,18 +164,18 @@ issue:
 			}
 			scratch[ti-tlo] = found
 		}
-		return p.commit(con, issue, scratch), issue, true
+		return commit(&p.chosen, con, issue, scratch), issue, true
 	}
 	return Selection{}, 0, false
 }
 
-// commit copies one successful probe's per-tree choices into the arena and
-// builds its Selection; the full-capacity slice expression pins the arena
-// segment so later appends can never alias it.
-func (p *Prober) commit(con *lowlevel.Constraint, issue int, scratch []int) Selection {
-	start := len(p.chosen)
-	p.chosen = append(p.chosen, scratch...)
-	return Selection{Constraint: con, Issue: issue, Chosen: p.chosen[start:len(p.chosen):len(p.chosen)]}
+// commit copies one successful probe's per-tree choices into the
+// selection arena and builds its Selection; the full-capacity slice
+// expression pins the arena segment so later appends can never alias it.
+func commit(arena *[]int, con *lowlevel.Constraint, issue int, scratch []int) Selection {
+	start := len(*arena)
+	*arena = append(*arena, scratch...)
+	return Selection{Constraint: con, Issue: issue, Chosen: (*arena)[start:len(*arena):len(*arena)]}
 }
 
 // optionProbe walks one option's word span, accounting one resource check

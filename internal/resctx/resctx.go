@@ -6,9 +6,10 @@
 // copy (the paper's premise is that one description serves a compiler's
 // hottest inner loop; in a long-running service the same artifact must
 // serve many inner loops at once). All per-client mutable state — the
-// conflict checker (internal/check backend instance), the instrumentation
-// counters, the observation buffer, and the selection scratch buffers —
-// lives in a Context instead. Consumers (the list schedulers, the query
+// reservation table (the probe-plan prober, the modulo scheduler's folded
+// table or the automaton checker), the instrumentation counters, the
+// observation buffer, and the selection scratch buffers — lives in a
+// Context instead. Consumers (the list schedulers, the query
 // interface, the modulo scheduler) borrow a Context, run against the
 // shared MDES, and return it.
 //
@@ -44,17 +45,17 @@ import (
 // against one shared compiled MDES. A Context must not be used from more
 // than one goroutine at a time; borrow one per goroutine instead.
 //
-// Exactly one of PP and Checker is set on a context that probes: PP for
-// the reservation-table engine, Checker for the §10 automaton or a
-// private map (the modulo scheduler probes its modulo map through a
-// context sharing its borrowed buffer). A context that only accounts
-// carries neither.
+// At most one of PP, Mod and Checker is set: PP for the reservation-table
+// engine, Mod for the modulo scheduler's folded table (probed through a
+// context sharing the scheduler's borrowed buffer), Checker for the §10
+// automaton. A context that only accounts carries none.
 type Context struct {
 	// PP is the probe-plan prober — the reservation-table engine every
 	// scheduler, the query layer and the Engine probe by default.
 	PP *probeplan.Prober
-	// Checker is the automaton backend (check.KindAutomaton), or the
-	// modulo scheduler's private map; nil whenever PP is set.
+	// Mod is the probe plan folded modulo an initiation interval.
+	Mod *probeplan.Modulo
+	// Checker is the automaton backend (check.KindAutomaton).
 	Checker check.Checker
 	// Arena is the per-context scratch allocator for schedule-sized
 	// scratch slices; the list scheduler carves all per-block state from
@@ -81,15 +82,20 @@ type Context struct {
 	released bool
 }
 
-// Standalone freezes m, compiles its probe plan and returns a standalone
-// (unpooled) Context probing it — the one-call setup behind sched.New and
-// query.New. Freezing makes the plan a faithful snapshot: the
-// transformation pipeline refuses a frozen description, so no later pass
-// can leave the context probing stale spans. It panics with the
-// validator's or the planner's message when m cannot be frozen or
-// planned. Release on a standalone Context is a no-op, so single-client
-// code can treat pooled and unpooled Contexts uniformly.
+// Standalone returns a standalone (unpooled) Context probing m's
+// FrozenPlan — the one-call setup behind sched.New and query.New. Release
+// on a standalone Context is a no-op, so single-client code can treat
+// pooled and unpooled Contexts uniformly.
 func Standalone(m *lowlevel.MDES) *Context {
+	return &Context{PP: probeplan.NewProber(FrozenPlan(m))}
+}
+
+// FrozenPlan freezes m and compiles its probe plan. Freezing makes the
+// plan a faithful snapshot: the transformation pipeline refuses a frozen
+// description, so no later pass can leave a prober walking stale spans.
+// It panics with the validator's or the planner's message when m cannot
+// be frozen or planned.
+func FrozenPlan(m *lowlevel.MDES) *probeplan.Plan {
 	if err := m.Freeze(); err != nil {
 		panic(err)
 	}
@@ -97,7 +103,7 @@ func Standalone(m *lowlevel.MDES) *Context {
 	if err != nil {
 		panic(err)
 	}
-	return &Context{PP: probeplan.NewProber(plan)}
+	return plan
 }
 
 // adopt installs a checker: the probe-plan backend is unwrapped into PP,
@@ -159,6 +165,8 @@ func (c *Context) Probe(phase obs.Phase, op int, opcode string, con *lowlevel.Co
 	var ok bool
 	if c.PP != nil {
 		sel.Selection, ok = c.PP.Check(con, cycle, ctr)
+	} else if c.Mod != nil {
+		sel.Selection, ok = c.Mod.Check(con, cycle, ctr)
 	} else {
 		sel, ok = c.Checker.Check(con, cycle, ctr)
 	}

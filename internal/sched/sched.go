@@ -117,8 +117,11 @@ func (s *Scheduler) done(phase obs.Phase, n int, res *Result, err error) (*Resul
 	return res, nil
 }
 
-// timing adapts the compiled MDES's operand-level distances (latency,
-// source sample time, bypasses) to the IR graph builder.
+// Timing adapts the compiled MDES's operand-level distances (latency,
+// source sample time, bypasses) to the IR graph builder; the list and
+// modulo schedulers build their dependence graphs with it.
+func Timing(m *lowlevel.MDES) ir.Timing { return timing{m: m} }
+
 type timing struct{ m *lowlevel.MDES }
 
 func (t timing) FlowDist(producer, consumer *ir.Operation) int {

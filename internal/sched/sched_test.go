@@ -322,7 +322,7 @@ func TestAccessorsAndTimingAdapters(t *testing.T) {
 	if s.MDES().MachineName != "TwoIssue" {
 		t.Fatalf("MDES() = %q", s.MDES().MachineName)
 	}
-	tm := timing{m: s.MDES()}
+	tm := Timing(s.MDES())
 	if tm.Latency("MUL") != 3 || tm.Latency("NOPE") != 1 {
 		t.Fatalf("timing.Latency wrong")
 	}

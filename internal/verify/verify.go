@@ -9,10 +9,12 @@
 // every description the pipeline can produce — OR and AND/OR forms, each
 // optimization pass applied one at a time (so a divergence names the pass
 // that introduced it), both shift directions, the persisted arena, and
-// every checker backend (probe plan, automaton, modulo) — asserting
-// byte-identical issue cycles and, on backends that allow random-access
-// probes, identical boolean answers over an exhaustive (operation × cycle)
-// probe grid around the schedule.
+// every reservation engine (probe plan, automaton, the plan folded modulo
+// an initiation interval) — asserting byte-identical issue cycles and, on
+// engines that allow random-access probes, identical boolean answers over
+// an exhaustive (operation × cycle) probe grid around the schedule. The
+// fold is also checked at small initiation intervals, where usages wrap,
+// against the oracle folded the same way.
 //
 // Machines come from internal/mdgen, so a failing seed is a complete
 // reproducer; failures are delta-minimized to the smallest spec that still
@@ -259,7 +261,18 @@ func checkMachine(mach *hmdes.Machine, streamSeed int64, c *stats.Counters) erro
 		return err
 	}
 
-	// Stage 6: the query layer must answer identically over the original
+	// Stage 6: the fold at initiation intervals narrow enough to wrap,
+	// over the OR forms: one tree per constraint keeps greedy option
+	// choice the oracle's. On AND/OR forms, hoist-common-usages moves a
+	// usage into a tree probed later, and the fold can then refuse a
+	// placement the folded flat table accepts (DESIGN.md §10).
+	for _, m := range []*lowlevel.MDES{orNone, orFull} {
+		if err := diffFold(orc, m, stream, arrivals, c); err != nil {
+			return err
+		}
+	}
+
+	// Stage 7: the query layer must answer identically over the original
 	// and fully-optimized descriptions.
 	return diffQuery(orNone, and, c)
 }
@@ -333,9 +346,8 @@ func schedule(m *lowlevel.MDES, ck check.Checker, stream, arrivals []int, c *sta
 // diffBackend replays the stream through ck over m, requires the issue
 // cycles to match the oracle's byte for byte, and — when the backend
 // supports random-access probes — sweeps the probe grid against the
-// oracle's answers. gridLo clamps the sweep's lower cycle (the modulo
-// backend wraps negative cycles, so its sweep starts at zero).
-func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arrivals, want []int, grid [][]bool, w window, gridLo int, c *stats.Counters) error {
+// oracle's answers.
+func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
 	got, err := schedule(m, ck, stream, arrivals, c)
 	if err != nil {
 		return stageErrf(stage, "%v", err)
@@ -352,9 +364,6 @@ func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arriv
 	for op := range grid {
 		con := m.ConstraintFor(op, false)
 		for cycle := w.lo; cycle <= w.hi; cycle++ {
-			if cycle < gridLo {
-				continue
-			}
 			_, got := ck.Check(con, cycle, c)
 			if want := grid[op][cycle-w.lo]; got != want {
 				return stageErrf(stage, "probe diverged: op %s at cycle %d: backend=%v oracle=%v",
@@ -387,7 +396,7 @@ func diffPlan(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid
 	if err != nil {
 		return nil, err
 	}
-	if err := diffBackend(stage, m, ck, stream, arrivals, want, grid, w, w.lo, c); err != nil {
+	if err := diffBackend(stage, m, ck, stream, arrivals, want, grid, w, c); err != nil {
 		return nil, err
 	}
 	pp := ck.Prober()
@@ -471,18 +480,76 @@ func diffAutomaton(m *lowlevel.MDES, stream, arrivals, want []int, c *stats.Coun
 		}
 		return nil // genuinely ineligible; nothing to compare
 	}
-	return diffBackend(stage, m, f.New(), stream, arrivals, want, nil, window{}, 0, c)
+	return diffBackend(stage, m, f.New(), stream, arrivals, want, nil, window{}, c)
 }
 
-// diffModulo replays the stream through the modulo-map backend at an
-// initiation interval wider than every reserved or probed cycle, where
-// wrapping cannot occur and the backend must agree with the acyclic
-// answer exactly.
+// diffModulo replays the stream through the plan folded at an initiation
+// interval wider than every reserved or probed cycle, where wrapping
+// cannot occur and the fold must agree with the acyclic answer exactly:
+// each operation must first fit at the oracle's issue cycle, and the
+// probe grid from cycle zero on (negative cycles wrap) must match.
 func diffModulo(m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
+	const stage = "backend/modulo"
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		return stageErrf(stage, "cannot plan: %v", err)
+	}
 	_, hi := oracle.TimeBounds(m)
-	ii := w.hi + hi + 8
-	ck := check.NewModulo(m.NumResources, ii)
-	return diffBackend("backend/modulo", m, ck, stream, arrivals, want, grid, w, 0, c)
+	mod := probeplan.NewModulo(plan, w.hi+hi+8)
+	prev := 0
+	for i, opIdx := range stream {
+		con := m.ConstraintFor(opIdx, false)
+		for cycle := max(arrivals[i], prev); ; cycle++ {
+			sel, ok := mod.Check(con, cycle, c)
+			if ok != (cycle == want[i]) {
+				return stageErrf(stage, "schedule diverged: op %d (%s) fits at %d: %v; oracle issued at %d",
+					i, m.Operations[opIdx].Name, cycle, ok, want[i])
+			}
+			if ok {
+				mod.Reserve(sel, i)
+				break
+			}
+		}
+		prev = want[i]
+	}
+	for op := range grid {
+		con := m.ConstraintFor(op, false)
+		for cycle := 0; cycle <= w.hi; cycle++ {
+			_, got := mod.Check(con, cycle, c)
+			if want := grid[op][cycle-w.lo]; got != want {
+				return stageErrf(stage, "probe diverged: op %s at cycle %d: fold=%v oracle=%v",
+					m.Operations[op].Name, cycle, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// diffFold probes each operation of the stream at its arrival cycle on
+// the plan folded at small initiation intervals, placing it when it fits;
+// the fold and the oracle folded the same way must agree at every step.
+func diffFold(orc *oracle.Oracle, m *lowlevel.MDES, stream, arrivals []int, c *stats.Counters) error {
+	const stage = "backend/modulo-fold"
+	plan, err := probeplan.Compile(m)
+	if err != nil {
+		return stageErrf(stage, "cannot plan: %v", err)
+	}
+	mod := probeplan.NewModulo(plan, 1)
+	for _, ii := range []int{1, 2, 3, 5, 8} {
+		mod.Configure(ii)
+		orc.Fold(ii)
+		for i, opIdx := range stream {
+			sel, ok := mod.Check(m.ConstraintFor(opIdx, false), arrivals[i], c)
+			if want := orc.Place(opIdx, arrivals[i]); ok != want {
+				return stageErrf(stage, "II %d: op %d (%s) at cycle %d: fold=%v oracle=%v",
+					ii, i, m.Operations[opIdx].Name, arrivals[i], ok, want)
+			}
+			if ok {
+				mod.Reserve(sel, i)
+			}
+		}
+	}
+	return nil
 }
 
 // compareSlots requires the prober's reserved slots after the replay to

@@ -346,7 +346,8 @@ func ServeMetrics(addr string, m *Metrics, opts ...ServerOption) (*obs.Server, e
 // capability and speed, not in the schedules they produce — the automaton
 // cannot release reservations, attribute conflicts to a blocking
 // operation, or probe backward, so backward/operation-driven scheduling
-// and modulo scheduling refuse it.
+// refuse it. Modulo scheduling takes no backend: it always probes the
+// probe plan folded modulo the initiation interval.
 type CheckerKind = check.Kind
 
 // Selectable checker backends.
