@@ -3,9 +3,13 @@ package mdes_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mdes"
+	"mdes/internal/ir"
+	"mdes/internal/modsched"
 	"mdes/internal/workload"
 )
 
@@ -108,6 +112,37 @@ func TestEngineScheduleBlocksPropagatesError(t *testing.T) {
 	blocks = append(blocks, bad)
 	if _, _, err := eng.ScheduleBlocks(context.Background(), blocks, 4); err == nil {
 		t.Fatal("expected error for unknown opcode")
+	}
+}
+
+// Every scheduler refuses a register outside [0, MaxRegister) with an
+// error naming the operation and the register, before the graph builder
+// sizes a per-register table by it.
+func TestSchedulersRefuseOutOfRangeRegisters(t *testing.T) {
+	eng := newTestEngine(t, mdes.SuperSPARC)
+	s := mdes.NewScheduler(eng.Compiled())
+	mod := modsched.New(eng.Compiled())
+	for _, reg := range []int{-1, ir.MaxRegister} {
+		ops := []*mdes.IROperation{
+			{Opcode: "ADD1", Dests: []int{1}, Srcs: []int{0}},
+			{Opcode: "ADD1", Dests: []int{2}, Srcs: []int{1, reg}},
+		}
+		b := &mdes.Block{Ops: ops}
+		for name, run := range map[string]func() error{
+			"ScheduleBlock":         func() error { _, err := s.ScheduleBlock(b); return err },
+			"ScheduleBlockBackward": func() error { _, err := s.ScheduleBlockBackward(b); return err },
+			"ScheduleBlockOpDriven": func() error { _, err := s.ScheduleBlockOpDriven(b); return err },
+			"Engine.ScheduleBlock":  func() error { _, err := eng.ScheduleBlock(b); return err },
+			"modsched.Schedule":     func() error { _, err := mod.Schedule(&modsched.Loop{Body: b}); return err },
+		} {
+			err := run()
+			if err == nil {
+				t.Fatalf("%s accepted register %d", name, reg)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "op 1") || !strings.Contains(msg, fmt.Sprintf("register %d ", reg)) {
+				t.Fatalf("%s: error %q does not name op 1 and register %d", name, msg, reg)
+			}
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ const (
 	// KindProbePlan is the default (zero) backend: the paper's packed
 	// AND/OR-tree reservation-table check, with the description compiled
 	// once into contiguous span arrays of packed probe words
-	// (internal/probeplan), walked by slice iteration with window probing
-	// and arena-backed selections.
+	// (internal/probeplan), walked by slice iteration with arena-backed
+	// selections.
 	KindProbePlan Kind = iota
 	// KindAutomaton is the §10 related-work backend: memoized transitions
 	// of a lazily-built collision DFA shared across all contexts.

@@ -1,17 +1,17 @@
 package ir
 
-// Builder is a reusable dependence-graph constructor: it produces exactly
-// the edges, in exactly the order, of BuildGraphTiming, but keeps every
-// piece of construction scratch — per-register writer/reader tables,
-// edge-list backings, the Graph itself — alive between blocks, so
-// steady-state graph building allocates only when a block needs more
-// capacity than any before it.
+import "fmt"
+
+// Builder is the dependence-graph constructor. It keeps every piece of
+// construction scratch — per-register writer/reader tables, edge-list
+// backings, the Graph itself — alive between blocks, so steady-state
+// graph building allocates only when a block needs more capacity than
+// any before it.
 //
 // Register tables are epoch-stamped instead of cleared: each Build bumps
 // an epoch counter and a table entry is live only when its stamp matches,
 // so resetting costs nothing regardless of how many registers earlier
-// blocks touched. Blocks with negative register numbers (outside the
-// dense table) fall back to the map-based BuildGraphTiming.
+// blocks touched.
 //
 // The returned Graph borrows the builder's backings and is valid until
 // the next Build. A Builder serves one goroutine at a time.
@@ -29,27 +29,33 @@ type Builder struct {
 	loadsSince []int32
 }
 
-// Build constructs the block's dependence graph (see BuildGraphTiming for
-// the edge rules), reusing the builder's scratch.
-func (bl *Builder) Build(b *Block, tm Timing) *Graph {
+// Build constructs the dependence DAG for a block, reusing the builder's
+// scratch:
+//
+//   - flow (true) dependences from each register's last writer to its
+//     readers, with distance tm.FlowDist — except into cascaded
+//     consumers, where the distance is 0 (same-cycle execution);
+//   - anti dependences from readers to the next writer, distance 0;
+//   - output dependences between successive writers, distance 1;
+//   - memory edges: store→{load,store} distance 1, load→store distance 0
+//     (no alias analysis: all memory operations conflict);
+//   - control edges from every operation to the block's final branch,
+//     distance 0, and from the branch to nothing (branches end blocks).
+//
+// Every edge goes from a lower to a higher position. Build treats the
+// block as read-only, so shared blocks may be graphed and scheduled
+// concurrently. It refuses a block with a register outside
+// [0, MaxRegister) before sizing any table by it.
+func (bl *Builder) Build(b *Block, tm Timing) (*Graph, error) {
 	n := len(b.Ops)
 	maxReg := -1
-	for _, op := range b.Ops {
-		for _, r := range op.Srcs {
-			if r < 0 {
-				return BuildGraphTiming(b, tm)
-			}
-			if r > maxReg {
-				maxReg = r
-			}
+	for i, op := range b.Ops {
+		r, err := maxRegister(op.Srcs, op.Dests)
+		if err != nil {
+			return nil, fmt.Errorf("ir: op %d (%s): %w", i, op.Opcode, err)
 		}
-		for _, r := range op.Dests {
-			if r < 0 {
-				return BuildGraphTiming(b, tm)
-			}
-			if r > maxReg {
-				maxReg = r
-			}
+		if r > maxReg {
+			maxReg = r
 		}
 	}
 	for len(bl.lastWriter) <= maxReg {
@@ -102,7 +108,7 @@ func (bl *Builder) Build(b *Block, tm Timing) *Graph {
 		for _, r := range op.Srcs {
 			if bl.writerEpoch[r] == epoch {
 				w := int(bl.lastWriter[r])
-				dist := tm.FlowDist(b.Ops[w], op)
+				dist := tm.FlowDist(w, i)
 				if op.Cascaded {
 					dist = 0
 				}
@@ -152,5 +158,5 @@ func (bl *Builder) Build(b *Block, tm Timing) *Graph {
 	}
 
 	bl.graph = Graph{Block: b, Succs: bl.succs, Preds: bl.preds}
-	return &bl.graph
+	return &bl.graph, nil
 }

@@ -21,7 +21,6 @@ import (
 	"mdes/internal/obs"
 	"mdes/internal/probeplan"
 	"mdes/internal/resctx"
-	"mdes/internal/sched"
 	"mdes/internal/stats"
 )
 
@@ -99,17 +98,32 @@ func NewWithContext(m *lowlevel.MDES, cx *resctx.Context) *Scheduler {
 	return &Scheduler{mdes: m, cx: cx, probe: resctx.Context{Mod: mod}, Budget: 6}
 }
 
-// deps builds the full dependence set: intra-iteration from the IR graph
-// plus the loop's carried edges.
+// deps builds the full dependence set: intra-iteration from the body's
+// graph, built on the context's builder, plus the loop's carried edges.
+// It refuses opcodes the description lacks and, through the builder,
+// out-of-range registers.
 func (s *Scheduler) deps(l *Loop) ([]Dep, error) {
-	g := ir.BuildGraphTiming(l.Body, sched.Timing(s.mdes))
+	n := len(l.Body.Ops)
+	s.cx.Arena.Reset()
+	opIdxs := s.cx.Arena.Ints(n)
+	for i, op := range l.Body.Ops {
+		idx, ok := s.mdes.OpIndex[op.Opcode]
+		if !ok {
+			return nil, fmt.Errorf("modsched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
+		}
+		opIdxs[i] = idx
+	}
+	s.cx.Timing = lowlevel.BlockTiming{M: s.mdes, OpIdxs: opIdxs}
+	g, err := s.cx.Builder.Build(l.Body, &s.cx.Timing)
+	if err != nil {
+		return nil, fmt.Errorf("modsched: %w", err)
+	}
 	var deps []Dep
 	for _, edges := range g.Succs {
 		for _, e := range edges {
 			deps = append(deps, Dep{From: e.From, To: e.To, MinDist: e.MinDist})
 		}
 	}
-	n := len(l.Body.Ops)
 	for _, d := range l.Carried {
 		if d.Omega < 1 {
 			return nil, fmt.Errorf("modsched: carried dependence %d->%d has omega %d < 1", d.From, d.To, d.Omega)
@@ -202,12 +216,13 @@ func (s *Scheduler) MII(l *Loop) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.mii(l, deps), nil
+}
+
+// mii is MII over the loop's already-built dependences.
+func (s *Scheduler) mii(l *Loop, deps []Dep) int {
 	res := s.ResMII(l)
-	rec := RecMII(len(l.Body.Ops), deps, res+len(l.Body.Ops)*8+64)
-	if rec > res {
-		return rec, nil
-	}
-	return res, nil
+	return max(res, RecMII(len(l.Body.Ops), deps, res+len(l.Body.Ops)*8+64))
 }
 
 // Schedule software-pipelines the loop, searching IIs upward from MII.
@@ -236,18 +251,12 @@ func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
 		if op.Branch {
 			return result, fmt.Errorf("modsched: loop body must be branch-free (op %d)", op.ID)
 		}
-		if _, ok := s.mdes.OpIndex[op.Opcode]; !ok {
-			return result, fmt.Errorf("modsched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
-		}
 	}
 	deps, err := s.deps(l)
 	if err != nil {
 		return result, err
 	}
-	mii, err := s.MII(l)
-	if err != nil {
-		return result, err
-	}
+	mii := s.mii(l, deps)
 	maxII := s.MaxII
 	if maxII == 0 {
 		maxII = 4 * (mii + len(l.Body.Ops))

@@ -88,7 +88,7 @@ func TestResMIIBindsOnMemoryPort(t *testing.T) {
 		op("LD", []int{3}, []int{0}),
 	}}}
 	// Loads are serialized by nothing else; drop the implicit mem edges by
-	// marking them loads only (BuildGraph adds store ordering only).
+	// marking them loads only (the graph builder adds store ordering only).
 	mii, err := s.MII(l)
 	if err != nil {
 		t.Fatal(err)

@@ -143,8 +143,7 @@ func (l *Local) Begin() {
 
 // PerAttempt reports whether any attached view consumes Attempt events.
 // With none — no views, or the flight recorder alone — probes skip the
-// events, and the schedulers may take their batch window paths. A nil
-// buffer has none.
+// events. A nil buffer has none.
 func (l *Local) PerAttempt() bool { return l != nil && l.probes }
 
 // Attributes reports whether the attempt just reported, having failed,

@@ -22,6 +22,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -664,6 +665,19 @@ func HoistCommonUsages(m *lowlevel.MDES) Report {
 					}
 					m.Trees = append(m.Trees, target)
 					c.Trees = append(c.Trees, target)
+				}
+				// Probe the target before the tree it hoists from, as the
+				// unhoisted tree probed the usage with its options: a
+				// greedy probe commits to the first free option of each
+				// tree in turn, and where another of the tree's usages can
+				// collide with the hoisted one (a modulo fold), probing the
+				// tree first commits to an option the unhoisted
+				// description would have skipped. A later target (a new
+				// one is last) moves to t's index.
+				if k := slices.Index(c.Trees, target); k > ti {
+					copy(c.Trees[ti+1:k+1], c.Trees[ti:k])
+					c.Trees[ti] = target
+					ti++
 				}
 				// Options may be pooled (shared) after CSE even when their
 				// trees are not, so modified options are always replaced

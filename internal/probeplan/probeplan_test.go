@@ -386,58 +386,6 @@ func TestQuickFormsEquivalent(t *testing.T) {
 	}
 }
 
-// CheckWindow must be accounting-equivalent to the serial Check loop it
-// replaces: the same first feasible cycle, the same selection, and the
-// same counter deltas, whether or not the window contains a feasible cycle.
-func TestCheckWindowMatchesSerial(t *testing.T) {
-	ll := compile(t, tinySrc, lowlevel.FormAndOr)
-	opt.PackBitVectors(ll)
-	p := mustPlan(t, ll)
-	batch := NewProber(p)
-	serial := NewProber(p)
-	con := ll.Constraints[0]
-
-	// Fill cycles 0..2 so windows start with conflicts.
-	for cycle := 0; cycle < 3; cycle++ {
-		var c stats.Counters
-		sb, ok := batch.Check(con, cycle, &c)
-		if !ok {
-			t.Fatalf("setup probe at %d failed", cycle)
-		}
-		batch.Reserve(sb)
-		ss, _ := serial.Check(con, cycle, &c)
-		serial.Reserve(ss)
-	}
-
-	for _, w := range [][2]int{{0, 6}, {0, 2}, {2, 2}, {-3, 1}, {3, 64}} {
-		var cb, cs stats.Counters
-		selB, atB, okB := batch.CheckWindow(con, w[0], w[1], &cb)
-
-		okS := false
-		atS := 0
-		var selS Selection
-		for cycle := w[0]; cycle < w[1]; cycle++ {
-			if sel, ok := serial.Check(con, cycle, &cs); ok {
-				selS, atS, okS = sel, cycle, true
-				break
-			}
-		}
-		if okB != okS || (okB && atB != atS) {
-			t.Fatalf("window %v: batch=(%v,%d) serial=(%v,%d)", w, okB, atB, okS, atS)
-		}
-		if cb != cs {
-			t.Fatalf("window %v: counters diverged: batch=%+v serial=%+v", w, cb, cs)
-		}
-		if okB {
-			for i := range selB.Chosen {
-				if selB.Chosen[i] != selS.Chosen[i] {
-					t.Fatalf("window %v: choice %d diverged", w, i)
-				}
-			}
-		}
-	}
-}
-
 func TestNegativeCycleGrowth(t *testing.T) {
 	ll := compile(t, negSrc, lowlevel.FormAndOr)
 	p := mustPlan(t, ll)

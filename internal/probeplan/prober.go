@@ -23,7 +23,7 @@ type Selection struct {
 // plus the selection arena. A Prober serves one goroutine at a time; the
 // Plan it walks is shared read-only.
 //
-// Selections returned by Check and CheckWindow borrow their Chosen slices
+// Selections returned by Check borrow their Chosen slices
 // from an append-only arena owned by the Prober and stay valid until the
 // next Reset — long enough for the query layer, which retains several
 // selections across probes before releasing them, and exactly the
@@ -121,52 +121,6 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 		scratch[ti-tlo] = found
 	}
 	return commit(&p.chosen, con, issue, scratch), true
-}
-
-// CheckWindow probes the half-open window of candidate issue cycles
-// [lo, hi) in one flat pass, sliding the plan's packed words across the
-// reservation rows, and returns the first satisfiable cycle. It is
-// accounting-equivalent to calling Check on each cycle in order and
-// stopping at the first success — one Attempt per cycle probed, the same
-// short-circuits — so batch and serial paths produce identical counters
-// as well as identical selections.
-func (p *Prober) CheckWindow(con *lowlevel.Constraint, lo, hi int, c *stats.Counters) (Selection, int, bool) {
-	tlo, thi := p.plan.spanFor(con)
-	scratch := p.scratch[:thi-tlo]
-	words := p.plan.words
-	optStart, treeStart := p.plan.optStart, p.plan.treeStart
-	rows, rowWords, base, nrows := p.rows, p.plan.RowWords, p.base, p.nrows
-issue:
-	for issue := lo; issue < hi; issue++ {
-		c.Attempts++
-		for ti := tlo; ti < thi; ti++ {
-			found := -1
-			for oi := treeStart[ti]; oi < treeStart[ti+1]; oi++ {
-				c.OptionsChecked++
-				free := true
-				for wi := optStart[oi]; wi < optStart[oi+1]; wi++ {
-					c.ResourceChecks++
-					w := words[wi]
-					r := issue + int(w.Time) - base
-					if uint(r) < uint(nrows) && rows[r*rowWords+int(w.Widx)]&w.Mask != 0 {
-						free = false
-						break
-					}
-				}
-				if free {
-					found = int(oi - treeStart[ti])
-					break
-				}
-			}
-			if found < 0 {
-				c.Conflicts++
-				continue issue
-			}
-			scratch[ti-tlo] = found
-		}
-		return commit(&p.chosen, con, issue, scratch), issue, true
-	}
-	return Selection{}, 0, false
 }
 
 // commit copies one successful probe's per-tree choices into the

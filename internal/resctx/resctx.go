@@ -58,13 +58,17 @@ type Context struct {
 	// Checker is the automaton backend (check.KindAutomaton).
 	Checker check.Checker
 	// Arena is the per-context scratch allocator for schedule-sized
-	// scratch slices; the list scheduler carves all per-block state from
-	// it, so the steady-state probe loop allocates nothing.
+	// scratch slices; the block schedulers carve all per-block state
+	// from it, so the steady-state probe loop allocates nothing.
 	Arena Arena
-	// Builder is the reusable dependence-graph constructor the list
-	// scheduler builds every block's graph with; its scratch persists
-	// across the blocks and borrows of this context.
+	// Builder is the dependence-graph constructor every scheduler
+	// builds its blocks' graphs with; its scratch persists across the
+	// blocks and borrows of this context.
 	Builder ir.Builder
+	// Timing is the Builder's timing adapter, pointed at each block's
+	// hoisted operation indices; living here, it reaches the Builder
+	// as an interface without an allocation.
+	Timing lowlevel.BlockTiming
 	// Counters accumulates the attempts / options checked / resource
 	// checks performed through this context since it was borrowed.
 	Counters stats.Counters

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
 	"mdes/internal/ir"
@@ -24,16 +23,13 @@ func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
 	return s.done(obs.PhaseOpDriven, len(b.Ops), res, err)
 }
 
-// opDriven is ScheduleBlockOpDriven's body (see list).
+// opDriven is ScheduleBlockOpDriven's body, on the forward setup the
+// cycle-driven loop uses.
 func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
-	g := ir.BuildGraphTiming(b, timing{m: s.mdes})
-	n := len(g.Block.Ops)
+	n := len(b.Ops)
 	res := &Result{Issue: make([]int, n)}
 	if n == 0 {
 		return res, nil
-	}
-	if err := s.checkOpcodes(g.Block); err != nil {
-		return res, err
 	}
 	// Operation-driven scheduling probes each operation from its own
 	// earliest start, revisiting cycles earlier ops already passed, so the
@@ -41,113 +37,96 @@ func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
 	if caps := s.cx.Capabilities(); caps.MonotonicOnly {
 		return res, fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the %s backend is monotonic-only", caps.Backend)
 	}
-	height := g.Height(s.Latency)
-	s.cx.ResetReservations()
-
-	npreds := make([]int, n)
-	estart := make([]int, n)
-	for i := range g.Block.Ops {
-		npreds[i] = len(g.Preds[i])
+	bl, err := s.setup(b, forward.sign)
+	if err != nil {
+		return res, err
 	}
-
-	// Ready queue ordered by (height desc, index asc).
-	pq := &opHeap{height: height}
-	for i := 0; i < n; i++ {
-		if npreds[i] == 0 {
-			heap.Push(pq, i)
+	ar := &s.cx.Arena
+	npreds := ar.Ints(n)
+	estart := ar.Ints(n)
+	ready := readyHeap{items: ar.Ints(n)[:0], prio: bl.prio}
+	for i := range npreds {
+		if npreds[i] = len(bl.wait[i]); npreds[i] == 0 {
+			ready.push(i)
 		}
 	}
 
-	scheduled := 0
-	for pq.Len() > 0 {
-		i := heap.Pop(pq).(int)
-		op := g.Block.Ops[i]
-		con := s.mdes.ConstraintFor(s.mdes.OpIndex[op.Opcode], op.Cascaded)
-
+	for len(ready.items) > 0 {
+		i := ready.pop()
+		op := b.Ops[i]
+		con := s.mdes.ConstraintFor(bl.opIdxs[i], op.Cascaded)
 		cycle := estart[i]
-		if pp := s.cx.PP; pp != nil && !s.cx.Obs.PerAttempt() && s.OptionsHist == nil && s.OnAttempt == nil {
-			// Window path: probe 64-cycle windows in one CheckWindow pass
-			// per window instead of re-entering Check per cycle. The
-			// prober's contract makes this accounting-equivalent to the
-			// serial loop below, and no per-attempt observer is attached,
-			// so results and counters are identical.
-			limit := estart[i] + 64*n + 1024
-			found := false
-			for lo := cycle; lo <= limit; {
-				hi := lo + 64
-				if hi > limit+1 {
-					hi = limit + 1
-				}
-				if sel, at, ok := pp.CheckWindow(con, lo, hi, &res.Counters); ok {
-					cycle = at
-					pp.Reserve(sel)
-					found = true
-					break
-				}
-				lo = hi
+		for {
+			sel, ok := s.attempt(obs.PhaseOpDriven, i, op, con, cycle, &res.Counters)
+			if ok {
+				s.cx.Reserve(sel)
+				break
 			}
-			if !found {
-				return res, fmt.Errorf("sched: op %d found no cycle", i)
-			}
-		} else {
-			for {
-				sel, ok := s.attempt(obs.PhaseOpDriven, i, op, con, cycle, &res.Counters)
-				if ok {
-					s.cx.Reserve(sel)
-					break
-				}
-				cycle++
-				if cycle > estart[i]+64*n+1024 {
-					return res, fmt.Errorf("sched: op %d found no cycle", i)
-				}
+			cycle++
+			if cycle-estart[i] >= bl.horizon {
+				return res, fmt.Errorf("sched: op %d found no cycle within %d of its earliest start", i, bl.horizon)
 			}
 		}
 		res.Issue[i] = cycle
-		scheduled++
-		for _, e := range g.Succs[i] {
+		res.Length = max(res.Length, cycle+1)
+		for _, e := range bl.next[i] {
 			if v := cycle + e.MinDist; v > estart[e.To] {
 				estart[e.To] = v
 			}
-			npreds[e.To]--
-			if npreds[e.To] == 0 {
-				heap.Push(pq, e.To)
+			if npreds[e.To]--; npreds[e.To] == 0 {
+				ready.push(e.To)
 			}
 		}
 	}
-	if scheduled != n {
-		return res, fmt.Errorf("sched: deadlock, scheduled %d of %d", scheduled, n)
-	}
-	for _, c := range res.Issue {
-		if c+1 > res.Length {
-			res.Length = c + 1
-		}
-	}
 	if s.SelfCheck {
-		return res, g.CheckSchedule(res.Issue)
+		return res, bl.g.CheckSchedule(res.Issue)
 	}
 	return res, nil
 }
 
-// opHeap is a max-heap of operation indices by height, ties to lower index.
-type opHeap struct {
-	items  []int
-	height []int
+// readyHeap is a binary max-heap of operation indices by priority, ties
+// to the lower index, over a caller-provided backing (the arena's; each
+// operation is pushed once, so n slots never grow).
+type readyHeap struct {
+	items []int
+	prio  []int
 }
 
-func (h *opHeap) Len() int { return len(h.items) }
-func (h *opHeap) Less(a, b int) bool {
+func (h *readyHeap) before(a, b int) bool {
 	x, y := h.items[a], h.items[b]
-	if h.height[x] != h.height[y] {
-		return h.height[x] > h.height[y]
-	}
-	return x < y
+	return h.prio[x] > h.prio[y] || (h.prio[x] == h.prio[y] && x < y)
 }
-func (h *opHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *opHeap) Push(x interface{}) { h.items = append(h.items, x.(int)) }
-func (h *opHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
+
+func (h *readyHeap) push(i int) {
+	h.items = append(h.items, i)
+	for c := len(h.items) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !h.before(c, p) {
+			break
+		}
+		h.items[c], h.items[p] = h.items[p], h.items[c]
+		c = p
+	}
+}
+
+func (h *readyHeap) pop() int {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, p) {
+			break
+		}
+		h.items[c], h.items[p] = h.items[p], h.items[c]
+		p = c
+	}
+	return top
 }

@@ -319,22 +319,14 @@ func TestCascadedClassUsed(t *testing.T) {
 
 func TestAccessorsAndTimingAdapters(t *testing.T) {
 	s := newSched(t, lowlevel.FormAndOr, opt.LevelNone)
-	if s.MDES().MachineName != "TwoIssue" {
-		t.Fatalf("MDES() = %q", s.MDES().MachineName)
+	m := s.MDES()
+	if m.MachineName != "TwoIssue" {
+		t.Fatalf("MDES() = %q", m.MachineName)
 	}
-	tm := Timing(s.MDES())
-	if tm.Latency("MUL") != 3 || tm.Latency("NOPE") != 1 {
-		t.Fatalf("timing.Latency wrong")
+	// The one timing adapter resolves block positions through hoisted
+	// operation indices: MUL (latency 3) feeding ADD (latency 1).
+	tm := lowlevel.BlockTiming{M: m, OpIdxs: []int{m.OpIndex["MUL"], m.OpIndex["ADD"]}}
+	if tm.FlowDist(0, 1) != 3 || tm.FlowDist(1, 0) != 1 || tm.FlowDist(0, 0) != 3 {
+		t.Fatalf("FlowDist = %d, %d, %d", tm.FlowDist(0, 1), tm.FlowDist(1, 0), tm.FlowDist(0, 0))
 	}
-	known := &ir.Operation{Opcode: "MUL"}
-	unknown := &ir.Operation{Opcode: "NOPE"}
-	if tm.FlowDist(known, unknown) != 1 || tm.FlowDist(unknown, known) != 1 {
-		t.Fatalf("FlowDist unknown-opcode fallback wrong")
-	}
-	if tm.FlowDist(known, known) != 3 {
-		t.Fatalf("FlowDist(MUL,MUL) = %d", tm.FlowDist(known, known))
-	}
-	defer func() { recover() }()
-	s.Latency("NOPE") // must panic
-	t.Fatalf("Latency did not panic")
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"mdes/internal/hmdes"
 	"mdes/internal/ir"
 	"mdes/internal/machines"
 )
@@ -206,6 +207,16 @@ func TestOpcodeMixRoughlyMatchesWeights(t *testing.T) {
 	}
 }
 
+// latencies is an ir.Timing whose flow distance is the producer's latency.
+type latencies struct {
+	m *hmdes.Machine
+	b *ir.Block
+}
+
+func (t latencies) FlowDist(producer, _ int) int {
+	return t.m.Operations[t.b.Ops[producer].Opcode].Latency
+}
+
 func TestGraphsBuildOnGeneratedCode(t *testing.T) {
 	for _, n := range machines.AllExtended {
 		m := machines.MustLoad(n)
@@ -213,9 +224,12 @@ func TestGraphsBuildOnGeneratedCode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat := func(opc string) int { return m.Operations[opc].Latency }
+		var bl ir.Builder
 		for _, b := range p.Blocks {
-			g := ir.BuildGraph(b, lat)
+			g, err := bl.Build(b, latencies{m, b})
+			if err != nil {
+				t.Fatalf("%s: %v", n, err)
+			}
 			if err := g.Validate(); err != nil {
 				t.Fatalf("%s: %v", n, err)
 			}

@@ -355,8 +355,7 @@ const (
 	// CheckerProbePlan is the default (zero) backend: the paper's packed
 	// AND/OR-tree reservation-table check, with the description compiled
 	// into flat span arrays of packed probe words walked by slice
-	// iteration, multi-cycle window probing, and allocation-free
-	// schedulers.
+	// iteration, and allocation-free schedulers.
 	CheckerProbePlan = check.KindProbePlan
 	// CheckerAutomaton is the §10 baseline: memoized transitions of a
 	// lazily-built collision DFA shared across all of the engine's
