@@ -7,8 +7,8 @@ package resctx
 // a caller may hold several live slices across further carves; nothing
 // carved survives a Reset.
 //
-// The list scheduler carves all of a block's scratch (ready flags,
-// predecessor counts, earliest-start times, priority order) from its
+// The block schedulers carve all of a block's scratch (opcode indices,
+// priorities, ready order, wait counts, earliest-start times) from their
 // context's arena, so steady-state scheduling performs no per-block
 // scratch allocation — the arena-backed lifetime the prober's
 // valid-until-Reset selections share.
