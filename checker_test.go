@@ -127,6 +127,41 @@ func TestCheckerBackendsEquivalentParallel(t *testing.T) {
 	}
 }
 
+// The query layer runs on either backend: it clears the reservation
+// table instead of releasing trial placements, so every Engine.Query
+// answer on the automaton engine, and the attempts and conflicts behind
+// it, equal the probe-plan engine's.
+func TestQueryBackendsAgree(t *testing.T) {
+	for _, name := range []mdes.BuiltinName{mdes.PA7100, mdes.Pentium, mdes.SuperSPARC, mdes.K5} {
+		ppEng := newCheckerEngine(t, name, mdes.CheckerProbePlan)
+		pp, au := ppEng.Query(), newCheckerEngine(t, name, mdes.CheckerAutomaton).Query()
+		answers := func(q *mdes.Query, a, b string) string {
+			together, err1 := q.CanIssueTogether(a, b, a)
+			perCycle, err2 := q.MaxPerCycle(a, 8)
+			dist, err3 := q.MinIssueDistance(a, b, 32)
+			use, err4 := q.ResourceUse(a)
+			return fmt.Sprint(together, perCycle, dist, use, err1, err2, err3, err4)
+		}
+		for _, x := range ppEng.Compiled().Operations {
+			for _, y := range ppEng.Compiled().Operations {
+				if got, want := answers(au, x.Name, y.Name), answers(pp, x.Name, y.Name); got != want {
+					t.Fatalf("%s %s/%s: automaton %s, probe plan %s", name, x.Name, y.Name, got, want)
+				}
+			}
+		}
+		if got, want := au.IssueWidth(8), pp.IssueWidth(8); got != want {
+			t.Fatalf("%s: IssueWidth automaton %d, probe plan %d", name, got, want)
+		}
+		ca, cp := au.Counters(), pp.Counters()
+		if ca.Attempts != cp.Attempts || ca.Conflicts != cp.Conflicts {
+			t.Fatalf("%s: automaton attempts=%d conflicts=%d, probe plan attempts=%d conflicts=%d",
+				name, ca.Attempts, ca.Conflicts, cp.Attempts, cp.Conflicts)
+		}
+		au.Close()
+		pp.Close()
+	}
+}
+
 // BenchmarkChecker is the backend ablation: the same workload scheduled
 // through each conflict-checker backend. The probe-plan case is the
 // default engine's hot path; the automaton case trades table-build time

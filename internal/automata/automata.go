@@ -16,6 +16,13 @@
 // Construction requires all usage times to be non-negative (run the
 // usage-time shift first — opt.ShiftUsageTimes — exactly as automata
 // papers assume issue-relative usages).
+//
+// Shared serves one frozen description to many concurrent contexts, each
+// walking it with its own Cursor: the backend a resctx.Context holds as
+// Auto when an engine selects the automaton. A cursor only moves forward
+// and cannot release, so the schedulers that probe backward or revisit
+// earlier cycles refuse it, and iterative modulo scheduling never takes
+// it.
 package automata
 
 import (
@@ -24,6 +31,8 @@ import (
 	"sync/atomic"
 
 	"mdes/internal/lowlevel"
+	"mdes/internal/probeplan"
+	"mdes/internal/stats"
 )
 
 // state is the resource occupancy of the issue window: one word per
@@ -303,3 +312,71 @@ func (s *Shared) Lookups() int64 { return s.lookups.Load() }
 
 // Misses returns the queries that had to construct a new transition.
 func (s *Shared) Misses() int64 { return s.misses.Load() }
+
+// Cursor is one context's walk over a Shared automaton: the current DFA
+// state and its cycle. Asking "can class C issue at cycle c?" is a
+// memoized transition lookup; the accounting unit is one resource check
+// per transition consulted (issue or advance), the automaton analog of
+// one probed mask.
+//
+// The cursor only moves forward: probes must use non-decreasing issue
+// cycles, reservations cannot be released, and a failed probe cannot
+// name the blocking operation — the exact trade-off the paper describes
+// for automaton-based hazard detection. A Cursor serves one goroutine at
+// a time.
+type Cursor struct {
+	shared *Shared
+
+	state int
+	cycle int
+	// next is the successor state of the last successful Check, which
+	// Reserve commits.
+	next int
+}
+
+// NewCursor returns a cursor at the empty-window start state.
+func (s *Shared) NewCursor() *Cursor { return &Cursor{shared: s} }
+
+// Check tests whether con can issue at cycle issue, accounting one
+// Attempt, one option and one resource check per transition consulted
+// into c. Checking at a cycle beyond the cursor commits the intervening
+// cycle advances (time passage, not reservation); checking before the
+// cursor panics, since the window has already shifted past it. The
+// selection's Chosen is the transition's recorded option choice, shared
+// with every cursor and read-only.
+func (cur *Cursor) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (probeplan.Selection, bool) {
+	cons := cur.shared.a.mdes.Constraints
+	class := con.Index
+	if class < 0 || class >= len(cons) || cons[class] != con {
+		panic(fmt.Sprintf("automata: constraint %q not in the automaton's MDES", con.Name))
+	}
+	if issue < cur.cycle {
+		panic(fmt.Sprintf("automata: probed at cycle %d behind the cursor at %d (monotonic only)", issue, cur.cycle))
+	}
+	for cur.cycle < issue {
+		cur.state = cur.shared.Advance(cur.state)
+		cur.cycle++
+		c.ResourceChecks++
+	}
+	c.Attempts++
+	c.OptionsChecked++
+	c.ResourceChecks++
+	next, chosen, ok := cur.shared.TryIssue(cur.state, class)
+	if !ok {
+		c.Conflicts++
+		return probeplan.Selection{}, false
+	}
+	cur.next = next
+	return probeplan.Selection{Constraint: con, Issue: issue, Chosen: chosen}, true
+}
+
+// Reserve commits the successor state of the last successful Check,
+// which must be the one that returned sel.
+func (cur *Cursor) Reserve(sel probeplan.Selection) { cur.state = cur.next }
+
+// Reset returns the cursor to the empty-window start state at cycle
+// zero. The shared DFA and its memoized transitions are retained.
+func (cur *Cursor) Reset() {
+	cur.state = cur.shared.Start()
+	cur.cycle = 0
+}

@@ -1,7 +1,9 @@
 package automata
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mdes/internal/hmdes"
@@ -223,4 +225,37 @@ func TestStateCountsBounded(t *testing.T) {
 	}
 	t.Logf("states=%d memory=%dB lookups=%d misses=%d",
 		a.States(), a.MemoryBytes(), a.Lookups, a.Misses)
+}
+
+// A cursor only moves forward: a probe behind the cycle it has reached
+// panics instead of answering from a window that has already shifted.
+func TestAutomatonMonotonicPanics(t *testing.T) {
+	m, err := hmdes.Load("tiny", `
+machine Tiny {
+    resource Decoder[2];
+    resource ALU;
+    class alu { use ALU @ 0; one_of Decoder[0..1] @ 0; }
+    operation ADD class alu latency 1;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll := lowlevel.Compile(m, lowlevel.FormAndOr)
+	sh, err := NewShared(ll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := sh.NewCursor()
+	var c stats.Counters
+	if _, ok := cur.Check(ll.Constraints[0], 3, &c); !ok {
+		t.Fatalf("probe at 3 failed on empty window")
+	}
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "behind the cursor") {
+			t.Fatalf("probe behind the cursor: recovered %v", r)
+		}
+	}()
+	cur.Check(ll.Constraints[0], 1, &c)
 }

@@ -8,11 +8,11 @@ import (
 	"os"
 	"strings"
 
-	"mdes/internal/check"
 	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
+	"mdes/internal/resctx"
 )
 
 // LoadMachine loads either a built-in machine (by name) or a user source
@@ -42,22 +42,14 @@ func FormatCheckerKinds() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "available -checker backends:\n")
 	fmt.Fprintf(&b, "  %-10s %-8s %s\n", "name", "release", "probing")
-	for _, k := range check.Kinds() {
-		caps := check.Caps(k)
-		probing := "random-access"
-		if caps.MonotonicOnly {
-			probing = "monotonic-only"
+	for _, k := range resctx.Kinds() {
+		release, probing := "yes", "random-access"
+		if k == resctx.KindAutomaton {
+			release, probing = "no", "monotonic-only"
 		}
-		fmt.Fprintf(&b, "  %-10s %-8s %s\n", caps.Backend, yesNo(caps.CanRelease), probing)
+		fmt.Fprintf(&b, "  %-10s %-8s %s\n", k, release, probing)
 	}
 	return b.String()
-}
-
-func yesNo(ok bool) string {
-	if ok {
-		return "yes"
-	}
-	return "no"
 }
 
 // ParseForm parses a representation-form flag.

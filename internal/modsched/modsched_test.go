@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"mdes/internal/check"
 	"mdes/internal/hmdes"
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
@@ -512,12 +511,11 @@ func TestObservedModuloMatchesUnobserved(t *testing.T) {
 	}
 	plain := New(compile())
 	ll := compile()
-	f, err := check.NewFactory(ll, check.KindProbePlan)
+	pool, err := resctx.NewPool(ll, resctx.KindProbePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry(ll.ConstraintNames(), ll.ResourceNames)
-	pool := resctx.NewPoolFor(f)
 	pool.Observe(&obs.Views{Metrics: reg, MDES: ll})
 	cx := pool.Get()
 	observed := NewWithContext(ll, cx)

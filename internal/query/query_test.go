@@ -6,7 +6,10 @@ import (
 
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
+	"mdes/internal/obs"
 	"mdes/internal/opt"
+	"mdes/internal/resctx"
+	"mdes/internal/stats"
 )
 
 func newQ(t *testing.T, name machines.Name, level opt.Level) *Q {
@@ -186,4 +189,43 @@ func TestMustLatency(t *testing.T) {
 		}
 	}()
 	q.MustLatency("NOPE")
+}
+
+// A query starts from an idle machine and leaves one behind, on either
+// backend: afterwards the probe plan holds no reserved slot, and every
+// operation fits at cycle 0 again — which on the automaton also means
+// its cursor is back at cycle 0, since a probe behind it panics.
+func TestQueriesLeaveNoReservation(t *testing.T) {
+	for _, name := range []machines.Name{machines.SuperSPARC, machines.K5} {
+		ll := lowlevel.Compile(machines.MustLoad(name), lowlevel.FormAndOr)
+		opt.Apply(ll, opt.LevelFull, opt.Forward)
+		a, b := ll.Operations[0].Name, ll.Operations[1].Name
+		for _, kind := range resctx.Kinds() {
+			pool, err := resctx.NewPool(ll, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cx := pool.Get()
+			q := NewWithContext(ll, cx)
+			for method, call := range map[string]func(){
+				"CanIssueTogether": func() { q.CanIssueTogether(a, b, a, b) },
+				"MaxPerCycle":      func() { q.MaxPerCycle(a, 8) },
+				"MinIssueDistance": func() { q.MinIssueDistance(a, a, 32) },
+				"IssueWidth":       func() { q.IssueWidth(8) },
+				"ResourceUse":      func() { q.ResourceUse(a) },
+			} {
+				call()
+				if cx.PP != nil && len(cx.PP.AppendReservedSlots(nil)) != 0 {
+					t.Fatalf("%s/%s: %s left slots %v", name, kind, method, cx.PP.AppendReservedSlots(nil))
+				}
+				var c stats.Counters
+				for op := range ll.Operations {
+					if _, ok, _ := cx.Probe(obs.PhaseQuery, -1, "", ll.ConstraintFor(op, false), 0, &c); !ok {
+						t.Fatalf("%s/%s: after %s, %s no longer fits at cycle 0", name, kind, method, ll.Operations[op].Name)
+					}
+				}
+			}
+			q.Close()
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"mdes/internal/check"
 	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
@@ -26,23 +25,42 @@ machine Tiny {
 }
 `
 
-func tinyMDES(t *testing.T) *lowlevel.MDES {
+// negSrc uses a negative usage time, which the automaton construction
+// rejects until the usage-time shift has run.
+const negSrc = `
+machine Neg {
+    resource Decoder[2];
+    resource ALU;
+
+    class alu {
+        use ALU @ 0;
+        one_of Decoder[0..1] @ -1;
+    }
+    operation ADD class alu latency 1;
+}
+`
+
+func compile(t *testing.T, src string) *lowlevel.MDES {
 	t.Helper()
-	m, err := hmdes.Load("tiny", tinySrc)
+	m, err := hmdes.Load("test", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return lowlevel.Compile(m, lowlevel.FormAndOr)
 }
 
-func testPool(t *testing.T) *Pool {
+func tinyMDES(t *testing.T) *lowlevel.MDES { return compile(t, tinySrc) }
+
+func newPool(t *testing.T, m *lowlevel.MDES, kind Kind) *Pool {
 	t.Helper()
-	f, err := check.NewFactory(tinyMDES(t), check.KindProbePlan)
+	p, err := NewPool(m, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPoolFor(f)
+	return p
 }
+
+func testPool(t *testing.T) *Pool { return newPool(t, tinyMDES(t), KindProbePlan) }
 
 // reserveADD reserves one ADD at cycle 0 through the context.
 func reserveADD(t *testing.T, c *Context, m *lowlevel.MDES) {
@@ -65,18 +83,10 @@ func TestStandaloneReleaseIsNoop(t *testing.T) {
 
 func TestPoolRecyclesAndAggregates(t *testing.T) {
 	m := tinyMDES(t)
-	f, err := check.NewFactory(m, check.KindProbePlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPoolFor(f)
+	p := newPool(t, m, KindProbePlan)
 	c := p.Get()
-	if c.PP == nil || c.Checker != nil {
-		t.Fatal("pooled probe-plan context must carry the prober and no interface checker")
-	}
 	reserveADD(t, c, m)
 	c.Counters = stats.Counters{Attempts: 3, OptionsChecked: 5, ResourceChecks: 11}
-	c.Sels = append(c.Sels, check.Selection{})
 	c.Release()
 
 	got := p.Totals()
@@ -89,8 +99,8 @@ func TestPoolRecyclesAndAggregates(t *testing.T) {
 	if c2.Counters != (stats.Counters{}) {
 		t.Fatalf("recycled context has stale counters: %+v", c2.Counters)
 	}
-	if len(c2.Sels) != 0 || len(c2.PP.AppendReservedSlots(nil)) != 0 {
-		t.Fatalf("recycled context has stale selections %v or reservations", c2.Sels)
+	if len(c2.PP.AppendReservedSlots(nil)) != 0 {
+		t.Fatal("recycled context has stale reservations")
 	}
 	c2.Release()
 }
@@ -120,10 +130,9 @@ func TestResetClearsReservations(t *testing.T) {
 	m := tinyMDES(t)
 	c := Standalone(m)
 	reserveADD(t, c, m)
-	c.Sels = append(c.Sels, check.Selection{})
 	c.Reset()
-	if c.Counters != (stats.Counters{}) || len(c.Sels) != 0 || len(c.PP.AppendReservedSlots(nil)) != 0 {
-		t.Fatalf("Reset left state: %+v sels=%v slots=%v", c.Counters, c.Sels, c.PP.AppendReservedSlots(nil))
+	if c.Counters != (stats.Counters{}) || len(c.PP.AppendReservedSlots(nil)) != 0 {
+		t.Fatalf("Reset left state: %+v slots=%v", c.Counters, c.PP.AppendReservedSlots(nil))
 	}
 }
 
@@ -191,11 +200,7 @@ func TestDoubleReleaseDoesNotAliasContexts(t *testing.T) {
 // observedPool returns a pool over m whose contexts fold into views.
 func observedPool(t *testing.T, m *lowlevel.MDES, v *obs.Views) *Pool {
 	t.Helper()
-	f, err := check.NewFactory(m, check.KindProbePlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPoolFor(f)
+	p := newPool(t, m, KindProbePlan)
 	p.Observe(v)
 	return p
 }
@@ -296,4 +301,129 @@ func TestPoolWithoutFlightHasNoRing(t *testing.T) {
 		t.Fatal("context has an observation buffer with no views attached")
 	}
 	c.Release()
+}
+
+// Each backend is the concrete table its contexts hold, and that table
+// is what the backend can do: the prober probes behind a reservation and
+// releases it; the automaton cursor does neither, so the random-access
+// schedulers refuse a context whose Auto is set.
+func TestCapabilityMatrix(t *testing.T) {
+	if Kind(0) != KindProbePlan || Kinds()[0] != KindProbePlan {
+		t.Fatalf("the zero Kind and the first listed backend must be probeplan")
+	}
+	m := tinyMDES(t)
+	pp := newPool(t, m, KindProbePlan).Get()
+	if pp.PP == nil || pp.Mod != nil || pp.Auto != nil {
+		t.Fatalf("probeplan context holds %+v", pp)
+	}
+	con := m.Constraints[0]
+	var c stats.Counters
+	sel, ok := pp.PP.Check(con, 3, &c)
+	if !ok {
+		t.Fatal("ADD did not fit an empty reservation table at 3")
+	}
+	pp.Reserve(sel)
+	if _, ok, _ := pp.Probe(obs.PhaseList, 0, "ADD", con, 1, &c); !ok {
+		t.Fatal("probe-plan context refused a probe behind its reservation")
+	}
+	pp.PP.Release(sel)
+	if len(pp.PP.AppendReservedSlots(nil)) != 0 {
+		t.Fatal("Release left the reservation in place")
+	}
+	au := newPool(t, m, KindAutomaton).Get()
+	if au.Auto == nil || au.PP != nil || au.Mod != nil {
+		t.Fatalf("automaton context holds %+v", au)
+	}
+}
+
+func TestParseKindRoundTrip(t *testing.T) {
+	for _, k := range Kinds() {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for _, name := range []string{"bitmap", "rumap"} {
+		_, err := ParseKind(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown checker backend") {
+			t.Fatalf("ParseKind(%q) = %v, want the unknown-backend error", name, err)
+		}
+	}
+}
+
+func TestFactoryRejectsIneligibleAutomaton(t *testing.T) {
+	m := compile(t, negSrc)
+	if _, err := NewPool(m, KindAutomaton); err == nil {
+		t.Fatalf("automaton pool accepted negative usage times")
+	}
+	// The same description is fine for the default backend.
+	if _, err := NewPool(m, KindProbePlan); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPool(tinyMDES(t), Kind(7)); err == nil {
+		t.Fatal("NewPool accepted an unknown backend")
+	}
+}
+
+// Both backends must agree through the context on a machine with a real
+// structural hazard: Tiny has 2 decoders and 1 ALU, so two ADDs fit in a
+// cycle only if the ALU were free — it is not, so the second probe at the
+// same cycle must fail on both backends.
+func TestBackendsAgreeThroughInterface(t *testing.T) {
+	for _, kind := range Kinds() {
+		m := tinyMDES(t)
+		con := m.Constraints[0]
+		cx := newPool(t, m, kind).Get()
+		var c stats.Counters
+		sel, ok, _ := cx.Probe(obs.PhaseList, 0, "ADD", con, 0, &c)
+		if !ok {
+			t.Fatalf("%s: first issue at 0 failed", kind)
+		}
+		cx.Reserve(sel)
+		if _, ok, _ := cx.Probe(obs.PhaseList, 1, "ADD", con, 0, &c); ok {
+			t.Fatalf("%s: ALU double-booked at cycle 0", kind)
+		}
+		if _, ok, _ := cx.Probe(obs.PhaseList, 1, "ADD", con, 1, &c); !ok {
+			t.Fatalf("%s: issue at 1 failed after ALU freed", kind)
+		}
+		if c.Attempts != 3 || c.Conflicts != 1 {
+			t.Fatalf("%s: counters %+v", kind, c)
+		}
+	}
+}
+
+// Conflict attribution is the probe-plan prober's walk alone: a context
+// on the automaton backend counts a failed probe as a conflict but names
+// no blocking resource, because DFA states keep no reservation identity.
+func TestAutomatonExplainFindsNothing(t *testing.T) {
+	m := compile(t, `
+machine Tiny {
+    resource ALU;
+    class alu { use ALU @ 0; }
+    operation ADD class alu latency 1;
+}
+`)
+	reg := obs.NewRegistry(m.ConstraintNames(), m.ResourceNames)
+	p := newPool(t, m, KindAutomaton)
+	p.Observe(&obs.Views{Metrics: reg, MDES: m})
+	cx := p.Get()
+	con := m.Constraints[0]
+	sel, ok, _ := cx.Probe(obs.PhaseList, 0, "ADD", con, 0, &cx.Counters)
+	if !ok {
+		t.Fatal("first ADD did not issue")
+	}
+	cx.Reserve(sel)
+	if _, ok, _ := cx.Probe(obs.PhaseList, 1, "ADD", con, 0, &cx.Counters); ok {
+		t.Fatal("second ADD issued on a busy ALU")
+	}
+	cx.Release()
+	s := reg.Snapshot()
+	if s.Phases[obs.PhaseList].Conflicts != 1 {
+		t.Fatalf("conflicts = %d, want 1", s.Phases[obs.PhaseList].Conflicts)
+	}
+	for _, r := range s.Resources {
+		if r.Conflicts != 0 {
+			t.Fatalf("automaton attributed a conflict to %s", r.Resource)
+		}
+	}
 }

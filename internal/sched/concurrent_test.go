@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"mdes/internal/check"
 	"mdes/internal/lowlevel"
 	"mdes/internal/machines"
 	"mdes/internal/opt"
@@ -45,11 +44,10 @@ func TestConcurrentSchedulersShareFrozenMDES(t *testing.T) {
 				wantLen[i] = r.Length
 			}
 
-			f, err := check.NewFactory(m, check.KindProbePlan)
+			pool, err := resctx.NewPool(m, resctx.KindProbePlan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pool := resctx.NewPoolFor(f)
 			const goroutines = 8
 			var wg sync.WaitGroup
 			errs := make([]error, goroutines)

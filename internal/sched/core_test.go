@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"mdes/internal/machines"
 	"mdes/internal/mdgen"
 	"mdes/internal/opt"
+	"mdes/internal/resctx"
 	"mdes/internal/workload"
 )
 
@@ -143,5 +145,46 @@ func TestSchedulersAllocateLikeList(t *testing.T) {
 	}
 	if perBlock["list"] > 2 {
 		t.Errorf("list allocates %.2f per block, want at most 2 (Result, Issue)", perBlock["list"])
+	}
+}
+
+// On an automaton context the random-access schedulers refuse up front
+// with the monotonic-only error instead of panicking in the cursor, and
+// the refusal leaves the context fit for the forward list scheduler.
+func TestRandomAccessSchedulersRefuseAutomaton(t *testing.T) {
+	ll := lowlevel.Compile(machines.MustLoad(machines.K5), lowlevel.FormAndOr)
+	opt.Apply(ll, opt.LevelFull, opt.Forward)
+	prog, err := workload.Generate(workload.Config{Machine: machines.K5, NumOps: 200, Seed: 1996})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := resctx.NewPool(ll, resctx.KindAutomaton)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx := pool.Get()
+	defer cx.Release()
+	s := NewWithContext(ll, cx)
+	ref := New(ll)
+	for bi, b := range prog.Blocks {
+		for name, run := range map[string]func(*ir.Block) (*Result, error){
+			"backward": s.ScheduleBlockBackward,
+			"opdriven": s.ScheduleBlockOpDriven,
+		} {
+			if _, err := run(b); err == nil || !strings.Contains(err.Error(), "the automaton backend is monotonic-only") {
+				t.Fatalf("block %d %s on the automaton: err = %v", bi, name, err)
+			}
+		}
+		got, err := s.ScheduleBlock(b)
+		if err != nil {
+			t.Fatalf("block %d list on the automaton: %v", bi, err)
+		}
+		want, err := ref.ScheduleBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Length != want.Length || !slices.Equal(got.Issue, want.Issue) {
+			t.Fatalf("block %d: automaton schedule %v, probe plan %v", bi, got.Issue, want.Issue)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"syscall"
 	"time"
 
-	"mdes/internal/check"
+	"mdes"
 	"mdes/internal/cli"
 	"mdes/internal/server"
 )
@@ -36,7 +36,7 @@ func RunMDesd(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := check.ParseKind(*checker)
+	kind, err := mdes.ParseCheckerKind(*checker)
 	if err != nil {
 		return fmt.Errorf("%w\n%s", err, cli.FormatCheckerKinds())
 	}

@@ -39,17 +39,17 @@ func CheckEquivalent(base, tuned *lowlevel.MDES, streamSeed int64) error {
 	}
 
 	stream, arrivals := makeStream(nOps, streamSeed)
-	ckA, err := newPlanChecker(stage, base)
+	cxA, err := planContext(stage, base)
 	if err != nil {
 		return err
 	}
-	ckB, err := newPlanChecker(stage, tuned)
+	cxB, err := planContext(stage, tuned)
 	if err != nil {
 		return err
 	}
 	var cA, cB stats.Counters
-	issA, errA := schedule(base, ckA, stream, arrivals, &cA)
-	issB, errB := schedule(tuned, ckB, stream, arrivals, &cB)
+	issA, errA := schedule(base, cxA, stream, arrivals, &cA)
+	issB, errB := schedule(tuned, cxB, stream, arrivals, &cB)
 	if (errA == nil) != (errB == nil) {
 		return stageErrf(stage, "schedulability diverged: base err=%v tuned err=%v", errA, errB)
 	}
@@ -78,11 +78,9 @@ func CheckEquivalent(base, tuned *lowlevel.MDES, streamSeed int64) error {
 	}
 	w := window{lo: loA - 2, hi: issA[len(issA)-1] + hiA + 2}
 	for op := 0; op < nOps; op++ {
-		conA := base.ConstraintFor(op, false)
-		conB := tuned.ConstraintFor(op, false)
 		for cycle := w.lo; cycle <= w.hi; cycle++ {
-			_, gotA := ckA.Check(conA, cycle, &cA)
-			_, gotB := ckB.Check(conB, cycle, &cB)
+			_, gotA := probe(cxA, base, op, cycle, &cA)
+			_, gotB := probe(cxB, tuned, op, cycle, &cB)
 			if gotA != gotB {
 				return stageErrf(stage, "probe diverged: op %s at cycle %d: base=%v tuned=%v",
 					base.Operations[op].Name, cycle, gotA, gotB)

@@ -27,14 +27,16 @@ import (
 	"math/rand"
 	"strings"
 
-	"mdes/internal/check"
+	"mdes/internal/automata"
 	"mdes/internal/hmdes"
 	"mdes/internal/lowlevel"
 	"mdes/internal/mdgen"
+	"mdes/internal/obs"
 	"mdes/internal/opt"
 	"mdes/internal/oracle"
 	"mdes/internal/probeplan"
 	"mdes/internal/query"
+	"mdes/internal/resctx"
 	"mdes/internal/stats"
 )
 
@@ -312,12 +314,12 @@ func oracleGrid(orc *oracle.Oracle, nOps int, w window) [][]bool {
 	return grid
 }
 
-// schedule replays the stream through ck with the identical in-order
+// schedule replays the stream through cx with the identical in-order
 // policy the oracle used: each operation at the earliest feasible cycle at
 // or after max(arrival, previous issue). Probes never go backward, so the
 // same driver serves the monotonic-only automaton.
-func schedule(m *lowlevel.MDES, ck check.Checker, stream, arrivals []int, c *stats.Counters) ([]int, error) {
-	ck.Reset()
+func schedule(m *lowlevel.MDES, cx *resctx.Context, stream, arrivals []int, c *stats.Counters) ([]int, error) {
+	cx.ResetReservations()
 	issues := make([]int, len(stream))
 	prev := 0
 	for i, opIdx := range stream {
@@ -327,9 +329,9 @@ func schedule(m *lowlevel.MDES, ck check.Checker, stream, arrivals []int, c *sta
 		}
 		start := cycle
 		for {
-			sel, ok := ck.Check(m.ConstraintFor(opIdx, false), cycle, c)
+			sel, ok := probe(cx, m, opIdx, cycle, c)
 			if ok {
-				ck.Reserve(sel)
+				cx.Reserve(sel)
 				break
 			}
 			cycle++
@@ -344,12 +346,19 @@ func schedule(m *lowlevel.MDES, ck check.Checker, stream, arrivals []int, c *sta
 	return issues, nil
 }
 
-// diffBackend replays the stream through ck over m, requires the issue
-// cycles to match the oracle's byte for byte, and — when the backend
-// supports random-access probes — sweeps the probe grid against the
+// probe checks operation opIdx at cycle through the context's one probe
+// helper, outside any block.
+func probe(cx *resctx.Context, m *lowlevel.MDES, opIdx, cycle int, c *stats.Counters) (probeplan.Selection, bool) {
+	sel, ok, _ := cx.Probe(obs.PhaseList, -1, "", m.ConstraintFor(opIdx, false), cycle, c)
+	return sel, ok
+}
+
+// diffBackend replays the stream through cx over m, requires the issue
+// cycles to match the oracle's byte for byte, and — unless the backend is
+// the monotonic-only automaton — sweeps the probe grid against the
 // oracle's answers.
-func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
-	got, err := schedule(m, ck, stream, arrivals, c)
+func diffBackend(stage string, m *lowlevel.MDES, cx *resctx.Context, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) error {
+	got, err := schedule(m, cx, stream, arrivals, c)
 	if err != nil {
 		return stageErrf(stage, "%v", err)
 	}
@@ -359,13 +368,12 @@ func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arriv
 				i, m.Operations[stream[i]].Name, got[i], want[i])
 		}
 	}
-	if ck.Capabilities().MonotonicOnly {
+	if cx.Auto != nil {
 		return nil
 	}
 	for op := range grid {
-		con := m.ConstraintFor(op, false)
 		for cycle := w.lo; cycle <= w.hi; cycle++ {
-			_, got := ck.Check(con, cycle, c)
+			_, got := probe(cx, m, op, cycle, c)
 			if want := grid[op][cycle-w.lo]; got != want {
 				return stageErrf(stage, "probe diverged: op %s at cycle %d: backend=%v oracle=%v",
 					m.Operations[op].Name, cycle, got, want)
@@ -375,29 +383,30 @@ func diffBackend(stage string, m *lowlevel.MDES, ck check.Checker, stream, arriv
 	return nil
 }
 
-// newPlanChecker compiles m's probe plan into a fresh checker. Compile
-// and every pass keep constraint indices positional, so a description the
-// planner rejects is a bug of the stage that produced it.
-func newPlanChecker(stage string, m *lowlevel.MDES) (*check.ProbePlan, error) {
+// planContext compiles m's probe plan into a fresh prober context. It
+// does not freeze m, which the harness keeps optimizing between stages.
+// Compile and every pass keep constraint indices positional, so a
+// description the planner rejects is a bug of the stage that produced it.
+func planContext(stage string, m *lowlevel.MDES) (*resctx.Context, error) {
 	plan, err := probeplan.Compile(m)
 	if err != nil {
 		return nil, stageErrf(stage, "cannot plan: %v", err)
 	}
-	return check.NewProbePlan(plan), nil
+	return &resctx.Context{PP: probeplan.NewProber(plan)}, nil
 }
 
 // diffPlan is diffBackend with a probe plan freshly compiled from m — the
 // reservation-table engine every optimized description must drive
 // correctly. It returns the prober, holding the replay's reservations.
 func diffPlan(stage string, m *lowlevel.MDES, stream, arrivals, want []int, grid [][]bool, w window, c *stats.Counters) (*probeplan.Prober, error) {
-	ck, err := newPlanChecker(stage, m)
+	cx, err := planContext(stage, m)
 	if err != nil {
 		return nil, err
 	}
-	if err := diffBackend(stage, m, ck, stream, arrivals, want, grid, w, c); err != nil {
+	if err := diffBackend(stage, m, cx, stream, arrivals, want, grid, w, c); err != nil {
 		return nil, err
 	}
-	return ck.Prober(), nil
+	return cx.PP, nil
 }
 
 // diffArena round-trips m through the flat arena format and requires the
@@ -435,17 +444,17 @@ func diffArena(stage string, m *lowlevel.MDES, stream, arrivals, want []int, gri
 // diffAutomaton replays the stream through the §10 DFA backend. The
 // forward-shifted LevelFull description is eligible whenever it fits the
 // automaton's preconditions (≤64 resources, non-negative usage times); an
-// eligible machine the factory rejects is itself a failure.
+// eligible machine the construction rejects is itself a failure.
 func diffAutomaton(m *lowlevel.MDES, stream, arrivals, want []int, c *stats.Counters) error {
 	const stage = "backend/automaton"
-	f, err := check.NewFactory(m, check.KindAutomaton)
+	sh, err := automata.NewShared(m)
 	if err != nil {
 		if min, _ := oracle.TimeBounds(m); m.NumResources <= 64 && min >= 0 {
 			return stageErrf(stage, "eligible machine rejected: %v", err)
 		}
 		return nil // genuinely ineligible; nothing to compare
 	}
-	return diffBackend(stage, m, f.New(), stream, arrivals, want, nil, window{}, c)
+	return diffBackend(stage, m, &resctx.Context{Auto: sh.NewCursor()}, stream, arrivals, want, nil, window{}, c)
 }
 
 // diffModulo replays the stream through the plan folded at an initiation

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mdes"
-	"mdes/internal/check"
 	"mdes/internal/obs"
 	"mdes/internal/resctx"
 	"mdes/internal/sched"
@@ -103,14 +102,10 @@ func runViews(t *testing.T, compiled *mdes.Compiled, blocks []*mdes.Block, mask 
 // pool whose contexts fold into views.
 func observedPool(tb testing.TB, compiled *mdes.Compiled, views *obs.Views) *resctx.Pool {
 	tb.Helper()
-	if err := compiled.Freeze(); err != nil {
-		tb.Fatal(err)
-	}
-	f, err := check.NewFactory(compiled, check.KindProbePlan)
+	pool, err := resctx.NewPool(compiled, resctx.KindProbePlan)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pool := resctx.NewPoolFor(f)
 	pool.Observe(views)
 	return pool
 }
