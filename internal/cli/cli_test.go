@@ -136,3 +136,15 @@ func TestDumpCompiledClass(t *testing.T) {
 		t.Errorf("missing-class dump:\n%s", buf.String())
 	}
 }
+
+// The backend listing the tools print for an unknown -checker is the
+// capability table: what each backend can do.
+func TestFormatCheckerKinds(t *testing.T) {
+	want := "available -checker backends:\n" +
+		"  name       release  probing\n" +
+		"  probeplan  yes      random-access\n" +
+		"  automaton  no       monotonic-only\n"
+	if got := FormatCheckerKinds(); got != want {
+		t.Fatalf("listing:\n%s\nwant:\n%s", got, want)
+	}
+}

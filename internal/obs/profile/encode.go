@@ -3,13 +3,15 @@ package profile
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+
+	"mdes/internal/frame"
 )
 
 // The MDPF artifact persists one Snapshot as a self-delimiting binary
-// blob with the same framing discipline as the MDTR trace format
-// (internal/trace): magic + version, uvarint-framed body, FNV-64a trailer
-// whose hex form is the artifact's content address. The meta block pins
+// blob in the framing the MDTR trace format (internal/trace) also uses
+// (internal/frame): magic + version, uvarint-framed body, FNV-64a
+// trailer — big-endian here — whose hex form is the artifact's content
+// address. The meta block pins
 // the description fingerprint and workload, so an MDPF file names exactly
 // which (description, workload) pair produced its evidence.
 
@@ -22,41 +24,38 @@ const Version = 1
 // Encode serializes the snapshot, returning the bytes and the content
 // address (FNV-64a of the encoded stream, the trailer checksum).
 func Encode(s *Snapshot) ([]byte, string, error) {
-	var e encoder
-	e.write(mdpfMagic[:])
-	e.uvarint(Version)
-	e.str(s.Meta.Machine)
-	e.str(s.Meta.MachineHash)
-	e.str(s.Meta.Checker)
-	e.str(s.Meta.Workload)
-	e.varint(s.Merges)
-	e.uvarint(uint64(len(s.Constraints)))
+	var e frame.Encoder
+	e.Write(mdpfMagic[:])
+	e.Uvarint(Version)
+	e.Str(s.Meta.Machine)
+	e.Str(s.Meta.MachineHash)
+	e.Str(s.Meta.Checker)
+	e.Str(s.Meta.Workload)
+	e.Varint(s.Merges)
+	e.Uvarint(uint64(len(s.Constraints)))
 	for _, c := range s.Constraints {
-		e.str(c.Name)
-		e.varint(c.Attempts)
-		e.varint(c.Conflicts)
-		e.uvarint(uint64(len(c.Trees)))
+		e.Str(c.Name)
+		e.Varint(c.Attempts)
+		e.Varint(c.Conflicts)
+		e.Uvarint(uint64(len(c.Trees)))
 		for _, t := range c.Trees {
-			e.str(t.Name)
-			e.varint(t.FirstBlock)
-			e.uvarint(uint64(len(t.Options)))
+			e.Str(t.Name)
+			e.Varint(t.FirstBlock)
+			e.Uvarint(uint64(len(t.Options)))
 			for _, o := range t.Options {
-				e.str(o.Src)
-				e.varint(o.Selected)
-				e.varint(o.Blocked)
+				e.Str(o.Src)
+				e.Varint(o.Selected)
+				e.Varint(o.Blocked)
 			}
 		}
 	}
-	e.uvarint(uint64(len(s.Resources)))
+	e.Uvarint(uint64(len(s.Resources)))
 	for _, r := range s.Resources {
-		e.str(r.Resource)
-		e.varint(r.Conflicts)
+		e.Str(r.Resource)
+		e.Varint(r.Conflicts)
 	}
-	h := fnv.New64a()
-	h.Write(e.buf)
-	sum := h.Sum64()
-	e.buf = binary.BigEndian.AppendUint64(e.buf, sum)
-	return e.buf, fmt.Sprintf("%016x", sum), nil
+	sum := e.Seal(binary.BigEndian)
+	return e.Buf, fmt.Sprintf("%016x", sum), nil
 }
 
 // Decode decodes one MDPF artifact, verifying magic, version, and the
@@ -65,162 +64,72 @@ func Decode(data []byte) (*Snapshot, string, error) {
 	if len(data) < len(mdpfMagic)+1+8 {
 		return nil, "", fmt.Errorf("profile: artifact too short (%d bytes)", len(data))
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	sum := h.Sum64()
-	if got := binary.BigEndian.Uint64(trailer); got != sum {
-		return nil, "", fmt.Errorf("profile: checksum mismatch (stored %016x, computed %016x)", got, sum)
+	body, stored, sum := frame.Split(data, binary.BigEndian)
+	if stored != sum {
+		return nil, "", fmt.Errorf("profile: checksum mismatch (stored %016x, computed %016x)", stored, sum)
 	}
-	d := decoder{buf: body}
+	d := frame.NewDecoder(body)
 	var mg [4]byte
-	d.read(mg[:])
+	d.Read(mg[:])
 	if mg != mdpfMagic {
 		return nil, "", fmt.Errorf("profile: bad magic %q", mg)
 	}
-	if v := d.uvarint(); d.err == nil && v != Version {
+	if v := d.Uvarint(); d.Err == nil && v != Version {
 		return nil, "", fmt.Errorf("profile: unsupported version %d", v)
 	}
 	s := &Snapshot{}
-	s.Meta.Machine = d.str()
-	s.Meta.MachineHash = d.str()
-	s.Meta.Checker = d.str()
-	s.Meta.Workload = d.str()
-	s.Merges = d.varint()
-	nc := d.count()
-	if d.err == nil && nc > 0 {
+	s.Meta.Machine = d.Str()
+	s.Meta.MachineHash = d.Str()
+	s.Meta.Checker = d.Str()
+	s.Meta.Workload = d.Str()
+	s.Merges = d.Varint()
+	nc := d.Count()
+	if d.Err == nil && nc > 0 {
 		s.Constraints = make([]ConstraintProfile, 0, nc)
 	}
-	for i := 0; i < nc && d.err == nil; i++ {
+	for i := 0; i < nc && d.Err == nil; i++ {
 		var c ConstraintProfile
-		c.Name = d.str()
-		c.Attempts = d.varint()
-		c.Conflicts = d.varint()
-		nt := d.count()
-		if d.err == nil && nt > 0 {
+		c.Name = d.Str()
+		c.Attempts = d.Varint()
+		c.Conflicts = d.Varint()
+		nt := d.Count()
+		if d.Err == nil && nt > 0 {
 			c.Trees = make([]TreeProfile, 0, nt)
 		}
-		for j := 0; j < nt && d.err == nil; j++ {
+		for j := 0; j < nt && d.Err == nil; j++ {
 			var t TreeProfile
-			t.Name = d.str()
-			t.FirstBlock = d.varint()
-			no := d.count()
-			if d.err == nil && no > 0 {
+			t.Name = d.Str()
+			t.FirstBlock = d.Varint()
+			no := d.Count()
+			if d.Err == nil && no > 0 {
 				t.Options = make([]OptionProfile, 0, no)
 			}
-			for k := 0; k < no && d.err == nil; k++ {
+			for k := 0; k < no && d.Err == nil; k++ {
 				var o OptionProfile
-				o.Src = d.str()
-				o.Selected = d.varint()
-				o.Blocked = d.varint()
+				o.Src = d.Str()
+				o.Selected = d.Varint()
+				o.Blocked = d.Varint()
 				t.Options = append(t.Options, o)
 			}
 			c.Trees = append(c.Trees, t)
 		}
 		s.Constraints = append(s.Constraints, c)
 	}
-	nr := d.count()
-	if d.err == nil && nr > 0 {
+	nr := d.Count()
+	if d.Err == nil && nr > 0 {
 		s.Resources = make([]ResourceProfile, 0, nr)
 	}
-	for i := 0; i < nr && d.err == nil; i++ {
+	for i := 0; i < nr && d.Err == nil; i++ {
 		var r ResourceProfile
-		r.Resource = d.str()
-		r.Conflicts = d.varint()
+		r.Resource = d.Str()
+		r.Conflicts = d.Varint()
 		s.Resources = append(s.Resources, r)
 	}
-	if d.err != nil {
-		return nil, "", fmt.Errorf("profile: corrupt artifact: %w", d.err)
+	if d.Err != nil {
+		return nil, "", fmt.Errorf("profile: corrupt artifact: %w", d.Err)
 	}
-	if d.pos != len(body) {
-		return nil, "", fmt.Errorf("profile: %d trailing bytes after artifact", len(body)-d.pos)
+	if d.Rest() != 0 {
+		return nil, "", fmt.Errorf("profile: %d trailing bytes after artifact", d.Rest())
 	}
 	return s, fmt.Sprintf("%016x", sum), nil
-}
-
-// encoder mirrors internal/trace's append-only encoder: errors are
-// impossible, keeping call sites linear.
-type encoder struct {
-	buf []byte
-}
-
-func (e *encoder) write(p []byte)   { e.buf = append(e.buf, p...) }
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// decoder is the cursor-based counterpart; the first malformed field
-// sticks in err and every later read returns zero values.
-type decoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s at offset %d", what, d.pos)
-	}
-}
-
-func (d *decoder) read(p []byte) {
-	if d.err != nil {
-		return
-	}
-	if d.pos+len(p) > len(d.buf) {
-		d.fail("bytes")
-		return
-	}
-	copy(p, d.buf[d.pos:])
-	d.pos += len(p)
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// count reads a collection length, bounding it by the bytes remaining so
-// corrupt input cannot force a huge allocation.
-func (d *decoder) count() int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(len(d.buf)-d.pos) {
-		d.fail("collection length")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) str() string {
-	n := d.count()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
-	return s
 }
