@@ -31,10 +31,10 @@ type moduloGolden struct {
 	sha256     string
 }
 
-// moduloGoldens was recorded with the row-per-cycle modulo map that
-// internal/check carried before the folded probe plan replaced it; any
-// change to the modulo scheduler or its reservation table must reproduce
-// it exactly.
+// moduloGoldens was recorded with the row-per-cycle modulo map that the
+// former internal/check package carried before the folded probe plan
+// replaced it; any change to the modulo scheduler or its reservation
+// table must reproduce it exactly.
 var moduloGoldens = []moduloGolden{
 	{machines.PA7100, lowlevel.FormOR, opt.LevelNone, 414, 502912, 1060579, 1722279, 419034, 73899, 73899, 1976, "1e9b882652a668d3ed2a66ee7cf9ad23d5f08d1ddf8f0f957090b3d7ed0df0b8"},
 	{machines.PA7100, lowlevel.FormOR, opt.LevelFull, 414, 502912, 922688, 922688, 419034, 73899, 73899, 1976, "c9efea396d9773d56913cc8a0f8f1abb795ba18e637fdd6c51dded41c0fcecae"},

@@ -80,7 +80,7 @@ type Registry struct {
 }
 
 // SetBackend records which conflict-checker backend produced the metrics
-// (mdes.NewEngine sets it from the selected check.Kind); exporters and
+// (mdes.NewEngine sets it from the selected resctx.Kind); exporters and
 // FormatSnapshot report it so ablation runs are attributable.
 func (r *Registry) SetBackend(name string) { r.backend.Store(&name) }
 

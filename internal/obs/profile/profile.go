@@ -73,7 +73,7 @@ type Layout struct {
 
 // MultiTree locates one multi-option tree inside its constraint: Tree is
 // the tree's position in the constraint's AND-list (the index into
-// check.Selection.Chosen), [Lo, Hi) its option-slot range.
+// probeplan.Selection.Chosen), [Lo, Hi) its option-slot range.
 type MultiTree struct {
 	Tree   int32
 	Lo, Hi int32
