@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -101,6 +102,126 @@ func TestEngineScheduleBlocksCancellation(t *testing.T) {
 	_, _, err := eng.ScheduleBlocks(ctx, blocks, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// stepCancel is a context that reads as cancelled from its n-th Err call
+// on, so a test can cancel a call after its block has started without a
+// clock.
+type stepCancel struct {
+	context.Context
+	calls, n int
+}
+
+func (c *stepCancel) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// ScheduleBlocks hands its context to the block it schedules: cancelled
+// after its one long block has started (past the check before the
+// block), the call returns context.Canceled from the block's own poll,
+// having spent a small share of the block's attempts.
+func TestEngineScheduleBlocksCancelsInsideBlock(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("machine Long { resource R; class busy { use R @ 0")
+	for c := 1; c < 100; c++ {
+		fmt.Fprintf(&src, ", R @ %d", c)
+	}
+	src.WriteString("; } operation OP class busy latency 1; }")
+	machine, err := mdes.Load("long", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := mdes.Compile(machine, mdes.FormAndOr)
+	mdes.Optimize(compiled, mdes.LevelFull)
+	metrics := mdes.NewMetrics(compiled)
+	eng, err := mdes.NewEngine(compiled, mdes.WithMetrics(metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts := func() (n int64) {
+		for _, p := range metrics.Snapshot().Phases {
+			n += p.Attempts
+		}
+		return n
+	}
+	b := &mdes.Block{}
+	for i := 0; i < 40; i++ {
+		b.Ops = append(b.Ops, &mdes.IROperation{Opcode: "OP", Dests: []int{i}})
+	}
+	_, whole, err := eng.ScheduleBlocks(context.Background(), []*mdes.Block{b}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := attempts()
+	ctx := &stepCancel{Context: context.Background(), n: 2}
+	if _, _, err := eng.ScheduleBlocks(ctx, []*mdes.Block{b}, 1); err != context.Canceled {
+		t.Fatalf("cancelled inside the block: err = %v, want context.Canceled unwrapped", err)
+	}
+	if spent := attempts() - before; spent == 0 || 10*spent > whole.Attempts {
+		t.Fatalf("cancelled block spent %d attempts, the whole block %d", spent, whole.Attempts)
+	}
+}
+
+// One ScheduleBlocks call allocates one Result per block in one slice and
+// one issue backing for all of them, so its allocations do not grow with
+// the number of blocks, serially or in parallel. The collector is off
+// while counting: a collection empties the context pool, and refilling
+// it would count allocations no block made.
+func TestScheduleBlocksAllocsIndependentOfBlockCount(t *testing.T) {
+	eng := newTestEngine(t, mdes.K5)
+	blocks := testBlocks(t, mdes.K5, 2000)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, par := range []int{1, 4} {
+		run := func(bs []*mdes.Block) {
+			if _, _, err := eng.ScheduleBlocks(context.Background(), bs, par); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Workers draw pooled contexts in no fixed order, so let every
+		// context meet the largest blocks and size its arena and builder.
+		for i := 0; i < 20; i++ {
+			run(blocks)
+		}
+		few := testing.AllocsPerRun(20, func() { run(blocks[:par]) })
+		all := testing.AllocsPerRun(20, func() { run(blocks) })
+		if all > few {
+			t.Errorf("parallelism %d: %.1f allocations per call for %d blocks, %.1f for %d",
+				par, all, len(blocks), few, par)
+		}
+	}
+}
+
+// Every ScheduleBlocks worker schedules at least one block, so each
+// borrowed context merges into the attached views exactly once: the
+// merge counts the views report (and the profile artifact records) do
+// not depend on how the goroutines interleave.
+func TestEngineScheduleBlocksMergesOncePerWorker(t *testing.T) {
+	machine, err := mdes.Builtin(mdes.K5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := mdes.Compile(machine, mdes.FormAndOr)
+	mdes.Optimize(compiled, mdes.LevelFull)
+	metrics := mdes.NewMetrics(compiled)
+	eng, err := mdes.NewEngine(compiled, mdes.WithMetrics(metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := testBlocks(t, mdes.K5, 2000)
+	for _, par := range []int{1, 2, 4, 8} {
+		for _, bs := range [][]*mdes.Block{blocks[:par], blocks} {
+			before := metrics.Snapshot().Merges
+			if _, _, err := eng.ScheduleBlocks(context.Background(), bs, par); err != nil {
+				t.Fatal(err)
+			}
+			if got := metrics.Snapshot().Merges - before; got != int64(par) {
+				t.Fatalf("parallelism %d over %d blocks: %d merges, want one per worker", par, len(bs), got)
+			}
+		}
 	}
 }
 

@@ -84,15 +84,22 @@ func Load(file, src string) (*Machine, error) {
 }
 
 // Capacity limits bound how much memory a description can demand during
-// analysis. Without them a 30-byte source can declare a billion resource
-// instances or a combinatorial `choose`, and analysis becomes a denial of
-// service before any semantic check runs (fuzzer-found). Real machine
-// descriptions sit orders of magnitude below both limits.
+// analysis and use. Without them a 30-byte source can declare a billion
+// resource instances or a combinatorial `choose`, and analysis becomes a
+// denial of service before any semantic check runs (fuzzer-found); or it
+// can use a resource 2^22 cycles after issue, and one probe grows the
+// reservation window by that many rows. Real machine descriptions sit
+// orders of magnitude below every limit.
 const (
 	// maxResourceInstances caps the total resource IDs of one machine.
 	maxResourceInstances = 4096
 	// maxTreeOptions caps the expanded option count of one OR-tree.
 	maxTreeOptions = 1 << 14
+	// maxCycles caps the magnitude of every cycle count a description
+	// states: usage times, latencies (and so source times, which may not
+	// exceed them) and bypass adjustments. The probe plan's reservation
+	// window and the schedulers' horizon grow with them.
+	maxCycles = 1024
 )
 
 // analyzer carries name-resolution state during lowering.
@@ -164,7 +171,7 @@ func Analyze(file string, f *File) (*Machine, error) {
 		if _, dup := a.m.Bypasses[key]; dup {
 			return nil, a.errf(d.Line, "duplicate bypass %s to %s", d.From, d.To)
 		}
-		v, err := a.eval(d.Adjust)
+		v, err := a.evalCycles(d.Adjust, d.Line, "bypass adjustment")
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +253,7 @@ func (a *analyzer) buildTree(name string, body []TreeItem, line int) (*restable.
 			if err != nil {
 				return nil, err
 			}
-			t, err := a.eval(item.Time)
+			t, err := a.evalCycles(item.Time, item.Line, "usage time")
 			if err != nil {
 				return nil, err
 			}
@@ -269,7 +276,7 @@ func (a *analyzer) buildTree(name string, body []TreeItem, line int) (*restable.
 				return nil, a.errf(item.Line, "choose %d of %d expands to more than %d options",
 					k, len(ids), maxTreeOptions)
 			}
-			t, err := a.eval(item.Time)
+			t, err := a.evalCycles(item.Time, item.Line, "usage time")
 			if err != nil {
 				return nil, err
 			}
@@ -385,6 +392,9 @@ func (a *analyzer) addOperation(d *OperationDecl) error {
 		if v < 0 {
 			return a.errf(d.Line, "operation %q latency %d must be >= 0", d.Name, v)
 		}
+		if v > maxCycles {
+			return a.errf(d.Line, "operation %q latency %d exceeds the capacity of %d cycles", d.Name, v, maxCycles)
+		}
 		lat = v
 	}
 	srcTime := 0
@@ -413,7 +423,7 @@ func (a *analyzer) evalUsages(exprs []UsageExpr) ([]restable.Usage, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, err := a.eval(ue.Time)
+		t, err := a.evalCycles(ue.Time, ue.Line, "usage time")
 		if err != nil {
 			return nil, err
 		}
@@ -475,6 +485,19 @@ func (a *analyzer) evalRange(r ResRange) ([]int, error) {
 		ids = append(ids, first+i)
 	}
 	return ids, nil
+}
+
+// evalCycles evaluates a cycle count, refusing one whose magnitude
+// exceeds maxCycles; what names it in the diagnostic.
+func (a *analyzer) evalCycles(e Expr, line int, what string) (int, error) {
+	v, err := a.eval(e)
+	if err != nil {
+		return 0, err
+	}
+	if v < -maxCycles || v > maxCycles {
+		return 0, a.errf(line, "%s %d outside the capacity of [-%d,%d] cycles", what, v, maxCycles, maxCycles)
+	}
+	return v, nil
 }
 
 func (a *analyzer) eval(e Expr) (int, error) {

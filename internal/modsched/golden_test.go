@@ -145,3 +145,37 @@ func TestModuloGolden(t *testing.T) {
 		}
 	}
 }
+
+// A Schedule allocates its Schedule, the Issue it returns and RecMII's
+// scratch, however many candidate IIs it tries: tryII's per-operation
+// state comes from the context's arena and the Scheduler's buffers, sized
+// once per loop.
+func TestScheduleAllocationsIndependentOfTriedIIs(t *testing.T) {
+	mach, err := machines.Load(machines.K5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll := lowlevel.Compile(mach, lowlevel.FormAndOr)
+	opt.Apply(ll, opt.LevelFull, opt.Forward)
+	s := New(ll)
+	loops := moduloCorpus(t, machines.K5)
+	tried := 0
+	run := func() {
+		tried = 0
+		for _, l := range loops {
+			sched, err := s.Schedule(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tried += sched.TriedIIs
+		}
+	}
+	run() // size the arena and the buffers for the largest loop
+	perSchedule := testing.AllocsPerRun(10, run) / float64(len(loops))
+	if perSchedule > 3 {
+		t.Errorf("%.2f allocations per Schedule, want at most 3", perSchedule)
+	}
+	if tried < 2*len(loops) {
+		t.Fatalf("the corpus tries %d IIs over %d loops; too few to show per-II allocation", tried, len(loops))
+	}
+}

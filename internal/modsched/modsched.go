@@ -15,6 +15,8 @@ package modsched
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
@@ -79,6 +81,21 @@ type Scheduler struct {
 	Budget int
 	// MaxII bounds the search; default 4 * (MII + count).
 	MaxII int
+
+	// buf holds the storage a Schedule needs beyond the context's arena,
+	// kept across calls so that it grows only for a larger loop.
+	buf buffers
+}
+
+// buffers are the Scheduler's reusable slices: the loop's dependences,
+// one backing for every operation's dependence lists and the lists
+// themselves, tryII's per-operation selections, and ResMII's per-resource
+// counts.
+type buffers struct {
+	deps, edges  []Dep
+	preds, succs [][]Dep
+	sel          []probeplan.Selection
+	usage        []int
 }
 
 // New returns a modulo scheduler for the compiled description, backed by
@@ -98,27 +115,29 @@ func NewWithContext(m *lowlevel.MDES, cx *resctx.Context) *Scheduler {
 	return &Scheduler{mdes: m, cx: cx, probe: resctx.Context{Mod: mod}, Budget: 6}
 }
 
-// deps builds the full dependence set: intra-iteration from the body's
-// graph, built on the context's builder, plus the loop's carried edges.
-// It refuses opcodes the description lacks and, through the builder,
-// out-of-range registers.
-func (s *Scheduler) deps(l *Loop) ([]Dep, error) {
+// deps builds the full dependence set into the Scheduler's buffer:
+// intra-iteration from the body's graph, built on the context's builder,
+// plus the loop's carried edges. It resets the context's arena and
+// returns the body's operation-table indices carved from it. It refuses
+// opcodes the description lacks and, through the builder, out-of-range
+// registers.
+func (s *Scheduler) deps(l *Loop) ([]Dep, []int, error) {
 	n := len(l.Body.Ops)
 	s.cx.Arena.Reset()
 	opIdxs := s.cx.Arena.Ints(n)
 	for i, op := range l.Body.Ops {
 		idx, ok := s.mdes.OpIndex[op.Opcode]
 		if !ok {
-			return nil, fmt.Errorf("modsched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
+			return nil, nil, fmt.Errorf("modsched: opcode %q not in MDES %s", op.Opcode, s.mdes.MachineName)
 		}
 		opIdxs[i] = idx
 	}
 	s.cx.Timing = lowlevel.BlockTiming{M: s.mdes, OpIdxs: opIdxs}
 	g, err := s.cx.Builder.Build(l.Body, &s.cx.Timing)
 	if err != nil {
-		return nil, fmt.Errorf("modsched: %w", err)
+		return nil, nil, fmt.Errorf("modsched: %w", err)
 	}
-	var deps []Dep
+	deps := s.buf.deps[:0]
 	for _, edges := range g.Succs {
 		for _, e := range edges {
 			deps = append(deps, Dep{From: e.From, To: e.To, MinDist: e.MinDist})
@@ -126,21 +145,24 @@ func (s *Scheduler) deps(l *Loop) ([]Dep, error) {
 	}
 	for _, d := range l.Carried {
 		if d.Omega < 1 {
-			return nil, fmt.Errorf("modsched: carried dependence %d->%d has omega %d < 1", d.From, d.To, d.Omega)
+			return nil, nil, fmt.Errorf("modsched: carried dependence %d->%d has omega %d < 1", d.From, d.To, d.Omega)
 		}
 		if d.From < 0 || d.From >= n || d.To < 0 || d.To >= n {
-			return nil, fmt.Errorf("modsched: carried dependence %d->%d out of range", d.From, d.To)
+			return nil, nil, fmt.Errorf("modsched: carried dependence %d->%d out of range", d.From, d.To)
 		}
 		deps = append(deps, d)
 	}
-	return deps, nil
+	s.buf.deps = deps
+	return deps, opIdxs, nil
 }
 
 // ResMII computes the resource-constrained lower bound on II: for each
 // resource, the number of times the body's highest-priority options use it
 // (every resource provides one slot per cycle).
 func (s *Scheduler) ResMII(l *Loop) int {
-	usage := map[int32]int{}
+	usage := slices.Grow(s.buf.usage[:0], s.mdes.NumResources)[:s.mdes.NumResources]
+	clear(usage)
+	s.buf.usage = usage
 	for _, op := range l.Body.Ops {
 		idx, ok := s.mdes.OpIndex[op.Opcode]
 		if !ok {
@@ -158,8 +180,16 @@ func (s *Scheduler) ResMII(l *Loop) int {
 				// bound: charge the least-used resource only when unique.
 				continue
 			}
-			for _, u := range best.ExpandedUsages() {
-				usage[u.Res]++
+			if best.Masks == nil {
+				for _, u := range best.Usages {
+					usage[u.Res]++
+				}
+			}
+			// A packed option's usages are the set bits of its masks.
+			for _, m := range best.Masks {
+				for mask := m.Mask; mask != 0; mask &= mask - 1 {
+					usage[int(m.Word)*64+bits.TrailingZeros64(mask)]++
+				}
 			}
 		}
 	}
@@ -176,18 +206,22 @@ func (s *Scheduler) ResMII(l *Loop) int {
 // for which no dependence cycle has positive weight under edge weights
 // MinDist - II*Omega (checked with Bellman-Ford on the negated graph).
 func RecMII(n int, deps []Dep, maxII int) int {
+	dist := make([]int64, n)
 	for ii := 1; ii <= maxII; ii++ {
-		if !hasPositiveCycle(n, deps, ii) {
+		if !hasPositiveCycle(dist, deps, ii) {
 			return ii
 		}
 	}
 	return maxII
 }
 
-func hasPositiveCycle(n int, deps []Dep, ii int) bool {
+// hasPositiveCycle reports whether the dependences have a positive cycle
+// at ii, using dist (one entry per operation) as scratch.
+func hasPositiveCycle(dist []int64, deps []Dep, ii int) bool {
 	// Longest-path relaxation; a positive cycle keeps relaxing after n
 	// rounds.
-	dist := make([]int64, n)
+	clear(dist)
+	n := len(dist)
 	for round := 0; round < n; round++ {
 		changed := false
 		for _, d := range deps {
@@ -212,7 +246,7 @@ func hasPositiveCycle(n int, deps []Dep, ii int) bool {
 
 // MII returns the initiation-interval lower bound max(ResMII, RecMII).
 func (s *Scheduler) MII(l *Loop) (int, error) {
-	deps, err := s.deps(l)
+	deps, _, err := s.deps(l)
 	if err != nil {
 		return 0, err
 	}
@@ -252,7 +286,7 @@ func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
 			return result, fmt.Errorf("modsched: loop body must be branch-free (op %d)", op.ID)
 		}
 	}
-	deps, err := s.deps(l)
+	deps, opIdxs, err := s.deps(l)
 	if err != nil {
 		return result, err
 	}
@@ -262,57 +296,83 @@ func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
 		maxII = 4 * (mii + len(l.Body.Ops))
 	}
 	s.probe.Obs = s.cx.Obs
-	g := newLoopGraph(len(l.Body.Ops), deps)
+	st := s.newLoopState(opIdxs, deps)
 	for ii := mii; ii <= maxII; ii++ {
 		result.TriedIIs++
 		s.probe.Mod.Configure(ii)
-		if s.tryII(l, g, ii, result) {
+		if s.tryII(l, &st, ii, result) {
 			result.II = ii
+			result.Issue = slices.Clone(st.issue)
 			return result, nil
 		}
 	}
 	return result, fmt.Errorf("modsched: no schedule found up to II=%d", maxII)
 }
 
-// loopGraph is the part of tryII's input that does not depend on II:
-// the height priority and each operation's incoming and outgoing
-// dependences. schedule builds it once for every candidate II.
-type loopGraph struct {
-	height       []int
-	preds, succs [][]Dep
+// loopState is one Schedule's state, built once for every candidate II:
+// the body's operation-table indices, the height priority and each
+// operation's incoming and outgoing dependences, which do not depend on
+// II, and tryII's per-operation scratch, which tryII resets for each II.
+// Its slices come from the context's arena and the Scheduler's buffers.
+type loopState struct {
+	opIdxs, height                 []int
+	preds, succs                   [][]Dep
+	issue, lastTried, list         []int
+	placed, neverScheduled, inList []bool
+	sel                            []probeplan.Selection
 }
 
-func newLoopGraph(n int, deps []Dep) loopGraph {
-	g := loopGraph{height: heights(n, deps), preds: make([][]Dep, n), succs: make([][]Dep, n)}
-	for _, d := range deps {
-		g.preds[d.To] = append(g.preds[d.To], d)
-		g.succs[d.From] = append(g.succs[d.From], d)
+// newLoopState carves and fills a loopState for a loop of len(opIdxs)
+// operations. Each operation's dependence lists are windows of one
+// backing, filled in dependence order.
+func (s *Scheduler) newLoopState(opIdxs []int, deps []Dep) loopState {
+	n := len(opIdxs)
+	ar, b := &s.cx.Arena, &s.buf
+	st := loopState{
+		opIdxs: opIdxs, height: heights(ar.Ints(n), deps),
+		issue: ar.Ints(n), lastTried: ar.Ints(n), list: ar.Ints(n),
+		placed: ar.Bools(n), neverScheduled: ar.Bools(n), inList: ar.Bools(n),
 	}
-	return g
+	b.edges = slices.Grow(b.edges[:0], 2*len(deps))[:2*len(deps)]
+	b.preds = slices.Grow(b.preds[:0], n)[:n]
+	b.succs = slices.Grow(b.succs[:0], n)[:n]
+	b.sel = slices.Grow(b.sel[:0], n)[:n]
+	npreds, nsuccs := ar.Ints(n), ar.Ints(n)
+	for _, d := range deps {
+		npreds[d.To]++
+		nsuccs[d.From]++
+	}
+	off := 0
+	for i := range b.preds {
+		b.preds[i], off = b.edges[off:off:off+npreds[i]], off+npreds[i]
+	}
+	for i := range b.succs {
+		b.succs[i], off = b.edges[off:off:off+nsuccs[i]], off+nsuccs[i]
+	}
+	for _, d := range deps {
+		b.preds[d.To] = append(b.preds[d.To], d)
+		b.succs[d.From] = append(b.succs[d.From], d)
+	}
+	st.preds, st.succs, st.sel = b.preds, b.succs, b.sel
+	return st
 }
 
 // tryII is one iteration of Rau's algorithm at a fixed II, on the folded
-// table Configure has just cleared. Every probe goes through the probe
-// helper, so each probe of a candidate slot is one scheduling attempt in
-// the modulo phase — the inflation the paper attributes to iterative
-// modulo scheduling shows up directly in that phase's counters.
-func (s *Scheduler) tryII(l *Loop, g loopGraph, ii int, out *Schedule) bool {
+// table Configure has just cleared; on success st.issue holds the
+// schedule. Every probe goes through the probe helper, so each probe of a
+// candidate slot is one scheduling attempt in the modulo phase — the
+// inflation the paper attributes to iterative modulo scheduling shows up
+// directly in that phase's counters.
+func (s *Scheduler) tryII(l *Loop, st *loopState, ii int, out *Schedule) bool {
 	probe, mod := &s.probe, s.probe.Mod
 	n := len(l.Body.Ops)
 	budget := s.Budget * n
-	height, preds, succs := g.height, g.preds, g.succs
+	height, preds, succs := st.height, st.preds, st.succs
+	issue, placed, sel, neverScheduled, lastTried := st.issue, st.placed, st.sel, st.neverScheduled, st.lastTried
 
-	issue := make([]int, n)
-	placed := make([]bool, n)
-	sel := make([]probeplan.Selection, n)
-	neverScheduled := make([]bool, n)
-	for i := range neverScheduled {
-		neverScheduled[i] = true
-	}
-
-	// Worklist ordered by (height desc, index asc).
-	inList := make([]bool, n)
-	var list []int
+	// Worklist ordered by (height desc, index asc), holding at most n
+	// operations, so it never outgrows its carve.
+	inList, list := st.inList, st.list[:0]
 	push := func(i int) {
 		if !inList[i] {
 			inList[i] = true
@@ -337,10 +397,10 @@ func (s *Scheduler) tryII(l *Loop, g loopGraph, ii int, out *Schedule) bool {
 		return best
 	}
 	for i := 0; i < n; i++ {
+		placed[i], neverScheduled[i], inList[i] = false, true, false
 		push(i)
 	}
 
-	lastTried := make([]int, n)
 	for budget > 0 && len(list) > 0 {
 		opIdx := pop()
 		budget--
@@ -357,8 +417,7 @@ func (s *Scheduler) tryII(l *Loop, g loopGraph, ii int, out *Schedule) bool {
 		}
 
 		op := l.Body.Ops[opIdx]
-		mdIdx := s.mdes.OpIndex[op.Opcode]
-		con := s.mdes.ConstraintFor(mdIdx, op.Cascaded)
+		con := s.mdes.ConstraintFor(st.opIdxs[opIdx], op.Cascaded)
 
 		// Try II consecutive slots; each try is a scheduling attempt.
 		chosen := -1
@@ -424,17 +483,14 @@ func (s *Scheduler) tryII(l *Loop, g loopGraph, ii int, out *Schedule) bool {
 			}
 		}
 	}
-	if len(list) > 0 {
-		return false
-	}
-	out.Issue = issue
-	return true
+	return len(list) == 0
 }
 
-// heights computes a priority from the acyclic subgraph (edges with
-// positive slack direction), approximating Rau's height-based priority.
-func heights(n int, deps []Dep) []int {
-	h := make([]int, n)
+// heights computes into h (zeroed, one entry per operation) a priority
+// from the acyclic subgraph (edges with positive slack direction),
+// approximating Rau's height-based priority, and returns h.
+func heights(h []int, deps []Dep) []int {
+	n := len(h)
 	for round := 0; round < n; round++ {
 		changed := false
 		for _, d := range deps {

@@ -58,7 +58,7 @@ func op(opcode string, dests, srcs []int) *ir.Operation {
 // valid — replay the actual selections via a fresh map instead).
 func verify(t *testing.T, s *Scheduler, l *Loop, sched *Schedule) {
 	t.Helper()
-	deps, err := s.deps(l)
+	deps, _, err := s.deps(l)
 	if err != nil {
 		t.Fatal(err)
 	}

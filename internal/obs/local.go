@@ -33,12 +33,6 @@ type Views struct {
 // (per-constraint attempts, conflicts).
 type conCount struct{ attempts, options, conflicts int64 }
 
-// optCount is one profile option slot: times it satisfied its tree
-// (selected), and times it was probed busy before the tree's chosen
-// option (blocked). The pair shares a cache line because the journal
-// test reads both.
-type optCount struct{ selected, blocked int64 }
-
 // Local is a borrowed context's one observation buffer: single-goroutine
 // plain stores, no locks, no atomics, no allocations in steady state. It
 // is fed three events — Attempt and Conflict by the one probe helper
@@ -71,11 +65,12 @@ type Local struct {
 	touchedCon []int32
 	touchedRes []int32
 
-	// Profile share.
+	// Profile share. selected counts, per option slot of a multi-option
+	// tree, the successes that chose it; Merge derives the blocked counts
+	// from them and walks them through the touched constraints.
 	layout      *profile.Layout
-	opts        []optCount
+	selected    []int64
 	first       []int64 // per tree slot: first-blocking tree of a failed probe
-	touchedOpt  []int32
 	touchedTree []int32
 
 	// Trace share: the one record every block of this buffer fills (nil
@@ -119,9 +114,8 @@ func (v *Views) NewLocal() *Local {
 		l.layout = v.Profile.Layout()
 		trees, opts := l.layout.NumSlots()
 		l.first = make([]int64, trees)
-		l.opts = make([]optCount, opts)
+		l.selected = make([]int64, opts)
 		l.touchedTree = make([]int32, 0, trees)
-		l.touchedOpt = make([]int32, 0, opts)
 	}
 	if v.Flight != nil {
 		l.ring = make([]flight.Entry, v.Flight.PerContext())
@@ -155,7 +149,10 @@ func (l *Local) Attributes() bool { return l.blame || l.traced }
 // attempt in TimestampPeriod the metrics view times, -1 otherwise. The
 // probe helper hands Attempt the time elapsed since a reading, or -1.
 func (l *Local) Start() int64 {
-	if l.tick++; l.tick%TimestampPeriod != 1 || l.reg == nil {
+	if l.reg == nil {
+		return -1
+	}
+	if l.tick++; l.tick%TimestampPeriod != 1 {
 		return -1
 	}
 	return Nanotime()
@@ -195,19 +192,15 @@ func (l *Local) Attempt(p Phase, con *lowlevel.Constraint, op int, opcode string
 			cs.conflicts++
 		} else if l.layout != nil {
 			// Along each multi-option tree of the constraint the chosen
-			// option was selected and every option before it was probed
-			// busy; single-option trees need no counts (Layout.Multi).
+			// option was selected, and every option before it was probed
+			// busy, which Merge counts from the selections; single-option
+			// trees need no counts (Layout.Multi).
 			for _, mt := range l.layout.Multi(ci) {
 				if int(mt.Tree) >= len(chosen) {
 					continue
 				}
-				j := mt.Lo + int32(chosen[mt.Tree])
-				if j < mt.Lo || j >= mt.Hi {
-					continue
-				}
-				l.opt(j).selected++
-				for k := mt.Lo; k < j; k++ {
-					l.opt(k).blocked++
+				if j := mt.Lo + int32(chosen[mt.Tree]); j >= mt.Lo && j < mt.Hi {
+					l.selected[j]++
 				}
 			}
 		}
@@ -232,15 +225,6 @@ func (l *Local) traceAttempt(op int, opcode string, cycle int, options int64, ok
 		Kind: "attempt", Op: op, Opcode: opcode, Cycle: cycle,
 		Options: int(options), Choice: choice, OK: ok,
 	})
-}
-
-// opt returns option slot j's counts, journaling its first touch.
-func (l *Local) opt(j int32) *optCount {
-	o := &l.opts[j]
-	if o.selected|o.blocked == 0 {
-		l.touchedOpt = journal(l.touchedOpt, int(j))
-	}
-	return o
 }
 
 // journal records slot i's first touch in a journal whose capacity holds
@@ -362,12 +346,20 @@ func (l *Local) Merge() {
 	if p := v.Profile; p != nil && len(l.touchedCon) > 0 {
 		for _, ci := range l.touchedCon {
 			p.AddConstraint(int(ci), l.cons[ci].attempts, l.cons[ci].conflicts)
+			// An option was probed busy once for every selection of a
+			// later option in its tree.
+			for _, mt := range l.layout.Multi(int(ci)) {
+				blocked := int64(0)
+				for o := mt.Hi - 1; o >= mt.Lo; o-- {
+					if sel := l.selected[o]; sel|blocked != 0 {
+						p.AddOption(int(o), sel, blocked)
+						blocked += sel
+					}
+				}
+			}
 		}
 		for _, t := range l.touchedTree {
 			p.AddFirstBlock(int(t), l.first[t])
-		}
-		for _, o := range l.touchedOpt {
-			p.AddOption(int(o), l.opts[o].selected, l.opts[o].blocked)
 		}
 		for _, ri := range l.touchedRes {
 			p.AddResource(int(ri), l.res[ri])
@@ -388,6 +380,11 @@ func (l *Local) reset() {
 	}
 	for _, ci := range l.touchedCon {
 		l.cons[ci] = conCount{}
+		if l.layout != nil {
+			for _, mt := range l.layout.Multi(int(ci)) {
+				clear(l.selected[mt.Lo:mt.Hi])
+			}
+		}
 	}
 	for _, ri := range l.touchedRes {
 		l.res[ri] = 0
@@ -395,11 +392,8 @@ func (l *Local) reset() {
 	for _, t := range l.touchedTree {
 		l.first[t] = 0
 	}
-	for _, o := range l.touchedOpt {
-		l.opts[o] = optCount{}
-	}
 	l.touchedCon, l.touchedRes = l.touchedCon[:0], l.touchedRes[:0]
-	l.touchedTree, l.touchedOpt = l.touchedTree[:0], l.touchedOpt[:0]
+	l.touchedTree = l.touchedTree[:0]
 	if l.rec != nil {
 		l.rec.Events, l.traced = l.rec.Events[:0], false
 	}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,11 +19,10 @@ import (
 	"mdes/internal/workload"
 )
 
-// A non-pipelined unit holds its one resource for 100 cycles, far beyond
-// any fixed per-operation allowance: 40 independent operations need a
-// 3,901-cycle schedule, and every scheduler must find it within the
-// horizon the description's usage span gives.
-func TestHorizonCoversLongReservations(t *testing.T) {
+// longReservations returns a machine whose one operation holds its one
+// resource for 100 cycles, and a block of 40 independent such operations.
+func longReservations(t *testing.T) (*hmdes.Machine, *ir.Block) {
+	t.Helper()
 	var src strings.Builder
 	src.WriteString("machine Long {\n  resource R;\n  class busy { use ")
 	for c := 0; c < 100; c++ {
@@ -39,6 +40,15 @@ func TestHorizonCoversLongReservations(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		b.Ops = append(b.Ops, &ir.Operation{Opcode: "OP", Dests: []int{i}})
 	}
+	return m, b
+}
+
+// A non-pipelined unit holds its one resource for 100 cycles, far beyond
+// any fixed per-operation allowance: 40 independent operations need a
+// 3,901-cycle schedule, and every scheduler must find it within the
+// horizon the description's usage span gives.
+func TestHorizonCoversLongReservations(t *testing.T) {
+	m, b := longReservations(t)
 	for _, form := range []lowlevel.Form{lowlevel.FormOR, lowlevel.FormAndOr} {
 		ll := lowlevel.Compile(m, form)
 		opt.Apply(ll, opt.LevelFull, opt.Forward)
@@ -55,6 +65,45 @@ func TestHorizonCoversLongReservations(t *testing.T) {
 			if r.Length != 3901 {
 				t.Fatalf("%v %s: length %d, want 3901", form, name, r.Length)
 			}
+		}
+	}
+}
+
+// A cancelled call stops even a block that runs long: the cycle-driven
+// loop within pollCycles passes of at most one attempt per operation, the
+// operation-driven loop within pollCycles probes. Uncancelled, each
+// scheduler spends over ten times that on the block.
+func TestCancelledBlockStopsWithinPoll(t *testing.T) {
+	m, b := longReservations(t)
+	ll := lowlevel.Compile(m, lowlevel.FormAndOr)
+	opt.Apply(ll, opt.LevelFull, opt.Forward)
+	s := New(ll)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	n := int64(len(b.Ops))
+	for _, tc := range []struct {
+		name  string
+		run   func(context.Context, *ir.Block, *Result) error
+		bound int64
+	}{
+		{"list", s.ScheduleBlockInto, pollCycles * n},
+		{"backward", func(ctx context.Context, b *ir.Block, res *Result) error {
+			return s.cycleDriven(ctx, b, backward, res)
+		}, pollCycles * n},
+		{"opdriven", s.opDriven, pollCycles},
+	} {
+		var full, stopped Result
+		if err := tc.run(context.Background(), b, &full); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := tc.run(cancelled, b, &stopped); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled call returned %v", tc.name, err)
+		}
+		if got := stopped.Counters.Attempts; got == 0 || got > tc.bound {
+			t.Errorf("%s: %d attempts before stopping, want 1..%d", tc.name, got, tc.bound)
+		}
+		if full.Counters.Attempts < 10*tc.bound {
+			t.Errorf("%s: the whole block takes only %d attempts", tc.name, full.Counters.Attempts)
 		}
 	}
 }

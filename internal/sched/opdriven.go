@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 
 	"mdes/internal/ir"
@@ -19,27 +20,31 @@ import (
 // same dependences and resource constraints (and are often identical, but
 // the algorithms' tie-breaking differs, so this is not guaranteed).
 func (s *Scheduler) ScheduleBlockOpDriven(b *ir.Block) (*Result, error) {
-	res, err := s.opDriven(b)
-	return s.done(obs.PhaseOpDriven, len(b.Ops), res, err)
+	res := &Result{}
+	if err := s.done(obs.PhaseOpDriven, len(b.Ops), res, s.opDriven(context.Background(), b, res)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // opDriven is ScheduleBlockOpDriven's body, on the forward setup the
-// cycle-driven loop uses.
-func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
+// cycle-driven loop uses, writing into res. It polls ctx every
+// pollCycles probes.
+func (s *Scheduler) opDriven(ctx context.Context, b *ir.Block, res *Result) error {
 	n := len(b.Ops)
-	res := &Result{Issue: make([]int, n)}
+	res.reset(n)
 	if n == 0 {
-		return res, nil
+		return nil
 	}
 	// Operation-driven scheduling probes each operation from its own
 	// earliest start, revisiting cycles earlier ops already passed, so the
 	// checker needs random access to the reservation window.
 	if s.cx.Auto != nil {
-		return res, fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the automaton backend is monotonic-only")
+		return fmt.Errorf("sched: operation-driven scheduling needs random-access probes; the automaton backend is monotonic-only")
 	}
 	bl, err := s.setup(b, forward.sign)
 	if err != nil {
-		return res, err
+		return err
 	}
 	ar := &s.cx.Arena
 	npreds := ar.Ints(n)
@@ -51,12 +56,18 @@ func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
 		}
 	}
 
+	probes := 0
 	for len(ready.items) > 0 {
 		i := ready.pop()
 		op := b.Ops[i]
 		con := s.mdes.ConstraintFor(bl.opIdxs[i], op.Cascaded)
 		cycle := estart[i]
 		for {
+			if probes++; probes%pollCycles == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			sel, ok := s.attempt(obs.PhaseOpDriven, i, op, con, cycle, &res.Counters)
 			if ok {
 				s.cx.Reserve(sel)
@@ -64,7 +75,7 @@ func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
 			}
 			cycle++
 			if cycle-estart[i] >= bl.horizon {
-				return res, fmt.Errorf("sched: op %d found no cycle within %d of its earliest start", i, bl.horizon)
+				return fmt.Errorf("sched: op %d found no cycle within %d of its earliest start", i, bl.horizon)
 			}
 		}
 		res.Issue[i] = cycle
@@ -79,9 +90,9 @@ func (s *Scheduler) opDriven(b *ir.Block) (*Result, error) {
 		}
 	}
 	if s.SelfCheck {
-		return res, bl.g.CheckSchedule(res.Issue)
+		return bl.g.CheckSchedule(res.Issue)
 	}
-	return res, nil
+	return nil
 }
 
 // readyHeap is a binary max-heap of operation indices by priority, ties

@@ -12,6 +12,7 @@ package sched
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -32,6 +33,42 @@ type Result struct {
 	// Counters accumulates attempts/options/checks for the block.
 	Counters stats.Counters
 }
+
+// reset readies r for a block of n operations: it reuses Issue's backing
+// when that holds n operations and clears the length and counters.
+func (r *Result) reset(n int) {
+	if cap(r.Issue) < n {
+		r.Issue = make([]int, n)
+	}
+	r.Issue = r.Issue[:n]
+	r.Length, r.Counters = 0, stats.Counters{}
+}
+
+// NewResults returns one Result per block for ScheduleBlockInto, each
+// Issue sized to its block and carved from one backing for the whole
+// batch, so a batch costs three allocations however many blocks it
+// holds. Retaining any one of the Results retains that backing.
+func NewResults(blocks []*ir.Block) []*Result {
+	n := 0
+	for _, b := range blocks {
+		n += len(b.Ops)
+	}
+	issue := make([]int, n)
+	backing := make([]Result, len(blocks))
+	results := make([]*Result, len(blocks))
+	for i, b := range blocks {
+		k := len(b.Ops)
+		backing[i].Issue, issue = issue[:k:k], issue[k:]
+		results[i] = &backing[i]
+	}
+	return results
+}
+
+// pollCycles is how often a block scheduler polls its call's context: the
+// cycle-driven loop every pollCycles cycles it visits, the
+// operation-driven loop every pollCycles probes. A cancelled call
+// therefore stops within pollCycles cycles, however long its block.
+const pollCycles = 64
 
 // Scheduler schedules blocks for one compiled machine description.
 //
@@ -103,14 +140,14 @@ func (s *Scheduler) attempt(phase obs.Phase, i int, op *ir.Operation, con *lowle
 // done ends one block on every exit path: it emits the block's one
 // BlockDone event (length -1 when err is set) and, for a schedule, folds
 // the block's counters into the context.
-func (s *Scheduler) done(phase obs.Phase, n int, res *Result, err error) (*Result, error) {
+func (s *Scheduler) done(phase obs.Phase, n int, res *Result, err error) error {
 	if err != nil {
 		s.cx.Obs.BlockDone(phase, s.BlockID, n, -1, res.Counters)
-		return nil, err
+		return err
 	}
 	s.cx.Obs.BlockDone(phase, s.BlockID, n, res.Length, res.Counters)
 	s.cx.Counters.Add(res.Counters)
-	return res, nil
+	return nil
 }
 
 // ScheduleBlock list-schedules one block and returns the result.
@@ -124,8 +161,21 @@ func (s *Scheduler) done(phase obs.Phase, n int, res *Result, err error) (*Resul
 // cycle. One Check call is one "scheduling attempt" in the paper's
 // accounting.
 func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
-	res, err := s.cycleDriven(b, forward)
-	return s.done(obs.PhaseList, len(b.Ops), res, err)
+	res := &Result{}
+	if err := s.ScheduleBlockInto(context.Background(), b, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ScheduleBlockInto is ScheduleBlock writing into a Result the caller
+// owns (NewResults carves a batch's): it reuses res.Issue's backing when
+// that holds the block, and overwrites the rest of res. It returns
+// ctx.Err() when ctx is done at one of the loop's polls (pollCycles). On
+// any error res holds the counters accumulated so far and an unspecified
+// Issue.
+func (s *Scheduler) ScheduleBlockInto(ctx context.Context, b *ir.Block, res *Result) error {
+	return s.done(obs.PhaseList, len(b.Ops), res, s.cycleDriven(ctx, b, forward, res))
 }
 
 // ScheduleBlockBackward schedules a block bottom-up: operations are placed
@@ -140,8 +190,11 @@ func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 // normalized to zero) and respect exactly the same dependences and
 // resource constraints.
 func (s *Scheduler) ScheduleBlockBackward(b *ir.Block) (*Result, error) {
-	res, err := s.cycleDriven(b, backward)
-	return s.done(obs.PhaseBackward, len(b.Ops), res, err)
+	res := &Result{}
+	if err := s.done(obs.PhaseBackward, len(b.Ops), res, s.cycleDriven(context.Background(), b, backward, res)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // axis is the one difference between forward and backward list
@@ -264,25 +317,26 @@ func horizon(n, span, dist int) int {
 }
 
 // cycleDriven is the one cycle-driven list-scheduling loop behind
-// ScheduleBlock and ScheduleBlockBackward. Nothing in the loop depends on
-// the direction except through the axis's data: the edges it follows,
-// the probe sign, the tie order and the final normalization. Every piece
-// of per-block scratch is carved from the context's arena, so the loop
-// allocates nothing beyond the returned Result.
-func (s *Scheduler) cycleDriven(b *ir.Block, ax axis) (*Result, error) {
+// ScheduleBlock and ScheduleBlockBackward, writing into res. Nothing in
+// the loop depends on the direction except through the axis's data: the
+// edges it follows, the probe sign, the tie order and the final
+// normalization. Every piece of per-block scratch is carved from the
+// context's arena, so the loop allocates nothing beyond res.Issue when
+// that is too small.
+func (s *Scheduler) cycleDriven(ctx context.Context, b *ir.Block, ax axis, res *Result) error {
 	n := len(b.Ops)
-	res := &Result{Issue: make([]int, n)}
+	res.reset(n)
 	if n == 0 {
-		return res, nil
+		return nil
 	}
 	if ax.sign < 0 && s.cx.Auto != nil {
 		// Backward scheduling probes at decreasing (negative) cycles, so
 		// the checker needs random access to the reservation window.
-		return res, fmt.Errorf("sched: backward scheduling needs random-access probes; the automaton backend is monotonic-only")
+		return fmt.Errorf("sched: backward scheduling needs random-access probes; the automaton backend is monotonic-only")
 	}
 	bl, err := s.setup(b, ax.sign)
 	if err != nil {
-		return res, err
+		return err
 	}
 	ar := &s.cx.Arena
 	order := ar.Ints(n)
@@ -291,40 +345,55 @@ func (s *Scheduler) cycleDriven(b *ir.Block, ax axis) (*Result, error) {
 	}
 	// Stable, so equal priorities keep the axis order: the tie order.
 	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(bl.prio[y], bl.prio[x]) })
-	placed := ar.Bools(n)
 	nwait := ar.Ints(n)
 	estart := ar.Ints(n)
 	for i := range nwait {
 		nwait[i] = len(bl.wait[i])
 	}
 
-	// res.Issue holds each operation's loop cycle until the normalization.
-	remaining := n
-	for cycle := 0; remaining > 0; cycle++ {
+	// order holds the unplaced operations in priority order; each pass
+	// keeps those it does not place. A pass that attempts nothing changes
+	// nothing, so the next cycle that can attempt anything is the earliest
+	// start of a ready operation (due), and the loop jumps there, never
+	// past the horizon: the attempts, and the cycles they are made at, are
+	// those of a loop that visits every cycle. res.Issue holds each
+	// operation's loop cycle until the normalization.
+	for cycle, pass := 0, 1; len(order) > 0; pass++ {
 		if cycle >= bl.horizon {
-			return res, fmt.Errorf("sched: %d operations unplaced after %d cycles", remaining, cycle)
+			return fmt.Errorf("sched: %d operations unplaced after %d cycles", len(order), cycle)
 		}
+		if pass%pollCycles == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		attempted, due := false, bl.horizon
+		kept := order[:0]
 		for _, i := range order {
-			if placed[i] || nwait[i] > 0 || estart[i] > cycle {
-				continue
-			}
-			op := b.Ops[i]
-			con := s.mdes.ConstraintFor(bl.opIdxs[i], op.Cascaded)
-			sel, ok := s.attempt(ax.phase, i, op, con, ax.sign*cycle, &res.Counters)
-			if !ok {
-				continue
-			}
-			s.cx.Reserve(sel)
-			placed[i] = true
-			res.Issue[i] = cycle
-			remaining--
-			for _, e := range bl.next[i] {
-				j := e.From + e.To - i
-				nwait[j]--
-				if v := cycle + e.MinDist; v > estart[j] {
-					estart[j] = v
+			if nwait[i] == 0 && estart[i] <= cycle {
+				attempted = true
+				op := b.Ops[i]
+				con := s.mdes.ConstraintFor(bl.opIdxs[i], op.Cascaded)
+				if sel, ok := s.attempt(ax.phase, i, op, con, ax.sign*cycle, &res.Counters); ok {
+					s.cx.Reserve(sel)
+					res.Issue[i] = cycle
+					for _, e := range bl.next[i] {
+						j := e.From + e.To - i
+						nwait[j]--
+						estart[j] = max(estart[j], cycle+e.MinDist)
+					}
+					continue
 				}
+			} else if nwait[i] == 0 {
+				due = min(due, estart[i])
 			}
+			kept = append(kept, i)
+		}
+		order = kept
+		if attempted {
+			cycle++
+		} else {
+			cycle = due
 		}
 	}
 
@@ -340,24 +409,22 @@ func (s *Scheduler) cycleDriven(b *ir.Block, ax axis) (*Result, error) {
 		res.Length = max(res.Length, res.Issue[i]+1)
 	}
 	if s.SelfCheck {
-		return res, bl.g.CheckSchedule(res.Issue)
+		return bl.g.CheckSchedule(res.Issue)
 	}
-	return res, nil
+	return nil
 }
 
 // ScheduleAll schedules a sequence of blocks, accumulating counters, and
-// returns per-block results plus the grand totals.
+// returns per-block results (one NewResults batch) plus the grand totals.
 func (s *Scheduler) ScheduleAll(blocks []*ir.Block) ([]*Result, stats.Counters, error) {
 	var total stats.Counters
-	results := make([]*Result, 0, len(blocks))
+	results := NewResults(blocks)
 	for bi, b := range blocks {
 		s.BlockID = int64(bi)
-		r, err := s.ScheduleBlock(b)
-		if err != nil {
+		if err := s.ScheduleBlockInto(context.Background(), b, results[bi]); err != nil {
 			return nil, total, fmt.Errorf("block %d: %w", bi, err)
 		}
-		total.Add(r.Counters)
-		results = append(results, r)
+		total.Add(results[bi].Counters)
 	}
 	return results, total, nil
 }

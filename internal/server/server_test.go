@@ -235,6 +235,15 @@ func TestStructuredErrors(t *testing.T) {
 		t.Fatalf("bad_source carries no positioned diagnostics: %+v", apiErr)
 	}
 
+	// A usage time past the analyzer's cycle capacity is refused as a
+	// positioned diagnostic at its line, before any probe sizes a window.
+	long := "machine m {\n    resource R;\n    class c { use R @ 0, R @ 1073741824; }\n    operation OP class c latency 1;\n}\n"
+	_, err = c.Upload(ctx, "t", mdesclient.UploadRequest{Source: long})
+	assertAPIError(t, err, http.StatusBadRequest, "bad_source")
+	if apiErr := err.(*mdesclient.APIError); len(apiErr.Diagnostics) == 0 || apiErr.Diagnostics[0].Line != 3 {
+		t.Fatalf("over-capacity usage time: diagnostics %+v, want line 3", apiErr.Diagnostics)
+	}
+
 	// Oversized body: rejected before parsing with 413.
 	huge := strings.Repeat("x", int(s.Config().MaxBodyBytes)+1)
 	_, err = c.Upload(ctx, "t", mdesclient.UploadRequest{Source: huge})

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mdes/internal/hmdes"
 	"mdes/internal/ir"
@@ -500,82 +501,102 @@ func (e *Engine) ScheduleBlock(b *Block) (*Result, error) {
 	return sched.NewWithContext(e.compiled, cx).ScheduleBlock(b)
 }
 
-// ScheduleBlocks schedules every block, fanning the work out over a pool
-// of parallelism goroutines, each driving the shared frozen description
-// through its own borrowed context. Blocks are independent scheduling
-// problems (each starts from an empty reservation table), so results — issue cycles,
-// schedule lengths, per-block counters — are identical to a serial run
-// regardless of parallelism; only wall-clock time changes. parallelism
-// <= 0 uses GOMAXPROCS. The first error cancels the remaining work, as
-// does ctx; on error the partial results are discarded.
+// ScheduleBlocks schedules every block over parallelism goroutines, the
+// caller's among them, each driving the shared frozen description through
+// its own borrowed context. Blocks are independent scheduling problems
+// (each starts from an empty reservation table), so results — issue
+// cycles, schedule lengths, per-block counters — are identical to a
+// serial run regardless of parallelism; only wall-clock time changes.
+// parallelism <= 0 uses GOMAXPROCS; 1 schedules on the caller's
+// goroutine alone. The first error stops the remaining work, as does ctx,
+// which is also polled inside long blocks; on error the partial results
+// are discarded.
 //
-// The returned Counters are the sum over all blocks (deterministic,
-// unlike the interleaving).
+// The results share one backing (sched.NewResults): retaining any one
+// retains the call's. The returned Counters are the sum over all blocks
+// (deterministic, unlike the interleaving).
 func (e *Engine) ScheduleBlocks(ctx context.Context, blocks []*Block, parallelism int) ([]*Result, Counters, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(blocks) {
-		parallelism = len(blocks)
-	}
-	results := make([]*Result, len(blocks))
+	bt := &batch{e: e, ctx: ctx, blocks: blocks, results: sched.NewResults(blocks)}
 	if len(blocks) == 0 {
-		return results, Counters{}, nil
+		return bt.results, Counters{}, nil
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	next := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
+	workers := min(parallelism, len(blocks))
+	bt.next.Store(int64(workers))
+	for w := 1; w < workers; w++ {
+		bt.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			cx := e.pool.Get()
-			defer cx.Release()
-			s := sched.NewWithContext(e.compiled, cx)
-			for bi := range next {
-				s.BlockID = int64(bi)
-				r, err := s.ScheduleBlock(blocks[bi])
-				if err != nil {
-					fail(fmt.Errorf("block %d: %w", bi, err))
-					return
-				}
-				results[bi] = r
-			}
+			defer bt.wg.Done()
+			bt.work(int64(w))
 		}()
 	}
-feed:
-	for bi := range blocks {
-		select {
-		case next <- bi:
-		case <-ctx.Done():
-			break feed
-		}
+	bt.work(0)
+	bt.wg.Wait()
+	if bt.err == nil {
+		bt.err = ctx.Err()
 	}
-	close(next)
-	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, Counters{}, firstErr
+	if bt.err != nil {
+		return nil, Counters{}, bt.err
 	}
 	var total Counters
-	for _, r := range results {
+	for _, r := range bt.results {
 		total.Add(r.Counters)
 	}
-	return results, total, nil
+	return bt.results, total, nil
+}
+
+// batch is one ScheduleBlocks call's shared state. Worker w starts on
+// block w and then claims indices from next, so each index goes to
+// exactly one worker, which alone writes that block's Result; wg.Wait
+// orders those writes before the caller reads them.
+type batch struct {
+	e       *Engine
+	ctx     context.Context
+	blocks  []*Block
+	results []*Result
+	next    atomic.Int64
+	wg      sync.WaitGroup
+
+	mu  sync.Mutex
+	err error // the first failure, under mu
+}
+
+// work borrows one context and schedules block first, then the blocks it
+// claims, until none is left or one fails. Every worker thus schedules at
+// least one block, so each borrowed context merges into the attached
+// views, and their merge counts do not depend on the interleaving.
+func (bt *batch) work(first int64) {
+	cx := bt.e.pool.Get()
+	defer cx.Release()
+	s := sched.NewWithContext(bt.e.compiled, cx)
+	n := int64(len(bt.blocks))
+	for bi := first; bi < n; bi = bt.next.Add(1) - 1 {
+		err := bt.ctx.Err()
+		if err == nil {
+			s.BlockID = bi
+			err = s.ScheduleBlockInto(bt.ctx, bt.blocks[bi], bt.results[bi])
+			if err != nil && err != bt.ctx.Err() {
+				err = fmt.Errorf("block %d: %w", bi, err)
+			}
+		}
+		if err != nil {
+			bt.fail(err)
+			return
+		}
+	}
+}
+
+// fail records err unless an earlier failure was recorded, and claims
+// every remaining block so that the other workers stop.
+func (bt *batch) fail(err error) {
+	bt.mu.Lock()
+	if bt.err == nil {
+		bt.err = err
+	}
+	bt.mu.Unlock()
+	bt.next.Store(int64(len(bt.blocks)))
 }
 
 // Query returns a query session over the engine's frozen description on a
