@@ -95,13 +95,12 @@ func RunExtensions(p Params) (*ExtensionsReport, error) {
 		class := r.Intn(len(ll.Constraints))
 		for {
 			next, okA := a.TryIssue(st, class)
-			sel, okR := pp.Check(ll.Constraints[class], cycle, &c)
+			_, okR := pp.Place(ll.Constraints[class], cycle, &c)
 			if okA != okR {
 				return nil, fmt.Errorf("extensions: automaton and tables disagree")
 			}
 			if okA {
 				st = next
-				pp.Reserve(sel)
 				break
 			}
 			st = a.Advance(st)

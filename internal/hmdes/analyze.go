@@ -2,6 +2,7 @@ package hmdes
 
 import (
 	"fmt"
+	"math"
 
 	"mdes/internal/restable"
 )
@@ -512,7 +513,13 @@ func (a *analyzer) eval(e Expr) (int, error) {
 		return v, nil
 	case *NegExpr:
 		v, err := a.eval(e.E)
-		return -v, err
+		if err != nil {
+			return 0, err
+		}
+		if v == math.MinInt {
+			return 0, a.errf(e.Line, "constant expression -(%d) overflows", v)
+		}
+		return -v, nil
 	case *BinExpr:
 		l, err := a.eval(e.L)
 		if err != nil {
@@ -522,20 +529,31 @@ func (a *analyzer) eval(e Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		var v int
+		overflow := false
 		switch e.Op {
 		case '+':
-			return l + r, nil
+			v = l + r
+			overflow = (v > l) != (r > 0)
 		case '-':
-			return l - r, nil
+			v = l - r
+			overflow = (v < l) != (r > 0)
 		case '*':
-			return l * r, nil
+			v = l * r
+			overflow = l != 0 && (v/l != r || (l == -1 && r == math.MinInt))
 		case '/':
 			if r == 0 {
 				return 0, a.errf(e.Line, "division by zero")
 			}
-			return l / r, nil
+			v = l / r
+			overflow = l == math.MinInt && r == -1
+		default:
+			return 0, a.errf(e.Line, "internal: unknown operator %q", e.Op)
 		}
-		return 0, a.errf(e.Line, "internal: unknown operator %q", e.Op)
+		if overflow {
+			return 0, a.errf(e.Line, "constant expression %d %c %d overflows", l, e.Op, r)
+		}
+		return v, nil
 	default:
 		return 0, a.errf(0, "internal: unknown expression %T", e)
 	}

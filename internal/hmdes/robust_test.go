@@ -201,6 +201,36 @@ func TestDiagnosticsPositions(t *testing.T) {
 			src:  "machine m {\n    resource r;\n    let q = 1/0;\n    class c { tree { option { r @ 0; } } }\n    operation o class c latency 1;\n}",
 			line: 3, col: 1, msg: "division by zero",
 		},
+		{
+			name: "mul-overflow",
+			src:  "machine m {\n    resource r;\n    class c { tree { option { r @ 0; } } }\n    operation o class c latency\n        4294967296*4294967296;\n}",
+			line: 5, col: 1, msg: "constant expression 4294967296 * 4294967296 overflows",
+		},
+		{
+			name: "add-overflow",
+			src:  "machine m {\n    resource r;\n    let big = 9223372036854775807;\n    let q = big + 1;\n    class c { tree { option { r @ 0; } } }\n    operation o class c latency 1;\n}",
+			line: 4, col: 1, msg: "constant expression 9223372036854775807 + 1 overflows",
+		},
+		{
+			name: "sub-overflow",
+			src:  "machine m {\n    resource r;\n    let q = 0 - 9223372036854775807 - 2;\n    class c { tree { option { r @ 0; } } }\n    operation o class c latency 1;\n}",
+			line: 3, col: 1, msg: "constant expression -9223372036854775807 - 2 overflows",
+		},
+		{
+			name: "neg-overflow",
+			src:  "machine m {\n    resource r;\n    let min = 0 - 9223372036854775807 - 1;\n    let q = -min;\n    class c { tree { option { r @ 0; } } }\n    operation o class c latency 1;\n}",
+			line: 4, col: 1, msg: "constant expression -(-9223372036854775808) overflows",
+		},
+		{
+			name: "div-overflow",
+			src:  "machine m {\n    resource r;\n    let min = 0 - 9223372036854775807 - 1;\n    class c { tree { option { r @ 0; } } }\n    operation o class c latency 1;\n    bypass o to o adjust min / -1;\n}",
+			line: 6, col: 1, msg: "constant expression -9223372036854775808 / -1 overflows",
+		},
+		{
+			name: "mul-minint-by-minus-one",
+			src:  "machine m {\n    resource r;\n    let min = 0 - 9223372036854775807 - 1;\n    class c { tree { option { r @ min * -1; } } }\n    operation o class c latency 1;\n}",
+			line: 4, col: 1, msg: "constant expression -9223372036854775808 * -1 overflows",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,6 +255,22 @@ func TestDiagnosticsPositions(t *testing.T) {
 				t.Errorf("message %q does not contain %q", perr.Msg, tc.msg)
 			}
 		})
+	}
+}
+
+// const-overflow-2e64.mdes multiplies 2^32 by 2^32 for a usage time and
+// a latency. With wrapping arithmetic it loaded as a usage at time 0 and
+// latency 1, past every capacity check; it must be refused where the
+// first product overflows.
+func TestRefusesOverflowingConstant(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "const-overflow-2e64.mdes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load("const-overflow-2e64.mdes", string(src))
+	var perr *Error
+	if !errorsAs(err, &perr) || perr.Line != 3 || !strings.Contains(perr.Msg, "4294967296 * 4294967296 overflows") {
+		t.Fatalf("err = %v, want the product refused at line 3", err)
 	}
 }
 

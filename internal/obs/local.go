@@ -35,11 +35,13 @@ type conCount struct{ attempts, options, conflicts int64 }
 
 // Local is a borrowed context's one observation buffer: single-goroutine
 // plain stores, no locks, no atomics, no allocations in steady state. It
-// is fed three events — Attempt and Conflict by the one probe helper
-// (resctx.Context.Probe), BlockDone once per scheduler exit — and each
-// event folds at once into the share of every attached view; a detached
-// view's share costs one nil check per event. On release, Merge folds the
-// buffer into the attached aggregates and resets it.
+// is fed three events — Attempt (or its Count share alone, see Counts)
+// and Conflict by the context's probe helpers (resctx.Context.Place and
+// Probe), BlockDone once per scheduler exit — and each event folds at
+// once into the share of every attached view, except that the metrics
+// view's per-phase totals fold a block's counters at its BlockDone; a
+// detached view's share costs one nil check per event. On release, Merge
+// folds the buffer into the attached aggregates and resets it.
 //
 // Slots of the per-constraint, per-resource and profile counters are
 // journaled on their 0→1 transition, so Merge and reset walk only what a
@@ -158,55 +160,78 @@ func (l *Local) Start() int64 {
 	return Nanotime()
 }
 
-// Attempt is the event of one instrumented Check: the phase, the
+// Attempt is the event of one instrumented probe: the phase, the
 // constraint probed, the operation's index in its block (op < 0 for a
 // probe outside any block, such as a query, which the trace skips) and
 // opcode, the candidate cycle, the options and resource checks consumed,
-// the Check's wall time in ns (-1 when untimed, see Start), whether it
+// the probe's wall time in ns (-1 when untimed, see Start), whether it
 // succeeded, and on success the option chosen in each tree.
+//
+// The metrics share counts a block's attempts in its phase totals at the
+// block's BlockDone, from the block's counters, which hold exactly what
+// its Attempt events report; an attempt outside any block folds its own
+// through the same call at once. What remains for an untimed attempt
+// inside a block is Count, unless the trace is attached (see Counts).
 func (l *Local) Attempt(p Phase, con *lowlevel.Constraint, op int, opcode string, cycle int, options, checks, ns int64, ok bool, chosen []int) {
 	if l.reg != nil {
-		l.dirty = true
-		lp := &l.phases[p]
-		lp.attempts++
-		lp.options += options
-		lp.checks += checks
-		if !ok {
-			lp.conflicts++
-		}
 		if ns >= 0 {
-			lp.recordNs(ns)
+			l.dirty = true
+			l.phases[p].recordNs(ns)
 		}
-	}
-	if !ok {
-		l.failed = con.Index
-	}
-	if ci := con.Index; uint(ci) < uint(len(l.cons)) {
-		cs := &l.cons[ci]
-		if cs.attempts == 0 {
-			l.touchedCon = journal(l.touchedCon, ci)
-		}
-		cs.attempts++
-		cs.options += options
-		if !ok {
-			cs.conflicts++
-		} else if l.layout != nil {
-			// Along each multi-option tree of the constraint the chosen
-			// option was selected, and every option before it was probed
-			// busy, which Merge counts from the selections; single-option
-			// trees need no counts (Layout.Multi).
-			for _, mt := range l.layout.Multi(ci) {
-				if int(mt.Tree) >= len(chosen) {
-					continue
-				}
-				if j := mt.Lo + int32(chosen[mt.Tree]); j >= mt.Lo && j < mt.Hi {
-					l.selected[j]++
-				}
+		if op < 0 {
+			c := stats.Counters{Attempts: 1, OptionsChecked: options, ResourceChecks: checks}
+			if !ok {
+				c.Conflicts = 1
 			}
+			l.fold(p, &c)
 		}
 	}
+	l.Count(con, options, ok, chosen)
 	if l.rec != nil {
 		l.traceAttempt(op, opcode, cycle, options, ok, chosen)
+	}
+}
+
+// Counts reports whether Count is the whole Attempt event of an attempt:
+// one inside a block (op >= 0), untimed (ns < 0), with no trace attached.
+// The probe helper then emits Count, whose four arguments keep the
+// common views' per-attempt cost to one short call.
+func (l *Local) Counts(op int, ns int64) bool { return op >= 0 && ns < 0 && l.rec == nil }
+
+// Count is the per-constraint share of an Attempt, kept once for the
+// metrics and profile views: the constraint's attempts, options and
+// conflicts and, on success, the option chosen in each of its
+// multi-option trees. It also notes a failed attempt's constraint for
+// the Conflict event that attributes it.
+func (l *Local) Count(con *lowlevel.Constraint, options int64, ok bool, chosen []int) {
+	ci := con.Index
+	if !ok {
+		l.failed = ci
+	}
+	if uint(ci) >= uint(len(l.cons)) {
+		return
+	}
+	cs := &l.cons[ci]
+	if cs.attempts == 0 {
+		l.touchedCon = journal(l.touchedCon, ci)
+	}
+	cs.attempts++
+	cs.options += options
+	if !ok {
+		cs.conflicts++
+	} else if l.layout != nil {
+		// Along each multi-option tree of the constraint the chosen
+		// option was selected, and every option before it was probed
+		// busy, which Merge counts from the selections; single-option
+		// trees need no counts (Layout.Multi).
+		for _, mt := range l.layout.Multi(ci) {
+			if int(mt.Tree) >= len(chosen) {
+				continue
+			}
+			if j := mt.Lo + int32(chosen[mt.Tree]); j >= mt.Lo && j < mt.Hi {
+				l.selected[j]++
+			}
+		}
 	}
 }
 
@@ -285,10 +310,10 @@ func (l *Local) traceConflict(tree, res, time int) {
 
 // BlockDone is the event every scheduler exit emits exactly once: the
 // block's phase and ID, its operation count, its schedule length (-1 for
-// a failed schedule) and its counters. It folds the block's backtracks
-// into the metrics share, hands the block's record to the trace view,
-// and records one flight entry with one clock reading. A nil buffer
-// ignores it, at the cost of the inlined nil check.
+// a failed schedule) and its counters. It folds the block's counters
+// into the metrics share's phase totals, hands the block's record to the
+// trace view, and records one flight entry with one clock reading. A nil
+// buffer ignores it, at the cost of the inlined nil check.
 func (l *Local) BlockDone(p Phase, block int64, ops, length int, c stats.Counters) {
 	if l != nil {
 		l.blockDone(p, block, ops, length, &c)
@@ -296,9 +321,8 @@ func (l *Local) BlockDone(p Phase, block int64, ops, length int, c stats.Counter
 }
 
 func (l *Local) blockDone(p Phase, block int64, ops, length int, c *stats.Counters) {
-	if l.reg != nil && c.Backtracks != 0 {
-		l.dirty = true
-		l.phases[p].backtracks += c.Backtracks
+	if l.reg != nil {
+		l.fold(p, c)
 	}
 	if r := l.rec; r != nil {
 		r.Block, r.Ops, r.Length, r.Counters = block, ops, length, *c
@@ -332,6 +356,21 @@ func (l *Local) blockDone(p Phase, block int64, ops, length int, c *stats.Counte
 		}
 		l.start = now
 	}
+}
+
+// fold adds counters to phase p's totals in the metrics share: a
+// block's at its BlockDone, a lone attempt's outside any block.
+func (l *Local) fold(p Phase, c *stats.Counters) {
+	if c.Attempts == 0 && c.Backtracks == 0 {
+		return
+	}
+	l.dirty = true
+	lp := &l.phases[p]
+	lp.attempts += c.Attempts
+	lp.options += c.OptionsChecked
+	lp.checks += c.ResourceChecks
+	lp.conflicts += c.Conflicts
+	lp.backtracks += c.Backtracks
 }
 
 // Merge is the one fold of a released context's buffer into every

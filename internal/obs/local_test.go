@@ -35,9 +35,38 @@ func newTestLocal(r *Registry) testLocal {
 	return testLocal{l, m}
 }
 
-// attempt feeds one Attempt event for a probe of class in phase p.
+// attempt feeds one Attempt event for a probe of class in phase p
+// outside any block (op -1), which the phase totals count at once.
 func (l testLocal) attempt(p Phase, class int, options, checks, ns int64, ok bool) {
-	l.Attempt(p, l.m.Constraints[class], 0, "op", 0, options, checks, ns, ok, []int{0})
+	l.Attempt(p, l.m.Constraints[class], -1, "op", 0, options, checks, ns, ok, []int{0})
+}
+
+// A block's attempts reach the phase totals through its BlockDone, from
+// the block's counters; an attempt outside any block folds its own at
+// once. Either way the per-class counts are per attempt.
+func TestPhaseTotalsFoldAtBlockDone(t *testing.T) {
+	r := NewRegistry([]string{"alu"}, []string{"r0"})
+	l := newTestLocal(r)
+	con := l.m.Constraints[0]
+	l.Attempt(PhaseList, con, 0, "ADD", 0, 2, 3, -1, true, []int{0})
+	l.Attempt(PhaseList, con, 1, "ADD", 0, 1, 1, -1, false, nil)
+	if l.phases[PhaseList].attempts != 0 {
+		t.Fatal("an attempt inside a block reached the phase totals before its BlockDone")
+	}
+	l.BlockDone(PhaseList, 0, 2, -1, stats.Counters{Attempts: 2, OptionsChecked: 3, ResourceChecks: 4, Conflicts: 1, Backtracks: 5})
+	l.Attempt(PhaseQuery, con, -1, "", 0, 1, 2, -1, false, nil)
+	l.Merge()
+	s := r.Snapshot()
+	list, query := s.Phases[PhaseList], s.Phases[PhaseQuery]
+	if list.Attempts != 2 || list.OptionsChecked != 3 || list.ResourceChecks != 4 || list.Conflicts != 1 || list.Backtracks != 5 {
+		t.Fatalf("list phase = %+v", list)
+	}
+	if query.Attempts != 1 || query.OptionsChecked != 1 || query.ResourceChecks != 2 || query.Conflicts != 1 {
+		t.Fatalf("query phase = %+v", query)
+	}
+	if c := s.Classes[0]; c.Attempts != 3 || c.OptionsChecked != 4 || c.Conflicts != 2 {
+		t.Fatalf("class = %+v", c)
+	}
 }
 
 // The trace view renders a Conflict event ahead of the failed attempt it

@@ -12,9 +12,11 @@
 //
 // One per-context buffer feeds every view. Each borrowed
 // resctx.Context carries one Local, fed three events: Attempt and
-// Conflict by the one probe helper (resctx.Context.Probe), and BlockDone
-// once per scheduler exit. Each event folds at once, with plain stores,
-// into the share of whichever views the engine attached (Views):
+// Conflict by the context's probe helpers (resctx.Context.Place, which
+// reserves what it probed, and Probe), and BlockDone once per scheduler
+// exit. Each event folds at once, with plain stores, into the share of
+// whichever views the engine attached (Views); the metrics view's
+// per-phase totals fold a block's counters at its BlockDone:
 //
 //   - the metrics Registry of atomic counters keyed by scheduler phase,
 //     opcode class and blocking resource, with sampled check-latency

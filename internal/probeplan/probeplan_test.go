@@ -779,3 +779,31 @@ func TestProbeRejectsForeignConstraint(t *testing.T) {
 	var c stats.Counters
 	pb.Check(other.Constraints[0], 0, &c)
 }
+
+// The loader refuses two trees of one constraint that use one resource
+// at one time, so each finds its option free without seeing the other's.
+// On a description assembled past that check, Place keeps Reserve's
+// double-reservation panic.
+func TestPlaceDoubleReservationPanics(t *testing.T) {
+	ll := compile(t, `
+machine Twice {
+    resource R;
+    resource S;
+    class c {
+        tree { option { R @ 0; } }
+        tree { option { S @ 0; } }
+    }
+    operation OP class c latency 1;
+}
+`, lowlevel.FormAndOr)
+	trees := ll.Constraints[0].Trees
+	trees[1].Options[0].Usages[0].Res = trees[0].Options[0].Usages[0].Res
+	pb := NewProber(mustPlan(t, ll))
+	var c stats.Counters
+	defer func() {
+		if s, _ := recover().(string); !strings.Contains(s, "double reservation") {
+			t.Fatalf("Place of overlapping trees: panic = %q", s)
+		}
+	}()
+	pb.Place(ll.Constraints[0], 0, &c)
+}

@@ -23,12 +23,13 @@ type Selection struct {
 // plus the selection arena. A Prober serves one goroutine at a time; the
 // Plan it walks is shared read-only.
 //
-// Selections returned by Check borrow their Chosen slices
-// from an append-only arena owned by the Prober and stay valid until the
-// next Reset — long enough for the query layer, which retains several
-// selections across probes before releasing them, and exactly the
-// per-block lifetime the schedulers need. Reset recycles the arena; no
-// steady-state Check allocates.
+// Selections returned by Check borrow their Chosen slices from an
+// append-only arena owned by the Prober and stay valid until the next
+// Reset, so a caller may hold several across probes before reserving or
+// releasing them. Place, the probe the schedulers, the query layer and
+// the differential replay issue, copies nothing: it reserves what it
+// just probed and hands back its per-tree scratch. Reset recycles the
+// arena; no steady-state Check or Place allocates.
 type Prober struct {
 	plan *Plan
 
@@ -41,18 +42,21 @@ type Prober struct {
 	nrows int
 
 	// chosen is the selection arena; scratch is one constraint's worth of
-	// per-tree choices, copied into the arena only on success. zero is a
-	// permanently-zero row used to extend the window upward.
+	// per-tree choices, copied into the arena only by a successful Check,
+	// and picked the same choices as plan option indices, which Place
+	// reserves. zero is a permanently-zero row used to extend the window
+	// upward.
 	chosen  []int
 	scratch []int
+	picked  []int32
 	zero    []uint64
 
-	// The most recent failed Check stashes which tree it died on and the
-	// plan word that blocked that tree's highest-priority option: the
-	// failing probe already walked exactly the span Blocker would re-walk,
-	// so Blocker reduces to one FirstBlocked on the stashed word, as long
-	// as the window state is unchanged (any Reserve/Release/Reset
-	// invalidates). The stash itself is five stores on the already-taken
+	// The most recent failed Check or Place stashes which tree it died on
+	// and the plan word that blocked that tree's highest-priority option:
+	// the failing probe already walked exactly the span Blocker would
+	// re-walk, so Blocker reduces to one FirstBlocked on the stashed word,
+	// as long as the window state is unchanged (any successful Place, and
+	// any Reserve/Release/Reset, invalidates). The stash itself is five stores on the already-taken
 	// failure branch, costing the observation-off hot path nothing
 	// measurable.
 	lastCon   *lowlevel.Constraint
@@ -68,6 +72,7 @@ func NewProber(p *Plan) *Prober {
 	return &Prober{
 		plan:    p,
 		scratch: make([]int, p.maxTrees),
+		picked:  make([]int32, p.maxTrees),
 		zero:    make([]uint64, p.RowWords),
 	}
 }
@@ -83,44 +88,89 @@ func (p *Prober) Reset() {
 }
 
 // Check tests whether the constraint can be satisfied with the operation
-// issued at cycle issue, using the AND-of-OR-trees algorithm of §3: each
-// OR-tree is scanned in priority order for its first available option,
-// each option short-circuits at its first busy probe word, and the scan
-// stops at the first OR-tree with no available option. For FormOR
-// constraints there is a single tree, so this degenerates to the
-// traditional algorithm. Counters accumulate one Attempt, plus the options
-// and resource checks (one per probe word) performed. On success nothing
-// is reserved until Reserve is called with the returned Selection.
+// issued at cycle issue, using the AND-of-OR-trees algorithm of §3 (see
+// probe). Counters accumulate one Attempt, plus the options and resource
+// checks (one per probe word) performed. On success nothing is reserved
+// until Reserve is called with the returned Selection, whose choices are
+// copied into the selection arena.
 func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (Selection, bool) {
+	n, ok := p.probe(con, issue, c)
+	if !ok {
+		return Selection{}, false
+	}
+	return commit(&p.chosen, con, issue, p.scratch[:n]), true
+}
+
+// Place is Check followed by Reserve in one walk: on success it reserves
+// the chosen options' words straight from the spans the probe just
+// walked, accounting exactly as Check, and returns the option chosen in
+// each tree. The choices live in the prober's scratch and stay valid
+// until its next Check or Place. A failed Place reserves nothing.
+func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) ([]int, bool) {
+	n, ok := p.probe(con, issue, c)
+	if !ok {
+		return nil, false
+	}
+	p.lastValid = false
+	for _, oi := range p.picked[:n] {
+		p.reserveOption(oi, issue)
+	}
+	return p.scratch[:n:n], true
+}
+
+// probe is the one probing loop behind Check and Place. Each OR-tree is
+// scanned in priority order for its first available option, each option
+// short-circuits at its first busy probe word, and the scan stops at the
+// first OR-tree with no available option; for FormOR constraints there is
+// a single tree, so this degenerates to the traditional algorithm. On
+// success tree i's choice is p.scratch[i] (within the tree) and
+// p.picked[i] (within the plan) for the returned tree count; on failure
+// the stash names the blocking word. The counters are added once.
+func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (int, bool) {
+	pl := p.plan
+	tlo, thi := pl.spanFor(con)
+	words, optStart, rowWords := pl.words, pl.optStart, pl.RowWords
+	rows, base, nrows := p.rows, p.base, p.nrows
+	var opts, checks int64
 	c.Attempts++
-	tlo, thi := p.plan.spanFor(con)
-	scratch := p.scratch[:thi-tlo]
 	for ti := tlo; ti < thi; ti++ {
-		olo, ohi := p.plan.treeStart[ti], p.plan.treeStart[ti+1]
-		found := -1
+		olo, ohi := pl.treeStart[ti], pl.treeStart[ti+1]
 		firstWi := int32(-1)
-		for oi := olo; oi < ohi; oi++ {
-			c.OptionsChecked++
-			bw := p.optionProbe(oi, issue, c)
-			if bw < 0 {
-				found = int(oi - olo)
-				break
+		oi := olo
+	options:
+		for ; oi < ohi; oi++ {
+			opts++
+			wlo, whi := optStart[oi], optStart[oi+1]
+			for wi := wlo; wi < whi; wi++ {
+				w := words[wi]
+				r := issue + int(w.Time) - base
+				if uint(r) < uint(nrows) && bitset.WordIntersects(rows, r*rowWords+int(w.Widx), w.Mask) {
+					checks += int64(wi - wlo + 1)
+					if oi == olo {
+						firstWi = wi
+					}
+					continue options
+				}
 			}
-			if oi == olo {
-				firstWi = bw
-			}
+			checks += int64(whi - wlo)
+			break
 		}
-		if found < 0 {
+		if oi == ohi {
+			c.OptionsChecked += opts
+			c.ResourceChecks += checks
 			c.Conflicts++
 			p.lastCon, p.lastIssue = con, issue
 			p.lastTi, p.lastTlo = ti, tlo
 			p.lastWi = firstWi
 			p.lastValid = true
-			return Selection{}, false
+			return 0, false
 		}
-		scratch[ti-tlo] = found
+		p.scratch[ti-tlo] = int(oi - olo)
+		p.picked[ti-tlo] = oi
 	}
-	return commit(&p.chosen, con, issue, scratch), true
+	c.OptionsChecked += opts
+	c.ResourceChecks += checks
+	return int(thi - tlo), true
 }
 
 // commit copies one successful probe's per-tree choices into the
@@ -132,23 +182,6 @@ func commit(arena *[]int, con *lowlevel.Constraint, issue int, scratch []int) Se
 	return Selection{Constraint: con, Issue: issue, Chosen: (*arena)[start:len(*arena):len(*arena)]}
 }
 
-// optionProbe walks one option's word span, accounting one resource check
-// per word; a probe outside the reservation window is free. It returns the
-// index of the first blocking plan word, or -1 if the option is free.
-func (p *Prober) optionProbe(opt int32, issue int, c *stats.Counters) int32 {
-	words := p.plan.words
-	rowWords := p.plan.RowWords
-	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
-		c.ResourceChecks++
-		w := words[wi]
-		r := issue + int(w.Time) - p.base
-		if uint(r) < uint(p.nrows) && bitset.WordIntersects(p.rows, r*rowWords+int(w.Widx), w.Mask) {
-			return wi
-		}
-	}
-	return -1
-}
-
 // Reserve applies a successful Selection, growing the reservation window
 // as needed; it panics on a double reservation, since the caller must
 // have checked first.
@@ -156,15 +189,26 @@ func (p *Prober) Reserve(sel Selection) {
 	p.lastValid = false
 	tlo, _ := p.plan.spanFor(sel.Constraint)
 	for i, choice := range sel.Chosen {
-		opt := p.plan.treeStart[tlo+int32(i)] + int32(choice)
-		for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
-			w := p.plan.words[wi]
-			idx := p.rowIndex(sel.Issue+int(w.Time))*p.plan.RowWords + int(w.Widx)
-			if bitset.WordIntersects(p.rows, idx, w.Mask) {
-				panic(fmt.Sprintf("probeplan: double reservation at cycle %d", sel.Issue+int(w.Time)))
-			}
-			bitset.WordOr(p.rows, idx, w.Mask)
+		p.reserveOption(p.plan.treeStart[tlo+int32(i)]+int32(choice), sel.Issue)
+	}
+}
+
+// reserveOption reserves plan option opt's words at issue, growing the
+// window as needed, and panics on a word already held: two trees of one
+// constraint whose choices overlap, or a selection reserved twice.
+func (p *Prober) reserveOption(opt int32, issue int) {
+	rowWords := p.plan.RowWords
+	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
+		w := p.plan.words[wi]
+		r := issue + int(w.Time) - p.base
+		if uint(r) >= uint(p.nrows) {
+			r = p.rowIndex(issue + int(w.Time))
 		}
+		idx := r*rowWords + int(w.Widx)
+		if bitset.WordIntersects(p.rows, idx, w.Mask) {
+			panic(fmt.Sprintf("probeplan: double reservation at cycle %d", issue+int(w.Time)))
+		}
+		bitset.WordOr(p.rows, idx, w.Mask)
 	}
 }
 
@@ -197,15 +241,8 @@ func (p *Prober) Release(sel Selection) {
 // tree is -1 when the constraint is satisfiable, and res is -1 (time 0)
 // when no single busy slot blocks the tree's preferred option.
 func (p *Prober) Blocker(con *lowlevel.Constraint, issue int) (tree, res, time int) {
-	if p.lastValid && p.lastCon == con && p.lastIssue == issue && p.lastWi >= 0 {
-		w := p.plan.words[p.lastWi]
-		r := issue + int(w.Time) - p.base
-		if uint(r) < uint(p.nrows) {
-			row := p.rows[r*p.plan.RowWords : (r+1)*p.plan.RowWords]
-			if b := bitset.FirstBlocked(row, int(w.Widx), w.Mask); b >= 0 {
-				return int(p.lastTi - p.lastTlo), b, int(w.Time)
-			}
-		}
+	if p.lastValid && p.lastCon == con && p.lastIssue == issue {
+		return p.Blocked()
 	}
 	tlo, thi := p.plan.spanFor(con)
 	for ti := tlo; ti < thi; ti++ {
@@ -227,7 +264,22 @@ func (p *Prober) Blocker(con *lowlevel.Constraint, issue int) (tree, res, time i
 	return -1, -1, 0
 }
 
-// optionFree is optionProbe without instrumentation (Blocker slow path).
+// Blocked is Blocker's answer for the Check or Place that just failed,
+// read straight from its stash: the failing probe found the stashed word
+// busy, and nothing has changed the window since. Called at any other
+// time it answers for whatever failed last, or panics.
+func (p *Prober) Blocked() (tree, res, time int) {
+	tree = int(p.lastTi - p.lastTlo)
+	if p.lastWi < 0 {
+		return tree, -1, 0
+	}
+	w := p.plan.words[p.lastWi]
+	v := p.rows[(p.lastIssue+int(w.Time)-p.base)*p.plan.RowWords+int(w.Widx)] & w.Mask
+	return tree, int(w.Widx)*bitset.WordBits + bits.TrailingZeros64(v), int(w.Time)
+}
+
+// optionFree reports whether option opt is free at issue, without
+// accounting (Blocker's slow path).
 func (p *Prober) optionFree(opt int32, issue int) bool {
 	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
 		w := p.plan.words[wi]

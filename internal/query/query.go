@@ -13,7 +13,6 @@ import (
 
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
-	"mdes/internal/probeplan"
 	"mdes/internal/resctx"
 	"mdes/internal/stats"
 )
@@ -56,14 +55,15 @@ func (q *Q) Close() {
 // since its context was borrowed.
 func (q *Q) Counters() stats.Counters { return q.cx.Counters }
 
-// check performs one instrumented constraint probe for the operation at
-// opIdx issuing at cycle issue through the context's probe helper: every
-// query probe is one scheduling attempt in the paper's accounting, so the
-// observation views attribute it exactly like a scheduler attempt, under
-// the query phase and outside any block.
-func (q *Q) check(opIdx, issue int) (probeplan.Selection, bool) {
-	sel, ok, _ := q.cx.Probe(obs.PhaseQuery, -1, "", q.mdes.ConstraintFor(opIdx, false), issue, &q.cx.Counters)
-	return sel, ok
+// place places the operation at opIdx at cycle issue through the
+// context, reserving it on success (resctx.Context.Place), and returns
+// the option chosen in each tree: every query probe is one scheduling
+// attempt in the paper's accounting, so the observation views attribute
+// it exactly like a scheduler attempt, under the query phase and outside
+// any block.
+func (q *Q) place(opIdx, issue int) ([]int, bool) {
+	chosen, ok, _ := q.cx.Place(obs.PhaseQuery, -1, "", q.mdes.ConstraintFor(opIdx, false), issue, &q.cx.Counters)
+	return chosen, ok
 }
 
 // Latency returns an opcode's result latency.
@@ -111,11 +111,9 @@ func (q *Q) CanIssueTogether(opcodes ...string) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("query: unknown opcode %q", opc)
 		}
-		sel, ok2 := q.check(idx, 0)
-		if !ok2 {
+		if _, ok2 := q.place(idx, 0); !ok2 {
 			return false, nil
 		}
-		q.cx.Reserve(sel)
 	}
 	return true, nil
 }
@@ -131,11 +129,9 @@ func (q *Q) MaxPerCycle(opcode string, limit int) (int, error) {
 	defer q.cx.ResetReservations()
 	n := 0
 	for n < limit {
-		sel, ok := q.check(idx, 0)
-		if !ok {
+		if _, ok := q.place(idx, 0); !ok {
 			break
 		}
-		q.cx.Reserve(sel)
 		n++
 	}
 	return n, nil
@@ -159,13 +155,13 @@ func (q *Q) MinIssueDistance(first, second string, limit int) (int, error) {
 	}
 	q.cx.ResetReservations()
 	defer q.cx.ResetReservations()
-	sel, ok := q.check(fi, 0)
-	if !ok {
+	if _, ok := q.place(fi, 0); !ok {
 		return 0, fmt.Errorf("query: %q cannot issue on an idle machine", first)
 	}
-	q.cx.Reserve(sel)
+	// The second instance is only probed, never reserved.
+	con := q.mdes.ConstraintFor(si, false)
 	for t := 0; t <= limit; t++ {
-		if _, ok := q.check(si, t); ok {
+		if _, ok, _ := q.cx.Probe(obs.PhaseQuery, -1, "", con, t, &q.cx.Counters); ok {
 			return t, nil
 		}
 	}
@@ -199,11 +195,9 @@ func (q *Q) IssueWidth(limit int) int {
 				} else {
 					idx = q.mdes.OpIndex[b.Name]
 				}
-				sel, ok := q.check(idx, 0)
-				if !ok {
+				if _, ok := q.place(idx, 0); !ok {
 					break
 				}
-				q.cx.Reserve(sel)
 				count++
 			}
 			if count > best {
@@ -217,21 +211,22 @@ func (q *Q) IssueWidth(limit int) int {
 // ResourceUse reports, for an opcode's highest-priority option choice, the
 // (resource name, relative cycle) slots it would reserve — the footprint
 // a resource-pressure heuristic charges per operation. The footprint is
-// derived from the probe's option choices, so it is identical under every
-// checker backend; per-resource cycle lists are sorted ascending.
+// derived from the placement's option choices, so it is identical under
+// every checker backend; per-resource cycle lists are sorted ascending.
 func (q *Q) ResourceUse(opcode string) (map[string][]int, error) {
 	idx, ok := q.mdes.OpIndex[opcode]
 	if !ok {
 		return nil, fmt.Errorf("query: unknown opcode %q", opcode)
 	}
 	q.cx.ResetReservations()
-	sel, ok2 := q.check(idx, 0)
+	defer q.cx.ResetReservations()
+	chosen, ok2 := q.place(idx, 0)
 	if !ok2 {
 		return nil, fmt.Errorf("query: %q cannot issue on an idle machine", opcode)
 	}
 	out := map[string][]int{}
-	for ti, tree := range sel.Constraint.Trees {
-		for _, u := range tree.Options[sel.Chosen[ti]].ExpandedUsages() {
+	for ti, tree := range q.mdes.ConstraintFor(idx, false).Trees {
+		for _, u := range tree.Options[chosen[ti]].ExpandedUsages() {
 			name := q.mdes.ResourceNames[u.Res]
 			out[name] = append(out[name], int(u.Time))
 		}

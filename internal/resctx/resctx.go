@@ -18,11 +18,12 @@
 // initiation interval (Mod), which only the modulo scheduler uses; or a
 // cursor over the §10 collision automaton (Auto), kept as the paper's
 // comparison, which does neither. The automaton only moves forward, so
-// the schedulers that need random access test Auto and refuse it. Every consumer probes
-// through one helper, Context.Probe: the Check itself, the paper's
-// counters, and — when the pool observes — the Attempt and Conflict
-// events into the context's one observation buffer (obs.Local), with
-// conflicts attributed by the prober's one walk.
+// the schedulers that need random access test Auto and refuse it. Every
+// consumer probes through Context.Place, which reserves what it probed
+// in the same walk, or Context.Probe, which only checks: the check
+// itself, the paper's counters, and — when the pool observes — the
+// Attempt and Conflict events into the context's one observation buffer
+// (obs.Local), with conflicts attributed by the prober's one walk.
 //
 // A Pool recycles Contexts of one backend Kind via sync.Pool and
 // aggregates the counters of every returned Context, giving a service
@@ -155,26 +156,42 @@ func FrozenPlan(m *lowlevel.MDES) *probeplan.Plan {
 	return plan
 }
 
-// Reserve applies a successful Selection from the context's last Probe.
-func (c *Context) Reserve(sel probeplan.Selection) {
-	if c.PP != nil {
-		c.PP.Reserve(sel)
-		return
+// Probe is the probe of the paths that do not reserve what they probe
+// (the modulo scheduler, which reserves into its fold itself, and pure
+// queries): it checks con at cycle against the context's backend,
+// accounting into ctr (per-block or per-call counters; callers fold them
+// into c.Counters themselves), and returns the selection and the options
+// checked during the attempt (Figure 2's per-attempt quantity). When a
+// per-attempt view is attached it also emits the Attempt event (timing
+// one attempt in obs.TimestampPeriod) and, for a failed probe the views
+// want attributed, the Conflict event from the prober's stash of the
+// failed probe; other backends attribute nothing. op and opcode name the
+// operation within its block for the trace (op < 0 outside any block).
+func (c *Context) Probe(phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) (probeplan.Selection, bool, int64) {
+	chosen, ok, opts := c.attempt(false, phase, op, opcode, con, cycle, ctr)
+	if !ok {
+		return probeplan.Selection{}, false, opts
 	}
-	c.Auto.Reserve(sel)
+	return probeplan.Selection{Constraint: con, Issue: cycle, Chosen: chosen}, true, opts
 }
 
-// Probe is the one probe the list, backward, op-driven, query and modulo
-// paths issue: it checks con at cycle against the context's backend,
-// accounting into ctr (per-block or per-call counters; callers fold them
-// into c.Counters themselves), and returns the options checked during
-// the attempt (Figure 2's per-attempt quantity). When a per-attempt view
-// is attached it also emits the Attempt event (timing one attempt in
-// obs.TimestampPeriod) and, for a failed probe the views want
-// attributed, the Conflict event from the prober's one attribution walk;
-// other backends attribute nothing. op and opcode name the operation
-// within its block for the trace (op < 0 outside any block).
-func (c *Context) Probe(phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) (probeplan.Selection, bool, int64) {
+// Place is Probe that, on success, also reserves what it probed: the
+// probe every scheduler attempt, reserving query and replay issues. The
+// prober reserves in the same walk (probeplan.Prober.Place); the
+// automaton checks and commits its successor state. It emits the same
+// events as Probe and returns the option chosen in each tree, valid
+// until the next probe. A modulo context has no Place: the modulo
+// scheduler places through Probe and probeplan.Modulo.Reserve.
+func (c *Context) Place(phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) ([]int, bool, int64) {
+	return c.attempt(true, phase, op, opcode, con, cycle, ctr)
+}
+
+// attempt is Probe, or with reserve set Place: the backend's probe and
+// the attempt's events. It returns the option chosen in each tree. For
+// an untimed attempt inside a block with no trace attached the views
+// take only the Attempt event's counting share (obs.Local.Counts), which
+// it emits alone.
+func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) ([]int, bool, int64) {
 	l := c.Obs
 	observed := l.PerAttempt()
 	o0, k0, ns := ctr.OptionsChecked, ctr.ResourceChecks, int64(-1)
@@ -183,25 +200,34 @@ func (c *Context) Probe(phase obs.Phase, op int, opcode string, con *lowlevel.Co
 	}
 	var sel probeplan.Selection
 	var ok bool
-	if c.PP != nil {
+	switch {
+	case c.PP != nil && reserve:
+		sel.Chosen, ok = c.PP.Place(con, cycle, ctr)
+	case c.PP != nil:
 		sel, ok = c.PP.Check(con, cycle, ctr)
-	} else if c.Mod != nil {
+	case c.Mod != nil:
 		sel, ok = c.Mod.Check(con, cycle, ctr)
-	} else {
-		sel, ok = c.Auto.Check(con, cycle, ctr)
+	default:
+		if sel, ok = c.Auto.Check(con, cycle, ctr); ok && reserve {
+			c.Auto.Reserve(sel)
+		}
 	}
 	opts := ctr.OptionsChecked - o0
 	if !observed {
-		return sel, ok, opts
+		return sel.Chosen, ok, opts
 	}
 	if ns >= 0 {
 		ns = obs.Nanotime() - ns
 	}
-	l.Attempt(phase, con, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
-	if !ok && c.PP != nil && l.Attributes() {
-		l.Conflict(c.PP.Blocker(con, cycle))
+	if l.Counts(op, ns) {
+		l.Count(con, opts, ok, sel.Chosen)
+	} else {
+		l.Attempt(phase, con, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
 	}
-	return sel, ok, opts
+	if !ok && c.PP != nil && l.Attributes() {
+		l.Conflict(c.PP.Blocked())
+	}
+	return sel.Chosen, ok, opts
 }
 
 // ResetReservations clears the backend's reservations, retaining storage.

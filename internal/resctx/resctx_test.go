@@ -62,14 +62,12 @@ func newPool(t *testing.T, m *lowlevel.MDES, kind Kind) *Pool {
 
 func testPool(t *testing.T) *Pool { return newPool(t, tinyMDES(t), KindProbePlan) }
 
-// reserveADD reserves one ADD at cycle 0 through the context.
+// reserveADD places one ADD at cycle 0 through the context.
 func reserveADD(t *testing.T, c *Context, m *lowlevel.MDES) {
 	t.Helper()
-	sel, ok, _ := c.Probe(obs.PhaseList, 0, "ADD", m.Constraints[0], 0, &c.Counters)
-	if !ok {
+	if _, ok, _ := c.Place(obs.PhaseList, 0, "ADD", m.Constraints[0], 0, &c.Counters); !ok {
 		t.Fatal("ADD did not fit an empty reservation table")
 	}
-	c.Reserve(sel)
 }
 
 func TestStandaloneReleaseIsNoop(t *testing.T) {
@@ -218,16 +216,16 @@ func TestPoolMetricsMergeOnRelease(t *testing.T) {
 		t.Fatalf("in-flight = %d, want 1", got)
 	}
 	// The second ADD at cycle 0 conflicts on the busy ALU; the probe
-	// helper attributes it.
+	// helper attributes it. The block's end folds its attempts into the
+	// phase totals, as a scheduler's exit does.
 	con := m.Constraints[0]
-	sel, ok, _ := c.Probe(obs.PhaseList, 0, "ADD", con, 0, &c.Counters)
-	if !ok {
+	if _, ok, _ := c.Place(obs.PhaseList, 0, "ADD", con, 0, &c.Counters); !ok {
 		t.Fatal("ADD did not fit an empty reservation table")
 	}
-	c.Reserve(sel)
 	if _, ok, _ := c.Probe(obs.PhaseList, 1, "ADD", con, 0, &c.Counters); ok {
 		t.Fatal("second ADD issued on a busy ALU")
 	}
+	c.Obs.BlockDone(obs.PhaseList, 0, 2, -1, c.Counters)
 	c.Release()
 	c.Release() // idempotent for the registry too
 
@@ -322,7 +320,7 @@ func TestCapabilityMatrix(t *testing.T) {
 	if !ok {
 		t.Fatal("ADD did not fit an empty reservation table at 3")
 	}
-	pp.Reserve(sel)
+	pp.PP.Reserve(sel)
 	if _, ok, _ := pp.Probe(obs.PhaseList, 0, "ADD", con, 1, &c); !ok {
 		t.Fatal("probe-plan context refused a probe behind its reservation")
 	}
@@ -375,11 +373,9 @@ func TestBackendsAgreeThroughInterface(t *testing.T) {
 		con := m.Constraints[0]
 		cx := newPool(t, m, kind).Get()
 		var c stats.Counters
-		sel, ok, _ := cx.Probe(obs.PhaseList, 0, "ADD", con, 0, &c)
-		if !ok {
+		if _, ok, _ := cx.Place(obs.PhaseList, 0, "ADD", con, 0, &c); !ok {
 			t.Fatalf("%s: first issue at 0 failed", kind)
 		}
-		cx.Reserve(sel)
 		if _, ok, _ := cx.Probe(obs.PhaseList, 1, "ADD", con, 0, &c); ok {
 			t.Fatalf("%s: ALU double-booked at cycle 0", kind)
 		}
@@ -408,14 +404,13 @@ machine Tiny {
 	p.Observe(&obs.Views{Metrics: reg, MDES: m})
 	cx := p.Get()
 	con := m.Constraints[0]
-	sel, ok, _ := cx.Probe(obs.PhaseList, 0, "ADD", con, 0, &cx.Counters)
-	if !ok {
+	if _, ok, _ := cx.Place(obs.PhaseList, 0, "ADD", con, 0, &cx.Counters); !ok {
 		t.Fatal("first ADD did not issue")
 	}
-	cx.Reserve(sel)
 	if _, ok, _ := cx.Probe(obs.PhaseList, 1, "ADD", con, 0, &cx.Counters); ok {
 		t.Fatal("second ADD issued on a busy ALU")
 	}
+	cx.Obs.BlockDone(obs.PhaseList, 0, 2, -1, cx.Counters)
 	cx.Release()
 	s := reg.Snapshot()
 	if s.Phases[obs.PhaseList].Conflicts != 1 {

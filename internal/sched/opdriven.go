@@ -68,9 +68,7 @@ func (s *Scheduler) opDriven(ctx context.Context, b *ir.Block, res *Result) erro
 					return err
 				}
 			}
-			sel, ok := s.attempt(obs.PhaseOpDriven, i, op, con, cycle, &res.Counters)
-			if ok {
-				s.cx.Reserve(sel)
+			if s.attempt(obs.PhaseOpDriven, i, op, con, cycle, &res.Counters) {
 				break
 			}
 			cycle++

@@ -19,7 +19,6 @@ import (
 	"mdes/internal/ir"
 	"mdes/internal/lowlevel"
 	"mdes/internal/obs"
-	"mdes/internal/probeplan"
 	"mdes/internal/resctx"
 	"mdes/internal/stats"
 )
@@ -123,18 +122,18 @@ func (s *Scheduler) Context() *resctx.Context { return s.cx }
 // MDES returns the machine description the scheduler drives.
 func (s *Scheduler) MDES() *lowlevel.MDES { return s.mdes }
 
-// attempt performs one instrumented Check through the context's probe
-// helper (resctx.Context.Probe) and feeds the harness hooks, returning
-// the selection and whether the operation issued.
-func (s *Scheduler) attempt(phase obs.Phase, i int, op *ir.Operation, con *lowlevel.Constraint, cycle int, c *stats.Counters) (probeplan.Selection, bool) {
-	sel, ok, opts := s.cx.Probe(phase, i, op.Opcode, con, cycle, c)
+// attempt is one scheduling attempt: it places operation i at cycle
+// through the context (resctx.Context.Place, which reserves on success)
+// and feeds the harness hooks, reporting whether the operation issued.
+func (s *Scheduler) attempt(phase obs.Phase, i int, op *ir.Operation, con *lowlevel.Constraint, cycle int, c *stats.Counters) bool {
+	_, ok, opts := s.cx.Place(phase, i, op.Opcode, con, cycle, c)
 	if s.OptionsHist != nil {
 		s.OptionsHist.Observe(int(opts))
 	}
 	if s.OnAttempt != nil {
 		s.OnAttempt(op, opts, ok)
 	}
-	return sel, ok
+	return ok
 }
 
 // done ends one block on every exit path: it emits the block's one
@@ -158,7 +157,7 @@ func (s *Scheduler) done(phase obs.Phase, n int, res *Result, err error) error {
 // height, ties by source order); each attempt checks the operation's
 // reservation constraint against the context's reservation table and
 // either reserves its resources or leaves the operation for a later
-// cycle. One Check call is one "scheduling attempt" in the paper's
+// cycle. One probe is one "scheduling attempt" in the paper's
 // accounting.
 func (s *Scheduler) ScheduleBlock(b *ir.Block) (*Result, error) {
 	res := &Result{}
@@ -374,8 +373,7 @@ func (s *Scheduler) cycleDriven(ctx context.Context, b *ir.Block, ax axis, res *
 				attempted = true
 				op := b.Ops[i]
 				con := s.mdes.ConstraintFor(bl.opIdxs[i], op.Cascaded)
-				if sel, ok := s.attempt(ax.phase, i, op, con, ax.sign*cycle, &res.Counters); ok {
-					s.cx.Reserve(sel)
+				if s.attempt(ax.phase, i, op, con, ax.sign*cycle, &res.Counters) {
 					res.Issue[i] = cycle
 					for _, e := range bl.next[i] {
 						j := e.From + e.To - i

@@ -156,6 +156,9 @@ func TestFaultCorruptUploadVariants(t *testing.T) {
 		{"keyword-typo", func(s string) string { return strings.ReplaceAll(s, "machine", "machnie") }},
 		{"unbalanced", func(s string) string { return strings.Replace(s, "}", "", 1) }},
 		{"binary-garbage", func(s string) string { return "\x00\x01\x02\xff" + s }},
+		{"overflowing-constant", func(s string) string {
+			return strings.Replace(s, "latency 1;", "latency 4294967296*4294967296+1;", 1)
+		}},
 	}
 	for _, tc := range cases {
 		_, err := c.Upload(ctx, "corrupt", mdesclient.UploadRequest{Source: tc.mangle(good)})

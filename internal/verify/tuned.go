@@ -79,8 +79,8 @@ func CheckEquivalent(base, tuned *lowlevel.MDES, streamSeed int64) error {
 	w := window{lo: loA - 2, hi: issA[len(issA)-1] + hiA + 2}
 	for op := 0; op < nOps; op++ {
 		for cycle := w.lo; cycle <= w.hi; cycle++ {
-			_, gotA := probe(cxA, base, op, cycle, &cA)
-			_, gotB := probe(cxB, tuned, op, cycle, &cB)
+			gotA := probe(cxA, base, op, cycle, &cA)
+			gotB := probe(cxB, tuned, op, cycle, &cB)
 			if gotA != gotB {
 				return stageErrf(stage, "probe diverged: op %s at cycle %d: base=%v tuned=%v",
 					base.Operations[op].Name, cycle, gotA, gotB)

@@ -328,10 +328,9 @@ func schedule(m *lowlevel.MDES, cx *resctx.Context, stream, arrivals []int, c *s
 			cycle = prev
 		}
 		start := cycle
+		con := m.ConstraintFor(opIdx, false)
 		for {
-			sel, ok := probe(cx, m, opIdx, cycle, c)
-			if ok {
-				cx.Reserve(sel)
+			if _, ok, _ := cx.Place(obs.PhaseList, -1, "", con, cycle, c); ok {
 				break
 			}
 			cycle++
@@ -346,11 +345,11 @@ func schedule(m *lowlevel.MDES, cx *resctx.Context, stream, arrivals []int, c *s
 	return issues, nil
 }
 
-// probe checks operation opIdx at cycle through the context's one probe
-// helper, outside any block.
-func probe(cx *resctx.Context, m *lowlevel.MDES, opIdx, cycle int, c *stats.Counters) (probeplan.Selection, bool) {
-	sel, ok, _ := cx.Probe(obs.PhaseList, -1, "", m.ConstraintFor(opIdx, false), cycle, c)
-	return sel, ok
+// probe checks operation opIdx at cycle through the context, outside
+// any block, reserving nothing.
+func probe(cx *resctx.Context, m *lowlevel.MDES, opIdx, cycle int, c *stats.Counters) bool {
+	_, ok, _ := cx.Probe(obs.PhaseList, -1, "", m.ConstraintFor(opIdx, false), cycle, c)
+	return ok
 }
 
 // diffBackend replays the stream through cx over m, requires the issue
@@ -373,7 +372,7 @@ func diffBackend(stage string, m *lowlevel.MDES, cx *resctx.Context, stream, arr
 	}
 	for op := range grid {
 		for cycle := w.lo; cycle <= w.hi; cycle++ {
-			_, got := probe(cx, m, op, cycle, c)
+			got := probe(cx, m, op, cycle, c)
 			if want := grid[op][cycle-w.lo]; got != want {
 				return stageErrf(stage, "probe diverged: op %s at cycle %d: backend=%v oracle=%v",
 					m.Operations[op].Name, cycle, got, want)

@@ -378,6 +378,9 @@ func TestAllViewsOverheadGate(t *testing.T) {
 // path must allocate exactly what the raw scheduler allocates per block —
 // the nil fast path adds zero allocations.
 func TestDisabledObservabilityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector: sync.Pool drops pooled contexts at random")
+	}
 	machine, err := mdes.Builtin(mdes.K5)
 	if err != nil {
 		t.Fatal(err)
