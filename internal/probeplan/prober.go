@@ -43,9 +43,10 @@ type Prober struct {
 
 	// chosen is the selection arena; scratch is one constraint's worth of
 	// per-tree choices, copied into the arena only by a successful Check,
-	// and picked the same choices as plan option indices, which Place
-	// reserves. zero is a permanently-zero row used to extend the window
-	// upward.
+	// and picked the same choices as plan option indices, the form
+	// reserveOptions takes (Place reserves them as probed; Reserve first
+	// converts its Selection into them). zero is a permanently-zero row
+	// used to extend the window upward.
 	chosen  []int
 	scratch []int
 	picked  []int32
@@ -111,10 +112,7 @@ func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 	if !ok {
 		return nil, false
 	}
-	p.lastValid = false
-	for _, oi := range p.picked[:n] {
-		p.reserveOption(oi, issue)
-	}
+	p.reserveOptions(p.picked[:n], issue)
 	return p.scratch[:n:n], true
 }
 
@@ -131,6 +129,7 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 	tlo, thi := pl.spanFor(con)
 	words, optStart, rowWords := pl.words, pl.optStart, pl.RowWords
 	rows, base, nrows := p.rows, p.base, p.nrows
+	scratch, picked := p.scratch[:thi-tlo], p.picked[:thi-tlo]
 	var opts, checks int64
 	c.Attempts++
 	for ti := tlo; ti < thi; ti++ {
@@ -165,8 +164,8 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 			p.lastValid = true
 			return 0, false
 		}
-		p.scratch[ti-tlo] = int(oi - olo)
-		p.picked[ti-tlo] = oi
+		scratch[ti-tlo] = int(oi - olo)
+		picked[ti-tlo] = oi
 	}
 	c.OptionsChecked += opts
 	c.ResourceChecks += checks
@@ -186,29 +185,34 @@ func commit(arena *[]int, con *lowlevel.Constraint, issue int, scratch []int) Se
 // as needed; it panics on a double reservation, since the caller must
 // have checked first.
 func (p *Prober) Reserve(sel Selection) {
-	p.lastValid = false
 	tlo, _ := p.plan.spanFor(sel.Constraint)
+	picked := p.picked[:len(sel.Chosen)]
 	for i, choice := range sel.Chosen {
-		p.reserveOption(p.plan.treeStart[tlo+int32(i)]+int32(choice), sel.Issue)
+		picked[i] = p.plan.treeStart[tlo+int32(i)] + int32(choice)
 	}
+	p.reserveOptions(picked, sel.Issue)
 }
 
-// reserveOption reserves plan option opt's words at issue, growing the
-// window as needed, and panics on a word already held: two trees of one
-// constraint whose choices overlap, or a selection reserved twice.
-func (p *Prober) reserveOption(opt int32, issue int) {
-	rowWords := p.plan.RowWords
-	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
-		w := p.plan.words[wi]
-		r := issue + int(w.Time) - p.base
-		if uint(r) >= uint(p.nrows) {
-			r = p.rowIndex(issue + int(w.Time))
+// reserveOptions reserves the words of the plan options opts at issue,
+// growing the window as needed, and panics on a word already held: two
+// trees of one constraint whose choices overlap, or a selection reserved
+// twice.
+func (p *Prober) reserveOptions(opts []int32, issue int) {
+	p.lastValid = false
+	words, optStart, rowWords := p.plan.words, p.plan.optStart, p.plan.RowWords
+	for _, oi := range opts {
+		for wi := optStart[oi]; wi < optStart[oi+1]; wi++ {
+			w := words[wi]
+			r := issue + int(w.Time) - p.base
+			if uint(r) >= uint(p.nrows) {
+				r = p.rowIndex(issue + int(w.Time))
+			}
+			idx := r*rowWords + int(w.Widx)
+			if bitset.WordIntersects(p.rows, idx, w.Mask) {
+				panic(fmt.Sprintf("probeplan: double reservation at cycle %d", issue+int(w.Time)))
+			}
+			bitset.WordOr(p.rows, idx, w.Mask)
 		}
-		idx := r*rowWords + int(w.Widx)
-		if bitset.WordIntersects(p.rows, idx, w.Mask) {
-			panic(fmt.Sprintf("probeplan: double reservation at cycle %d", issue+int(w.Time)))
-		}
-		bitset.WordOr(p.rows, idx, w.Mask)
 	}
 }
 
