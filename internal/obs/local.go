@@ -262,8 +262,8 @@ func journal(j []int32, i int) []int32 {
 }
 
 // Conflict is the event attributing the attempt just reported, which
-// failed, as the one attribution walk (probeplan.Prober.Blocker) found
-// it: the position of the first unsatisfiable tree within the
+// failed, as the prober's one attribution (probeplan.Prober.Blocked)
+// found it: the position of the first unsatisfiable tree within the
 // constraint, the resource blocking that tree's preferred option, and
 // the blocking usage's time relative to the issue cycle. A negative tree
 // or resource is unattributed.

@@ -301,23 +301,18 @@ func TestPackedOptionChecks(t *testing.T) {
 	}
 }
 
-// Blocker — the one attribution walk — names the first unsatisfiable
-// tree's position and the blocking slot of its preferred option, the same
-// whether it reads the failed Check's stash or re-walks the span.
+// Blocked — the one conflict attribution — names the first
+// unsatisfiable tree's position and the blocking slot of its preferred
+// option, read from the stash of the probe that just failed, a Check or
+// a Place alike.
 func TestExplainConflictAttribution(t *testing.T) {
 	ll := compile(t, miniSrc, lowlevel.FormAndOr)
 	pb := NewProber(mustPlan(t, ll))
 	con := ll.Constraints[0]
 	var c stats.Counters
-
-	if tree, res, _ := pb.Blocker(con, 0); tree != -1 || res != -1 {
-		t.Fatalf("empty window reported a conflict: tree %d res %d", tree, res)
+	if _, ok := pb.Place(con, 0, &c); !ok {
+		t.Fatal("empty window placement failed")
 	}
-	sel, ok := pb.Check(con, 0, &c)
-	if !ok {
-		t.Fatal("empty window check failed")
-	}
-	pb.Reserve(sel)
 
 	mRes := -1
 	for i, name := range ll.ResourceNames {
@@ -325,19 +320,20 @@ func TestExplainConflictAttribution(t *testing.T) {
 			mRes = i
 		}
 	}
-	// Once through the failed Check's stash, once through the re-walk.
-	for _, stashed := range []bool{true, false} {
-		if stashed {
-			if _, ok := pb.Check(con, 0, &c); ok {
-				t.Fatal("second load at the same cycle did not conflict")
-			}
+	for _, place := range []bool{false, true} {
+		var ok bool
+		if place {
+			_, ok = pb.Place(con, 0, &c)
+		} else {
+			_, ok = pb.Check(con, 0, &c)
 		}
-		if tree, res, time := pb.Blocker(con, 0); tree != 0 || res != mRes || time != 0 {
-			t.Fatalf("stashed=%v: Blocker = (%d, %d, %d), want tree 0, res M (%d), time 0",
-				stashed, tree, res, time, mRes)
+		if ok {
+			t.Fatalf("place=%v: second load at the same cycle did not conflict", place)
 		}
-		pb.Release(sel) // Release and Reserve both invalidate the stash
-		pb.Reserve(sel)
+		if tree, res, time := pb.Blocked(); tree != 0 || res != mRes || time != 0 {
+			t.Fatalf("place=%v: Blocked = (%d, %d, %d), want tree 0, res M (%d), time 0",
+				place, tree, res, time, mRes)
+		}
 	}
 }
 

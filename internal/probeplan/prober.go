@@ -52,20 +52,16 @@ type Prober struct {
 	picked  []int32
 	zero    []uint64
 
-	// The most recent failed Check or Place stashes which tree it died on
-	// and the plan word that blocked that tree's highest-priority option:
-	// the failing probe already walked exactly the span Blocker would
-	// re-walk, so Blocker reduces to one FirstBlocked on the stashed word,
-	// as long as the window state is unchanged (any successful Place, and
-	// any Reserve/Release/Reset, invalidates). The stash itself is five stores on the already-taken
-	// failure branch, costing the observation-off hot path nothing
-	// measurable.
-	lastCon   *lowlevel.Constraint
+	// The most recent failed Check or Place stashes the cycle it probed,
+	// which tree it died on and the plan word that blocked that tree's
+	// highest-priority option, so Blocked attributes the failure with one
+	// AND on the stashed word. The stash is four stores on the
+	// already-taken failure branch, costing the observation-off hot path
+	// nothing measurable.
 	lastIssue int
 	lastTi    int32
 	lastTlo   int32
 	lastWi    int32
-	lastValid bool
 }
 
 // NewProber returns an empty prober over the compiled plan.
@@ -85,7 +81,6 @@ func (p *Prober) Reset() {
 		p.rows[i] = 0
 	}
 	p.chosen = p.chosen[:0]
-	p.lastValid = false
 }
 
 // Check tests whether the constraint can be satisfied with the operation
@@ -158,10 +153,9 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 			c.OptionsChecked += opts
 			c.ResourceChecks += checks
 			c.Conflicts++
-			p.lastCon, p.lastIssue = con, issue
+			p.lastIssue = issue
 			p.lastTi, p.lastTlo = ti, tlo
 			p.lastWi = firstWi
-			p.lastValid = true
 			return 0, false
 		}
 		scratch[ti-tlo] = int(oi - olo)
@@ -198,7 +192,6 @@ func (p *Prober) Reserve(sel Selection) {
 // trees of one constraint whose choices overlap, or a selection reserved
 // twice.
 func (p *Prober) reserveOptions(opts []int32, issue int) {
-	p.lastValid = false
 	words, optStart, rowWords := p.plan.words, p.plan.optStart, p.plan.RowWords
 	for _, oi := range opts {
 		for wi := optStart[oi]; wi < optStart[oi+1]; wi++ {
@@ -220,7 +213,6 @@ func (p *Prober) reserveOptions(opts []int32, issue int) {
 // is straightforward with reservation tables); slots outside the current
 // window were never materialized and need no clearing.
 func (p *Prober) Release(sel Selection) {
-	p.lastValid = false
 	tlo, _ := p.plan.spanFor(sel.Constraint)
 	for i, choice := range sel.Chosen {
 		opt := p.plan.treeStart[tlo+int32(i)] + int32(choice)
@@ -234,44 +226,16 @@ func (p *Prober) Release(sel Selection) {
 	}
 }
 
-// Blocker is the one conflict-attribution walk: for a failed Check of
-// con at issue it returns the position (within the constraint) of the
-// first tree with no available option, the resource blocking that tree's
-// highest-priority option, and the blocking usage's time relative to
-// issue. Every observation view derives what it reports from these three
-// (the trace names the resource and the option's provenance from the
-// constraint). It performs no accounting. Right after the failed Check
-// the stash makes it one FirstBlocked; otherwise it re-walks the span.
-// tree is -1 when the constraint is satisfiable, and res is -1 (time 0)
-// when no single busy slot blocks the tree's preferred option.
-func (p *Prober) Blocker(con *lowlevel.Constraint, issue int) (tree, res, time int) {
-	if p.lastValid && p.lastCon == con && p.lastIssue == issue {
-		return p.Blocked()
-	}
-	tlo, thi := p.plan.spanFor(con)
-	for ti := tlo; ti < thi; ti++ {
-		satisfiable := false
-		for oi := p.plan.treeStart[ti]; oi < p.plan.treeStart[ti+1]; oi++ {
-			if p.optionFree(oi, issue) {
-				satisfiable = true
-				break
-			}
-		}
-		if !satisfiable {
-			res, time, ok := p.optionBlocker(p.plan.treeStart[ti], issue)
-			if !ok {
-				return int(ti - tlo), -1, 0
-			}
-			return int(ti - tlo), res, time
-		}
-	}
-	return -1, -1, 0
-}
-
-// Blocked is Blocker's answer for the Check or Place that just failed,
-// read straight from its stash: the failing probe found the stashed word
-// busy, and nothing has changed the window since. Called at any other
-// time it answers for whatever failed last, or panics.
+// Blocked is the one conflict attribution, for the Check or Place that
+// just failed: the position (within the constraint) of the first tree
+// with no available option, the resource blocking that tree's
+// highest-priority option, and the blocking usage's time relative to the
+// probed cycle. Every observation view derives what it reports from
+// these three (the trace names the resource and the option's provenance
+// from the constraint). The failing probe found the stashed word busy,
+// so the answer is one AND and one trailing-zero count; res is -1 (time
+// 0) for a tree with no options. Anything that changes the window after
+// the failure, or a successful probe, leaves the answer meaningless.
 func (p *Prober) Blocked() (tree, res, time int) {
 	tree = int(p.lastTi - p.lastTlo)
 	if p.lastWi < 0 {
@@ -280,35 +244,6 @@ func (p *Prober) Blocked() (tree, res, time int) {
 	w := p.plan.words[p.lastWi]
 	v := p.rows[(p.lastIssue+int(w.Time)-p.base)*p.plan.RowWords+int(w.Widx)] & w.Mask
 	return tree, int(w.Widx)*bitset.WordBits + bits.TrailingZeros64(v), int(w.Time)
-}
-
-// optionFree reports whether option opt is free at issue, without
-// accounting (Blocker's slow path).
-func (p *Prober) optionFree(opt int32, issue int) bool {
-	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
-		w := p.plan.words[wi]
-		r := issue + int(w.Time) - p.base
-		if uint(r) < uint(p.nrows) && bitset.WordIntersects(p.rows, r*p.plan.RowWords+int(w.Widx), w.Mask) {
-			return false
-		}
-	}
-	return true
-}
-
-// optionBlocker returns the first busy (resource, relative time) slot
-// blocking the option at issue.
-func (p *Prober) optionBlocker(opt int32, issue int) (res, time int, found bool) {
-	for wi := p.plan.optStart[opt]; wi < p.plan.optStart[opt+1]; wi++ {
-		w := p.plan.words[wi]
-		r := issue + int(w.Time) - p.base
-		if uint(r) < uint(p.nrows) {
-			row := p.rows[r*p.plan.RowWords : (r+1)*p.plan.RowWords]
-			if b := bitset.FirstBlocked(row, int(w.Widx), w.Mask); b >= 0 {
-				return b, int(w.Time), true
-			}
-		}
-	}
-	return 0, 0, false
 }
 
 // rowIndex returns the window-relative row for an absolute cycle, growing
