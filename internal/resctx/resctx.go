@@ -23,7 +23,7 @@
 // in the same walk, or Context.Probe, which only checks: the check
 // itself, the paper's counters, and — when the pool observes — the
 // Attempt and Conflict events into the context's one observation buffer
-// (obs.Local), with conflicts attributed by the prober's one walk.
+// (obs.Local), with conflicts attributed from the failed probe's stash.
 //
 // A Pool recycles Contexts of one backend Kind via sync.Pool and
 // aggregates the counters of every returned Context, giving a service
@@ -180,8 +180,8 @@ func (c *Context) Probe(phase obs.Phase, op int, opcode string, con *lowlevel.Co
 // prober reserves in the same walk (probeplan.Prober.Place); the
 // automaton checks and commits its successor state. It emits the same
 // events as Probe and returns the option chosen in each tree, valid
-// until the next probe. A modulo context has no Place: the modulo
-// scheduler places through Probe and probeplan.Modulo.Reserve.
+// until the next probe. A modulo context has no Place (it panics): the
+// modulo scheduler places through Probe and probeplan.Modulo.Reserve.
 func (c *Context) Place(phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) ([]int, bool, int64) {
 	return c.attempt(true, phase, op, opcode, con, cycle, ctr)
 }
@@ -206,6 +206,9 @@ func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, 
 	case c.PP != nil:
 		sel, ok = c.PP.Check(con, cycle, ctr)
 	case c.Mod != nil:
+		if reserve {
+			panic("resctx: Place on a modulo context; reserve with probeplan.Modulo.Reserve")
+		}
 		sel, ok = c.Mod.Check(con, cycle, ctr)
 	default:
 		if sel, ok = c.Auto.Check(con, cycle, ctr); ok && reserve {
