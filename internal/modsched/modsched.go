@@ -295,7 +295,7 @@ func (s *Scheduler) schedule(l *Loop) (*Schedule, error) {
 	if maxII == 0 {
 		maxII = 4 * (mii + len(l.Body.Ops))
 	}
-	s.probe.Obs = s.cx.Obs
+	s.probe.Observe(s.cx.Obs)
 	st := s.newLoopState(opIdxs, deps)
 	for ii := mii; ii <= maxII; ii++ {
 		result.TriedIIs++

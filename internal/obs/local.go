@@ -28,11 +28,6 @@ type Views struct {
 	MDES *lowlevel.MDES
 }
 
-// conCount is one constraint's attempt counters, kept once for the
-// metrics view (per-class attempts, options, conflicts) and the profile
-// (per-constraint attempts, conflicts).
-type conCount struct{ attempts, options, conflicts int64 }
-
 // Local is a borrowed context's one observation buffer: single-goroutine
 // plain stores, no locks, no atomics, no allocations in steady state. It
 // is fed three events — Attempt (or its Count share alone, see Counts)
@@ -43,14 +38,25 @@ type conCount struct{ attempts, options, conflicts int64 }
 // detached view's share costs one nil check per event. On release, Merge
 // folds the buffer into the attached aggregates and resets it.
 //
-// Slots of the per-constraint, per-resource and profile counters are
-// journaled on their 0→1 transition, so Merge and reset walk only what a
-// borrow touched: per-release cost is proportional to observed activity,
-// not to the description's size.
+// The counting share the metrics and profile views keep is one
+// stats.Tally (see Tally), which a probe-plan prober fills itself as it
+// probes; the probe helper then emits only the rest of each event (Note,
+// TraceConflict). Its slots are journaled on their first touch, so Merge
+// and reset walk only what a borrow touched: per-release cost is
+// proportional to observed activity, not to the description's size.
 type Local struct {
 	v *Views
-	// The attached metrics view, copied out of v for the hot path.
+	// The attached metrics view and flight recorder, copied out of v for
+	// the hot path.
 	reg *Registry
+	fr  *flight.Recorder
+
+	// Flight share: completed blocks not yet in the recorder, and the
+	// clock reading the current block started at.
+	ring  []flight.Entry
+	n     int
+	start int64
+
 	// probes reports that some view consumes Attempt events (metrics,
 	// profile or trace); blame, that the metrics or profile share wants
 	// every failed attempt attributed.
@@ -61,19 +67,14 @@ type Local struct {
 	dirty bool
 	tick  uint32
 
-	// Shared by metrics and profile.
-	cons       []conCount
-	res        []int64
-	touchedCon []int32
-	touchedRes []int32
-
-	// Profile share. selected counts, per option slot of a multi-option
-	// tree, the successes that chose it; Merge derives the blocked counts
-	// from them and walks them through the touched constraints.
-	layout      *profile.Layout
-	selected    []int64
-	first       []int64 // per tree slot: first-blocking tree of a failed probe
-	touchedTree []int32
+	// Shared by metrics and profile (nil with neither): per constraint
+	// attempts, options and conflicts, per resource conflicts and, for
+	// the profile, per option slot the successes that chose it and per
+	// tree slot the failures it was first to fail. Merge derives the
+	// profile's blocked counts from the selections of the multi-option
+	// trees (the layout's) of the touched constraints.
+	tally  *stats.Tally
+	layout *profile.Layout
 
 	// Trace share: the one record every block of this buffer fills (nil
 	// without the trace view), and whether the attempt just reported
@@ -84,12 +85,6 @@ type Local struct {
 	// a Conflict event attributes.
 	failed int
 
-	// Flight share: completed blocks not yet in the recorder, and the
-	// clock reading the current block started at.
-	ring  []flight.Entry
-	n     int
-	start int64
-
 	phases [NumPhases]localPhase
 }
 
@@ -98,26 +93,20 @@ func (v *Views) NewLocal() *Local {
 	l := &Local{
 		v:      v,
 		reg:    v.Metrics,
+		fr:     v.Flight,
 		probes: v.Metrics != nil || v.Profile != nil || v.Trace != nil,
 		blame:  v.Metrics != nil || v.Profile != nil,
 	}
 	if v.Trace != nil {
 		l.rec = &BlockRecord{Machine: v.MDES.MachineName, Events: []Event{}}
 	}
-	// Each journal can hold every slot of its counters, so recording a
-	// first touch never grows it.
 	if l.blame {
-		l.cons = make([]conCount, len(v.MDES.Constraints))
-		l.res = make([]int64, len(v.MDES.ResourceNames))
-		l.touchedCon = make([]int32, 0, len(l.cons))
-		l.touchedRes = make([]int32, 0, len(l.res))
-	}
-	if v.Profile != nil {
-		l.layout = v.Profile.Layout()
-		trees, opts := l.layout.NumSlots()
-		l.first = make([]int64, trees)
-		l.selected = make([]int64, opts)
-		l.touchedTree = make([]int32, 0, trees)
+		trees, opts := 0, 0
+		if v.Profile != nil {
+			l.layout = v.Profile.Layout()
+			trees, opts = l.layout.NumSlots()
+		}
+		l.tally = stats.NewTally(len(v.MDES.Constraints), trees, opts, len(v.MDES.ResourceNames), v.Profile != nil)
 	}
 	if v.Flight != nil {
 		l.ring = make([]flight.Entry, v.Flight.PerContext())
@@ -132,7 +121,7 @@ func (l *Local) Begin() {
 	if r := l.v.Metrics; r != nil {
 		r.AddInFlight(1)
 	}
-	if l.v.Flight != nil {
+	if l.fr != nil {
 		l.start = Nanotime()
 	}
 }
@@ -141,6 +130,19 @@ func (l *Local) Begin() {
 // With none — no views, or the flight recorder alone — probes skip the
 // events. A nil buffer has none.
 func (l *Local) PerAttempt() bool { return l != nil && l.probes }
+
+// Tally returns the counting share of the Attempt and Conflict events,
+// nil when no attached view counts (neither metrics nor profile). A
+// backend that tallies its own probes into it (probeplan.Prober.Tally)
+// spares its probe helper those shares: the helper emits Note instead of
+// Attempt, and TraceConflict instead of Conflict.
+func (l *Local) Tally() *stats.Tally { return l.tally }
+
+// Notes reports whether Note has anything to record for some attempt:
+// the metrics view times attempts and counts those outside any block,
+// and the trace records every one. Without either, a backend that
+// tallies (see Tally) leaves its probe helper no event to emit.
+func (l *Local) Notes() bool { return l.reg != nil || l.rec != nil }
 
 // Attributes reports whether the attempt just reported, having failed,
 // wants the Conflict event: always for the metrics and profile shares,
@@ -173,6 +175,13 @@ func (l *Local) Start() int64 {
 // through the same call at once. What remains for an untimed attempt
 // inside a block is Count, unless the trace is attached (see Counts).
 func (l *Local) Attempt(p Phase, con *lowlevel.Constraint, op int, opcode string, cycle int, options, checks, ns int64, ok bool, chosen []int) {
+	l.Count(con, options, ok, chosen)
+	l.Note(p, op, opcode, cycle, options, checks, ns, ok, chosen)
+}
+
+// Note is the Attempt event without its counting share (Count): the
+// metrics view's timing and an attempt outside any block, and the trace.
+func (l *Local) Note(p Phase, op int, opcode string, cycle int, options, checks, ns int64, ok bool, chosen []int) {
 	if l.reg != nil {
 		if ns >= 0 {
 			l.dirty = true
@@ -186,50 +195,43 @@ func (l *Local) Attempt(p Phase, con *lowlevel.Constraint, op int, opcode string
 			l.fold(p, &c)
 		}
 	}
-	l.Count(con, options, ok, chosen)
 	if l.rec != nil {
 		l.traceAttempt(op, opcode, cycle, options, ok, chosen)
 	}
 }
 
-// Counts reports whether Count is the whole Attempt event of an attempt:
-// one inside a block (op >= 0), untimed (ns < 0), with no trace attached.
-// The probe helper then emits Count, whose four arguments keep the
-// common views' per-attempt cost to one short call.
+// Counts reports whether Count is the whole Attempt event of an attempt
+// (Note has nothing to do): one inside a block (op >= 0), untimed
+// (ns < 0), with no trace attached. The probe helper then emits Count,
+// whose four arguments keep the common views' per-attempt cost to one
+// short call, or nothing when its backend tallies.
 func (l *Local) Counts(op int, ns int64) bool { return op >= 0 && ns < 0 && l.rec == nil }
 
 // Count is the per-constraint share of an Attempt, kept once for the
-// metrics and profile views: the constraint's attempts, options and
-// conflicts and, on success, the option chosen in each of its
-// multi-option trees. It also notes a failed attempt's constraint for
-// the Conflict event that attributes it.
+// metrics and profile views in the tally: the constraint's attempts,
+// options and conflicts and, on success, the option chosen in each of
+// its trees (a choice outside its tree counts nowhere). It also notes a
+// failed attempt's constraint for the Conflict event that attributes it.
 func (l *Local) Count(con *lowlevel.Constraint, options int64, ok bool, chosen []int) {
 	ci := con.Index
 	if !ok {
 		l.failed = ci
 	}
-	if uint(ci) >= uint(len(l.cons)) {
+	t := l.tally
+	if t == nil || uint(ci) >= uint(len(t.Cons)) {
 		return
 	}
-	cs := &l.cons[ci]
-	if cs.attempts == 0 {
-		l.touchedCon = journal(l.touchedCon, ci)
-	}
-	cs.attempts++
-	cs.options += options
-	if !ok {
-		cs.conflicts++
-	} else if l.layout != nil {
-		// Along each multi-option tree of the constraint the chosen
-		// option was selected, and every option before it was probed
-		// busy, which Merge counts from the selections; single-option
-		// trees need no counts (Layout.Multi).
-		for _, mt := range l.layout.Multi(ci) {
-			if int(mt.Tree) >= len(chosen) {
-				continue
+	t.Attempt(ci, options, ok)
+	if ok && t.Selected != nil {
+		firsts := l.layout.Firsts(ci)
+		_, end := l.layout.Options(ci)
+		for i, k := range chosen[:min(len(chosen), len(firsts))] {
+			hi := end
+			if i+1 < len(firsts) {
+				hi = firsts[i+1]
 			}
-			if j := mt.Lo + int32(chosen[mt.Tree]); j >= mt.Lo && j < mt.Hi {
-				l.selected[j]++
+			if j := firsts[i] + int32(k); j >= firsts[i] && j < hi {
+				t.Selected[j]++
 			}
 		}
 	}
@@ -252,15 +254,6 @@ func (l *Local) traceAttempt(op int, opcode string, cycle int, options int64, ok
 	})
 }
 
-// journal records slot i's first touch in a journal whose capacity holds
-// every slot (see NewLocal), so it never grows.
-func journal(j []int32, i int) []int32 {
-	n := len(j)
-	j = j[:n+1]
-	j[n] = int32(i)
-	return j
-}
-
 // Conflict is the event attributing the attempt just reported, which
 // failed, as the prober's one attribution (probeplan.Prober.Blocked)
 // found it: the position of the first unsatisfiable tree within the
@@ -268,34 +261,37 @@ func journal(j []int32, i int) []int32 {
 // the blocking usage's time relative to the issue cycle. A negative tree
 // or resource is unattributed.
 func (l *Local) Conflict(tree, res, time int) {
-	if uint(res) < uint(len(l.res)) && uint(l.failed) < uint(len(l.cons)) {
-		if l.res[res] == 0 {
-			l.touchedRes = journal(l.touchedRes, res)
+	if t := l.tally; t != nil && uint(l.failed) < uint(len(t.Cons)) {
+		slot := -1
+		if l.layout != nil {
+			slot = l.layout.TreeSlot(l.failed, tree)
 		}
-		l.res[res]++
-	}
-	if l.layout != nil {
-		if t := l.layout.TreeSlot(l.failed, tree); t >= 0 {
-			if l.first[t] == 0 {
-				l.touchedTree = journal(l.touchedTree, t)
-			}
-			l.first[t]++
-		}
+		t.Blame(slot, res)
 	}
 	if l.traced && res >= 0 {
-		l.traceConflict(tree, res, time)
+		l.traceConflict(l.failed, tree, res, time)
 	}
 }
 
-// traceConflict records a conflict in the open block's record ahead of
-// the failed attempt it explains, naming the blocked tree's preferred
-// option by its HMDES provenance (falling back to the tree's).
-func (l *Local) traceConflict(tree, res, time int) {
+// TraceConflict is the Conflict event without its counting share (the
+// tally's blame), for the failed attempt of con just reported: the
+// trace's conflict record, when that attempt went into the trace.
+func (l *Local) TraceConflict(con *lowlevel.Constraint, tree, res, time int) {
+	if l.traced && res >= 0 {
+		l.traceConflict(con.Index, tree, res, time)
+	}
+}
+
+// traceConflict records a conflict of constraint ci in the open block's
+// record ahead of the failed attempt it explains, naming the blocked
+// tree's preferred option by its HMDES provenance (falling back to the
+// tree's).
+func (l *Local) traceConflict(ci, tree, res, time int) {
 	cons := l.v.MDES.Constraints
-	if uint(l.failed) >= uint(len(cons)) || uint(tree) >= uint(len(cons[l.failed].Trees)) {
+	if uint(ci) >= uint(len(cons)) || uint(tree) >= uint(len(cons[ci].Trees)) {
 		return
 	}
-	t := cons[l.failed].Trees[tree]
+	t := cons[ci].Trees[tree]
 	src := t.Options[0].Src
 	if src == "" {
 		src = t.Src
@@ -329,7 +325,7 @@ func (l *Local) blockDone(p Phase, block int64, ops, length int, c *stats.Counte
 		l.v.Trace(r)
 		r.Events, l.traced = r.Events[:0], false
 	}
-	if fr := l.v.Flight; fr != nil {
+	if fr := l.fr; fr != nil {
 		now := Nanotime()
 		e := &l.ring[l.n]
 		*e = flight.Entry{
@@ -382,26 +378,26 @@ func (l *Local) Merge() {
 		r.merge(l)
 		r.AddInFlight(-1)
 	}
-	if p := v.Profile; p != nil && len(l.touchedCon) > 0 {
-		for _, ci := range l.touchedCon {
-			p.AddConstraint(int(ci), l.cons[ci].attempts, l.cons[ci].conflicts)
+	if p, t := v.Profile, l.tally; p != nil && len(t.TouchedCon) > 0 {
+		for _, ci := range t.TouchedCon {
+			p.AddConstraint(int(ci), t.Cons[ci].Attempts, t.Cons[ci].Conflicts)
 			// An option was probed busy once for every selection of a
 			// later option in its tree.
 			for _, mt := range l.layout.Multi(int(ci)) {
 				blocked := int64(0)
 				for o := mt.Hi - 1; o >= mt.Lo; o-- {
-					if sel := l.selected[o]; sel|blocked != 0 {
+					if sel := t.Selected[o]; sel|blocked != 0 {
 						p.AddOption(int(o), sel, blocked)
 						blocked += sel
 					}
 				}
 			}
 		}
-		for _, t := range l.touchedTree {
-			p.AddFirstBlock(int(t), l.first[t])
+		for _, ti := range t.TouchedTree {
+			p.AddFirstBlock(int(ti), t.First[ti])
 		}
-		for _, ri := range l.touchedRes {
-			p.AddResource(int(ri), l.res[ri])
+		for _, ri := range t.TouchedRes {
+			p.AddResource(int(ri), t.Res[ri])
 		}
 		p.NoteMerge()
 	}
@@ -417,22 +413,15 @@ func (l *Local) reset() {
 		l.phases = [NumPhases]localPhase{}
 		l.dirty = false
 	}
-	for _, ci := range l.touchedCon {
-		l.cons[ci] = conCount{}
-		if l.layout != nil {
-			for _, mt := range l.layout.Multi(int(ci)) {
-				clear(l.selected[mt.Lo:mt.Hi])
+	if t := l.tally; t != nil {
+		if t.Selected != nil {
+			for _, ci := range t.TouchedCon {
+				lo, hi := l.layout.Options(int(ci))
+				clear(t.Selected[lo:hi])
 			}
 		}
+		t.Reset()
 	}
-	for _, ri := range l.touchedRes {
-		l.res[ri] = 0
-	}
-	for _, t := range l.touchedTree {
-		l.first[t] = 0
-	}
-	l.touchedCon, l.touchedRes = l.touchedCon[:0], l.touchedRes[:0]
-	l.touchedTree = l.touchedTree[:0]
 	if l.rec != nil {
 		l.rec.Events, l.traced = l.rec.Events[:0], false
 	}

@@ -139,17 +139,18 @@ func (r *Registry) merge(l *Local) {
 			}
 		}
 	}
-	for _, ci := range l.touchedCon {
+	t := l.tally
+	for _, ci := range t.TouchedCon {
 		if int(ci) < len(r.classes) {
-			lc, rc := &l.cons[ci], &r.classes[ci]
-			rc.attempts.Add(lc.attempts)
-			rc.options.Add(lc.options)
-			rc.conflicts.Add(lc.conflicts)
+			lc, rc := &t.Cons[ci], &r.classes[ci]
+			rc.attempts.Add(lc.Attempts)
+			rc.options.Add(lc.Options)
+			rc.conflicts.Add(lc.Conflicts)
 		}
 	}
-	for _, ri := range l.touchedRes {
+	for _, ri := range t.TouchedRes {
 		if int(ri) < len(r.resConflicts) {
-			r.resConflicts[ri].Add(l.res[ri])
+			r.resConflicts[ri].Add(t.Res[ri])
 		}
 	}
 	r.merges.Add(1)

@@ -24,7 +24,8 @@
 //     human-readable tables) at any time;
 //   - the conflict profile (internal/obs/profile), per constraint, tree
 //     and option — per-constraint and per-resource counts are kept once
-//     in the buffer for it and the registry;
+//     in the buffer's tally (stats.Tally) for it and the registry, which
+//     a probe-plan prober fills itself as it probes (Local.Tally);
 //   - the flight recorder (internal/obs/flight), one entry per block;
 //   - the trace, one BlockRecord per block: every issue attempt with its
 //     chosen option and cycle, and conflict details naming the blocking

@@ -131,6 +131,16 @@ func (l *Layout) TreeSlot(con, tree int) int {
 	return t0 + tree
 }
 
+// Firsts returns the option slot of the first option of each of
+// constraint con's trees, in tree order: option k of its tree i is slot
+// Firsts(con)[i]+k.
+func (l *Layout) Firsts(con int) []int32 { return l.treeOpt[l.conTree[con]:l.conTree[con+1]] }
+
+// Options returns constraint con's option slots, [lo, hi).
+func (l *Layout) Options(con int) (lo, hi int32) {
+	return l.treeOpt[l.conTree[con]], l.treeOpt[l.conTree[con+1]]
+}
+
 // Multi returns constraint con's multi-option trees. A success need only
 // walk these: a single-option tree's only option is chosen on every
 // success of its constraint, so Snapshot reconstructs its Selected count

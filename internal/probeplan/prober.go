@@ -29,7 +29,8 @@ type Selection struct {
 // releasing them. Place, the probe the schedulers, the query layer and
 // the differential replay issue, copies nothing: it reserves what it
 // just probed and hands back its per-tree scratch. Reset recycles the
-// arena; no steady-state Check or Place allocates.
+// arena; no steady-state Check or Place allocates. An attached
+// stats.Tally (Tally) receives each probe's per-constraint break-down.
 type Prober struct {
 	plan *Plan
 
@@ -62,6 +63,11 @@ type Prober struct {
 	lastTi    int32
 	lastTlo   int32
 	lastWi    int32
+
+	// tally, when set, receives every probe's per-constraint break-down
+	// (stats.Tally): the observation views' counting share, kept from the
+	// values the probe loop already holds.
+	tally *stats.Tally
 }
 
 // NewProber returns an empty prober over the compiled plan.
@@ -73,6 +79,13 @@ func NewProber(p *Plan) *Prober {
 		zero:    make([]uint64, p.RowWords),
 	}
 }
+
+// Tally makes t receive the break-down of every later probe (nil
+// stops it): its constraint's attempt, options and conflict, the plan
+// option chosen in each tree of a success, and for a failure the plan
+// tree it died on and the resource Blocked names. A plan's option and
+// tree indices are the description's option and tree slots.
+func (p *Prober) Tally(t *stats.Tally) { p.tally = t }
 
 // Reset clears all reservations and recycles the selection arena,
 // retaining storage. Selections from before the Reset become invalid.
@@ -118,7 +131,8 @@ func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 // a single tree, so this degenerates to the traditional algorithm. On
 // success tree i's choice is p.scratch[i] (within the tree) and
 // p.picked[i] (within the plan) for the returned tree count; on failure
-// the stash names the blocking word. The counters are added once.
+// the stash names the blocking word. The counters, and the tally when one
+// is attached, are added once.
 func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (int, bool) {
 	pl := p.plan
 	tlo, thi := pl.spanFor(con)
@@ -156,6 +170,9 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 			p.lastIssue = issue
 			p.lastTi, p.lastTlo = ti, tlo
 			p.lastWi = firstWi
+			if t := p.tally; t != nil {
+				p.tallyFailed(t, con.Index, opts)
+			}
 			return 0, false
 		}
 		scratch[ti-tlo] = int(oi - olo)
@@ -163,7 +180,24 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 	}
 	c.OptionsChecked += opts
 	c.ResourceChecks += checks
+	if t := p.tally; t != nil {
+		t.Attempt(con.Index, opts, true)
+		if sel := t.Selected; sel != nil {
+			for _, oi := range picked {
+				sel[oi]++
+			}
+		}
+	}
 	return int(thi - tlo), true
+}
+
+// tallyFailed tallies the failed probe just stashed: its constraint's
+// attempt and conflict, blamed on the plan tree it died on and the
+// resource Blocked names.
+func (p *Prober) tallyFailed(t *stats.Tally, ci int, opts int64) {
+	t.Attempt(ci, opts, false)
+	_, res, _ := p.Blocked()
+	t.Blame(int(p.lastTi), res)
 }
 
 // commit copies one successful probe's per-tree choices into the

@@ -24,6 +24,8 @@
 // itself, the paper's counters, and — when the pool observes — the
 // Attempt and Conflict events into the context's one observation buffer
 // (obs.Local), with conflicts attributed from the failed probe's stash.
+// A probe-plan context whose views count has its prober tally those
+// events' counting shares into the buffer as it probes (Context.Observe).
 //
 // A Pool recycles Contexts of one backend Kind via sync.Pool and
 // aggregates the counters of every returned Context, giving a service
@@ -122,8 +124,15 @@ type Context struct {
 	Counters stats.Counters
 	// Obs, when non-nil, is the context's one observation buffer, folded
 	// into every attached view on release. Nil when the pool observes
-	// nothing and on standalone contexts.
+	// nothing and on standalone contexts. Observe sets it.
 	Obs *obs.Local
+	// probes is Obs when the probe helper has per-attempt events to
+	// emit, nil otherwise, so an attempt no view observes costs one nil
+	// check; tallied reports that PP tallies its probes into Obs's tally
+	// itself (obs.Local.Tally), which leaves the helper no event to emit
+	// unless Obs notes attempts (obs.Local.Notes).
+	probes  *obs.Local
+	tallied bool
 
 	pool *Pool
 	// released guards the release path: folding a context's counters
@@ -190,10 +199,11 @@ func (c *Context) Place(phase obs.Phase, op int, opcode string, con *lowlevel.Co
 // the attempt's events. It returns the option chosen in each tree. For
 // an untimed attempt inside a block with no trace attached the views
 // take only the Attempt event's counting share (obs.Local.Counts), which
-// it emits alone.
+// it emits alone, or not at all when the prober tallies it; otherwise a
+// tallying prober leaves it the events without their counting shares.
 func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) ([]int, bool, int64) {
-	l := c.Obs
-	observed := l.PerAttempt()
+	l := c.probes
+	observed := l != nil
 	o0, k0, ns := ctr.OptionsChecked, ctr.ResourceChecks, int64(-1)
 	if observed {
 		ns = l.Start()
@@ -222,15 +232,45 @@ func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, 
 	if ns >= 0 {
 		ns = obs.Nanotime() - ns
 	}
-	if l.Counts(op, ns) {
+	switch {
+	case c.tallied:
+		if !l.Counts(op, ns) {
+			l.Note(phase, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
+			if !ok {
+				tree, res, time := c.PP.Blocked()
+				l.TraceConflict(con, tree, res, time)
+			}
+		}
+		return sel.Chosen, ok, opts
+	case l.Counts(op, ns):
 		l.Count(con, opts, ok, sel.Chosen)
-	} else {
+	default:
 		l.Attempt(phase, con, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
 	}
 	if !ok && c.PP != nil && l.Attributes() {
 		l.Conflict(c.PP.Blocked())
 	}
 	return sel.Chosen, ok, opts
+}
+
+// Observe makes l the context's observation buffer (nil detaches it).
+// When l counts (obs.Local.Tally) and the context probes a probe plan,
+// the prober tallies every probe into it.
+func (c *Context) Observe(l *obs.Local) {
+	c.Obs, c.probes, c.tallied = l, nil, false
+	if l.PerAttempt() {
+		c.tallied = c.PP != nil && l.Tally() != nil
+		if !c.tallied || l.Notes() {
+			c.probes = l
+		}
+	}
+	if c.PP != nil {
+		var t *stats.Tally
+		if c.tallied {
+			t = l.Tally()
+		}
+		c.PP.Tally(t)
+	}
 }
 
 // ResetReservations clears the backend's reservations, retaining storage.
@@ -324,7 +364,7 @@ func (p *Pool) Get() *Context {
 	c.released = false
 	if p.views != nil {
 		if c.Obs == nil {
-			c.Obs = p.views.NewLocal()
+			c.Observe(p.views.NewLocal())
 		}
 		c.Obs.Begin()
 	}
