@@ -45,17 +45,19 @@ type Views struct {
 // and reset walk only what a borrow touched: per-release cost is
 // proportional to observed activity, not to the description's size.
 type Local struct {
-	v *Views
-	// The attached metrics view and flight recorder, copied out of v for
-	// the hot path.
-	reg *Registry
-	fr  *flight.Recorder
-
-	// Flight share: completed blocks not yet in the recorder, and the
-	// clock reading the current block started at.
+	// What BlockDone reads comes first, in one cache line: the attached
+	// metrics view and flight recorder (copied out of v) and the trace
+	// share's record (nil without the trace view), then the flight
+	// share: completed blocks not yet in the recorder, and the clock
+	// reading the current block started at.
+	reg   *Registry
+	fr    *flight.Recorder
+	rec   *BlockRecord
 	ring  []flight.Entry
 	n     int
 	start int64
+
+	v *Views
 
 	// probes reports that some view consumes Attempt events (metrics,
 	// profile or trace); blame, that the metrics or profile share wants
@@ -76,10 +78,8 @@ type Local struct {
 	tally  *stats.Tally
 	layout *profile.Layout
 
-	// Trace share: the one record every block of this buffer fills (nil
-	// without the trace view), and whether the attempt just reported
-	// went into it.
-	rec    *BlockRecord
+	// Trace share (with rec): whether the attempt just reported went
+	// into the record every block of this buffer fills.
 	traced bool
 	// failed is the constraint index of the last failed attempt, which
 	// a Conflict event attributes.
