@@ -103,7 +103,10 @@ func (p *Prober) Reset() {
 // until Reserve is called with the returned Selection, whose choices are
 // copied into the selection arena.
 func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (Selection, bool) {
-	n, ok := p.probe(con, issue, c)
+	n, opts, ok := p.probe(con, issue, c)
+	if p.tally != nil {
+		p.tallyProbe(con.Index, n, opts, ok)
+	}
 	if !ok {
 		return Selection{}, false
 	}
@@ -116,9 +119,23 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 // each tree. The choices live in the prober's scratch and stay valid
 // until its next Check or Place. A failed Place reserves nothing.
 func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) ([]int, bool) {
-	n, ok := p.probe(con, issue, c)
+	n, opts, ok := p.probe(con, issue, c)
+	t := p.tally
 	if !ok {
+		if t != nil {
+			p.tallyProbe(con.Index, n, opts, false)
+		}
 		return nil, false
+	}
+	if t != nil {
+		// tallyProbe's success share, inline: a placement is the
+		// schedulers' common case.
+		t.Attempt(con.Index, opts, true)
+		if sel := t.Selected; sel != nil {
+			for _, oi := range p.picked[:n] {
+				sel[oi]++
+			}
+		}
 	}
 	p.reserveOptions(p.picked[:n], issue)
 	return p.scratch[:n:n], true
@@ -131,9 +148,9 @@ func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 // a single tree, so this degenerates to the traditional algorithm. On
 // success tree i's choice is p.scratch[i] (within the tree) and
 // p.picked[i] (within the plan) for the returned tree count; on failure
-// the stash names the blocking word. The counters, and the tally when one
-// is attached, are added once.
-func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (int, bool) {
+// the stash names the blocking word. The counters are added once, and
+// the options checked are also returned.
+func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (int, int64, bool) {
 	pl := p.plan
 	tlo, thi := pl.spanFor(con)
 	words, optStart, rowWords := pl.words, pl.optStart, pl.RowWords
@@ -170,34 +187,35 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 			p.lastIssue = issue
 			p.lastTi, p.lastTlo = ti, tlo
 			p.lastWi = firstWi
-			if t := p.tally; t != nil {
-				p.tallyFailed(t, con.Index, opts)
-			}
-			return 0, false
+			return 0, opts, false
 		}
 		scratch[ti-tlo] = int(oi - olo)
 		picked[ti-tlo] = oi
 	}
 	c.OptionsChecked += opts
 	c.ResourceChecks += checks
-	if t := p.tally; t != nil {
-		t.Attempt(con.Index, opts, true)
-		if sel := t.Selected; sel != nil {
-			for _, oi := range picked {
-				sel[oi]++
-			}
-		}
-	}
-	return int(thi - tlo), true
+	return int(thi - tlo), opts, true
 }
 
-// tallyFailed tallies the failed probe just stashed: its constraint's
-// attempt and conflict, blamed on the plan tree it died on and the
-// resource Blocked names.
-func (p *Prober) tallyFailed(t *stats.Tally, ci int, opts int64) {
-	t.Attempt(ci, opts, false)
-	_, res, _ := p.Blocked()
-	t.Blame(int(p.lastTi), res)
+// tallyProbe tallies the probe of constraint ci just made, which checked
+// opts options: its attempt and, on success, the plan option picked in
+// each of its n trees, or on failure its conflict, blamed on the plan
+// tree it died on and the resource Blocked reads from the stash. Out of
+// line, so the probe loop's code is the same whether a tally is
+// attached or not; Place inlines the success share.
+func (p *Prober) tallyProbe(ci, n int, opts int64, ok bool) {
+	t := p.tally
+	t.Attempt(ci, opts, ok)
+	if !ok {
+		_, res, _ := p.Blocked()
+		t.Blame(int(p.lastTi), res)
+		return
+	}
+	if sel := t.Selected; sel != nil {
+		for _, oi := range p.picked[:n] {
+			sel[oi]++
+		}
+	}
 }
 
 // commit copies one successful probe's per-tree choices into the
