@@ -249,6 +249,9 @@ func (r *Recorder) Merge(entries []Entry) {
 		return
 	}
 	r.mu.Lock()
+	// The running totals stay in locals through the loop, so an entry
+	// does not wait on the previous one's stores.
+	seq, blocks, attempts, conflicts := r.seq, r.blocks, r.attempts, r.conflicts
 	for i := range entries {
 		slot := r.n
 		if r.n < len(r.ring) {
@@ -261,29 +264,29 @@ func (r *Recorder) Merge(entries []Entry) {
 		}
 		e := &r.ring[slot]
 		*e = entries[i]
-		r.seq++
-		e.Seq = r.seq
-		if int(e.Phase) < int(stats.NumPhases) {
-			r.lat[e.Phase].observe(e.WallNs)
-			r.noteWorst(e)
+		seq++
+		e.Seq = seq
+		if p := e.Phase; int(p) < int(stats.NumPhases) {
+			r.lat[p].observe(e.WallNs)
+			if w := r.worst[p]; len(w) < exemplarsPerPhase || e.WallNs > w[len(w)-1].WallNs {
+				r.noteWorst(e)
+			}
 		}
-		r.blocks++
-		r.attempts += e.Attempts
-		r.conflicts += e.Conflicts
+		blocks++
+		attempts += e.Attempts
+		conflicts += e.Conflicts
 	}
+	r.seq, r.blocks, r.attempts, r.conflicts = seq, blocks, attempts, conflicts
 	r.merges++
 	r.rearmLocked()
 	r.mu.Unlock()
 }
 
-// noteWorst keeps the per-phase worst-block exemplars sorted by wall time
-// descending. Called with mu held.
+// noteWorst adds an entry slower than the phase's slowest kept blocks, or
+// any while fewer are kept, to the per-phase worst-block exemplars, sorted
+// by wall time descending. Called with mu held.
 func (r *Recorder) noteWorst(e *Entry) {
-	w := r.worst[e.Phase]
-	if len(w) == exemplarsPerPhase && e.WallNs <= w[len(w)-1].WallNs {
-		return
-	}
-	w = append(w, Exemplar{Block: e.Block, Seq: e.Seq, WallNs: e.WallNs})
+	w := append(r.worst[e.Phase], Exemplar{Block: e.Block, Seq: e.Seq, WallNs: e.WallNs})
 	sort.Slice(w, func(a, b int) bool { return w[a].WallNs > w[b].WallNs })
 	if len(w) > exemplarsPerPhase {
 		w = w[:exemplarsPerPhase]
