@@ -30,13 +30,13 @@ type Views struct {
 
 // Local is a borrowed context's one observation buffer: single-goroutine
 // plain stores, no locks, no atomics, no allocations in steady state. It
-// is fed three events — Attempt (or its Count share alone, see Counts)
-// and Conflict by the context's probe helpers (resctx.Context.Place and
-// Probe), BlockDone once per scheduler exit — and each event folds at
-// once into the share of every attached view, except that the metrics
-// view's per-phase totals fold a block's counters at its BlockDone; a
-// detached view's share costs one nil check per event. On release, Merge
-// folds the buffer into the attached aggregates and resets it.
+// is fed three events — Attempt and Conflict by the context's probe
+// helpers (resctx.Context.Place and Probe), BlockDone once per scheduler
+// exit — and each event folds at once into the share of every attached
+// view, except that the metrics view's per-phase totals fold a block's
+// counters at its BlockDone; a detached view's share costs one nil check
+// per event. On release, Merge folds the buffer into the attached
+// aggregates and resets it.
 //
 // The counting share the metrics and profile views keep is one
 // stats.Tally (see Tally), which a probe-plan prober fills itself as it
@@ -45,20 +45,9 @@ type Views struct {
 // and reset walk only what a borrow touched: per-release cost is
 // proportional to observed activity, not to the description's size.
 type Local struct {
-	// What BlockDone reads comes first, in one cache line: the attached
-	// metrics view and flight recorder (copied out of v) and the trace
-	// share's record (nil without the trace view), then the flight
-	// share: completed blocks not yet in the recorder, and the clock
-	// reading the current block started at.
-	reg   *Registry
-	fr    *flight.Recorder
-	rec   *BlockRecord
-	ring  []flight.Entry
-	n     int
-	start int64
-
 	v *Views
-
+	// The attached metrics view, copied out of v for the hot path.
+	reg *Registry
 	// probes reports that some view consumes Attempt events (metrics,
 	// profile or trace); blame, that the metrics or profile share wants
 	// every failed attempt attributed.
@@ -74,16 +63,26 @@ type Local struct {
 	// the profile, per option slot the successes that chose it and per
 	// tree slot the failures it was first to fail. Merge derives the
 	// profile's blocked counts from the selections of the multi-option
-	// trees (the layout's) of the touched constraints.
+	// trees (the layout's) of the touched constraints. slots is the
+	// profile's scratch for one success's option slots.
 	tally  *stats.Tally
 	layout *profile.Layout
+	slots  []int32
 
-	// Trace share (with rec): whether the attempt just reported went
-	// into the record every block of this buffer fills.
+	// Trace share: the one record every block of this buffer fills (nil
+	// without the trace view), and whether the attempt just reported
+	// went into it.
+	rec    *BlockRecord
 	traced bool
 	// failed is the constraint index of the last failed attempt, which
 	// a Conflict event attributes.
 	failed int
+
+	// Flight share: completed blocks not yet in the recorder, and the
+	// clock reading the current block started at.
+	ring  []flight.Entry
+	n     int
+	start int64
 
 	phases [NumPhases]localPhase
 }
@@ -93,7 +92,6 @@ func (v *Views) NewLocal() *Local {
 	l := &Local{
 		v:      v,
 		reg:    v.Metrics,
-		fr:     v.Flight,
 		probes: v.Metrics != nil || v.Profile != nil || v.Trace != nil,
 		blame:  v.Metrics != nil || v.Profile != nil,
 	}
@@ -121,7 +119,7 @@ func (l *Local) Begin() {
 	if r := l.v.Metrics; r != nil {
 		r.AddInFlight(1)
 	}
-	if l.fr != nil {
+	if l.v.Flight != nil {
 		l.start = Nanotime()
 	}
 }
@@ -172,15 +170,15 @@ func (l *Local) Start() int64 {
 // The metrics share counts a block's attempts in its phase totals at the
 // block's BlockDone, from the block's counters, which hold exactly what
 // its Attempt events report; an attempt outside any block folds its own
-// through the same call at once. What remains for an untimed attempt
-// inside a block is Count, unless the trace is attached (see Counts).
+// through the same call at once. The rest is the counting share, which
+// a tallying prober keeps itself (see Tally), and Note.
 func (l *Local) Attempt(p Phase, con *lowlevel.Constraint, op int, opcode string, cycle int, options, checks, ns int64, ok bool, chosen []int) {
-	l.Count(con, options, ok, chosen)
+	l.count(con, options, ok, chosen)
 	l.Note(p, op, opcode, cycle, options, checks, ns, ok, chosen)
 }
 
-// Note is the Attempt event without its counting share (Count): the
-// metrics view's timing and an attempt outside any block, and the trace.
+// Note is the Attempt event without its counting share: the metrics
+// view's timing and an attempt outside any block, and the trace.
 func (l *Local) Note(p Phase, op int, opcode string, cycle int, options, checks, ns int64, ok bool, chosen []int) {
 	if l.reg != nil {
 		if ns >= 0 {
@@ -200,19 +198,18 @@ func (l *Local) Note(p Phase, op int, opcode string, cycle int, options, checks,
 	}
 }
 
-// Counts reports whether Count is the whole Attempt event of an attempt
-// (Note has nothing to do): one inside a block (op >= 0), untimed
-// (ns < 0), with no trace attached. The probe helper then emits Count,
-// whose four arguments keep the common views' per-attempt cost to one
-// short call, or nothing when its backend tallies.
+// Counts reports whether an attempt's Attempt event is its counting
+// share alone (Note has nothing to record): one inside a block
+// (op >= 0), untimed (ns < 0), with no trace attached. A probe helper
+// whose backend tallies that share itself then emits nothing.
 func (l *Local) Counts(op int, ns int64) bool { return op >= 0 && ns < 0 && l.rec == nil }
 
-// Count is the per-constraint share of an Attempt, kept once for the
-// metrics and profile views in the tally: the constraint's attempts,
-// options and conflicts and, on success, the option chosen in each of
-// its trees (a choice outside its tree counts nowhere). It also notes a
-// failed attempt's constraint for the Conflict event that attributes it.
-func (l *Local) Count(con *lowlevel.Constraint, options int64, ok bool, chosen []int) {
+// count is the counting share of an Attempt, kept once for the metrics
+// and profile views in the tally: the constraint's attempt, options and
+// conflict and, on success, the option slot chosen in each of its trees
+// (a choice outside its tree counts nowhere). It also notes a failed
+// attempt's constraint for the Conflict event that attributes it.
+func (l *Local) count(con *lowlevel.Constraint, options int64, ok bool, chosen []int) {
 	ci := con.Index
 	if !ok {
 		l.failed = ci
@@ -221,20 +218,27 @@ func (l *Local) Count(con *lowlevel.Constraint, options int64, ok bool, chosen [
 	if t == nil || uint(ci) >= uint(len(t.Cons)) {
 		return
 	}
-	t.Attempt(ci, options, ok)
-	if ok && t.Selected != nil {
+	if !ok {
+		t.Failed(ci, options, -1, -1)
+		return
+	}
+	var slots []int32
+	if l.layout != nil {
 		firsts := l.layout.Firsts(ci)
 		_, end := l.layout.Options(ci)
+		slots = l.slots[:0]
 		for i, k := range chosen[:min(len(chosen), len(firsts))] {
 			hi := end
 			if i+1 < len(firsts) {
 				hi = firsts[i+1]
 			}
 			if j := firsts[i] + int32(k); j >= firsts[i] && j < hi {
-				t.Selected[j]++
+				slots = append(slots, j)
 			}
 		}
+		l.slots = slots
 	}
+	t.Succeeded(ci, options, slots)
 }
 
 // traceAttempt is the trace share of an Attempt: the open block's record
@@ -325,7 +329,7 @@ func (l *Local) blockDone(p Phase, block int64, ops, length int, c *stats.Counte
 		l.v.Trace(r)
 		r.Events, l.traced = r.Events[:0], false
 	}
-	if fr := l.fr; fr != nil {
+	if fr := l.v.Flight; fr != nil {
 		now := Nanotime()
 		e := &l.ring[l.n]
 		*e = flight.Entry{

@@ -120,22 +120,16 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 // until its next Check or Place. A failed Place reserves nothing.
 func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) ([]int, bool) {
 	n, opts, ok := p.probe(con, issue, c)
-	t := p.tally
 	if !ok {
-		if t != nil {
+		if p.tally != nil {
 			p.tallyProbe(con.Index, n, opts, false)
 		}
 		return nil, false
 	}
-	if t != nil {
+	if t := p.tally; t != nil {
 		// tallyProbe's success share, inline: a placement is the
 		// schedulers' common case.
-		t.Attempt(con.Index, opts, true)
-		if sel := t.Selected; sel != nil {
-			for _, oi := range p.picked[:n] {
-				sel[oi]++
-			}
-		}
+		t.Succeeded(con.Index, opts, p.picked[:n])
 	}
 	p.reserveOptions(p.picked[:n], issue)
 	return p.scratch[:n:n], true
@@ -198,24 +192,18 @@ func (p *Prober) probe(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 }
 
 // tallyProbe tallies the probe of constraint ci just made, which checked
-// opts options: its attempt and, on success, the plan option picked in
-// each of its n trees, or on failure its conflict, blamed on the plan
-// tree it died on and the resource Blocked reads from the stash. Out of
-// line, so the probe loop's code is the same whether a tally is
-// attached or not; Place inlines the success share.
+// opts options: on success the plan option picked in each of its n
+// trees, on failure the plan tree it died on and the resource Blocked
+// reads from the stash (a plan option or tree index is its slot, see
+// Tally). Out of line, so the probe loop's code is the same whether a
+// tally is attached or not; Place inlines the success share.
 func (p *Prober) tallyProbe(ci, n int, opts int64, ok bool) {
-	t := p.tally
-	t.Attempt(ci, opts, ok)
-	if !ok {
-		_, res, _ := p.Blocked()
-		t.Blame(int(p.lastTi), res)
+	if ok {
+		p.tally.Succeeded(ci, opts, p.picked[:n])
 		return
 	}
-	if sel := t.Selected; sel != nil {
-		for _, oi := range p.picked[:n] {
-			sel[oi]++
-		}
-	}
+	_, res, _ := p.Blocked()
+	p.tally.Failed(ci, opts, int(p.lastTi), res)
 }
 
 // commit copies one successful probe's per-tree choices into the

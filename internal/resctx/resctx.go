@@ -196,11 +196,11 @@ func (c *Context) Place(phase obs.Phase, op int, opcode string, con *lowlevel.Co
 }
 
 // attempt is Probe, or with reserve set Place: the backend's probe and
-// the attempt's events. It returns the option chosen in each tree. For
-// an untimed attempt inside a block with no trace attached the views
-// take only the Attempt event's counting share (obs.Local.Counts), which
-// it emits alone, or not at all when the prober tallies it; otherwise a
-// tallying prober leaves it the events without their counting shares.
+// the attempt's events. It returns the option chosen in each tree. A
+// prober that tallies (Observe) has kept the events' counting shares,
+// which leaves the events without them (Note, TraceConflict), and
+// nothing at all for an untimed attempt inside a block with no trace
+// attached (obs.Local.Counts).
 func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, con *lowlevel.Constraint, cycle int, ctr *stats.Counters) ([]int, bool, int64) {
 	l := c.probes
 	observed := l != nil
@@ -232,8 +232,7 @@ func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, 
 	if ns >= 0 {
 		ns = obs.Nanotime() - ns
 	}
-	switch {
-	case c.tallied:
+	if c.tallied {
 		if !l.Counts(op, ns) {
 			l.Note(phase, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
 			if !ok {
@@ -242,11 +241,8 @@ func (c *Context) attempt(reserve bool, phase obs.Phase, op int, opcode string, 
 			}
 		}
 		return sel.Chosen, ok, opts
-	case l.Counts(op, ns):
-		l.Count(con, opts, ok, sel.Chosen)
-	default:
-		l.Attempt(phase, con, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
 	}
+	l.Attempt(phase, con, op, opcode, cycle, opts, ctr.ResourceChecks-k0, ns, ok, sel.Chosen)
 	if !ok && c.PP != nil && l.Attributes() {
 		l.Conflict(c.PP.Blocked())
 	}

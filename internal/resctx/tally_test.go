@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mdes/internal/lowlevel"
+	"mdes/internal/machines"
 	"mdes/internal/obs"
 	"mdes/internal/obs/profile"
 	"mdes/internal/probeplan"
@@ -13,15 +15,31 @@ import (
 
 // Property: a prober tallying its own probes (Context.Observe on a
 // probe-plan context whose views count) fills the observation buffer's
-// tally exactly as the Count and Conflict events would. Over random
+// tally exactly as the Attempt and Conflict events would. Over random
 // Place and Probe streams, negative cycles included, a second buffer on
 // the same views is fed those events from what each probe returned (the
 // options checked, success, the chosen options and, for a failure,
 // Prober.Blocked); the two tallies — per-constraint counts, selections,
 // first-failing trees, blocking resources and their journals — agree at
-// every step.
+// every step. Besides placeCases' descriptions it runs each one's arena
+// view where that adopts the persisted probe plan, whose spans must
+// number slots as the profile's layout does.
 func TestProberTallyMatchesEvents(t *testing.T) {
-	for ci, pc := range placeCases(t) {
+	cases := placeCases(t)
+	for _, pc := range cases[:len(machines.All)*4] {
+		buf, err := pc.m.EncodeArena()
+		if err != nil {
+			t.Fatalf("%s: %v", pc.name, err)
+		}
+		a, err := lowlevel.OpenArena(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", pc.name, err)
+		}
+		if view := a.FrozenMDES(); view.ArenaPlan() != nil {
+			cases = append(cases, placeCase{pc.name + "/arena", view})
+		}
+	}
+	for ci, pc := range cases {
 		m := pc.m
 		views := &obs.Views{
 			Metrics: obs.NewRegistry(m.ConstraintNames(), m.ResourceNames),
@@ -56,7 +74,7 @@ func TestProberTallyMatchesEvents(t *testing.T) {
 			} else {
 				chosen, ok, opts = c.Place(obs.PhaseList, step, "op", con, cycle, &ctr)
 			}
-			ref.Count(con, opts, ok, chosen)
+			ref.Attempt(obs.PhaseList, con, step, "op", cycle, opts, 0, -1, ok, chosen)
 			if !ok {
 				ref.Conflict(c.PP.Blocked())
 			}

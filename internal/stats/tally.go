@@ -44,23 +44,43 @@ func NewTally(cons, trees, options, resources int, slots bool) *Tally {
 	return t
 }
 
-// Attempt counts one attempt of constraint ci that checked options
-// options and, unless ok, failed.
-func (t *Tally) Attempt(ci int, options int64, ok bool) {
+// Succeeded counts a successful attempt of constraint ci that checked
+// options options and chose the option slots slots, one per tree; the
+// slots count only when the tally keeps selections. Inlinable: a
+// success is the common probe.
+func (t *Tally) Succeeded(ci int, options int64, slots []int32) {
+	t.attempt(ci, options)
+	if sel := t.Selected; sel != nil {
+		for _, s := range slots {
+			sel[s]++
+		}
+	}
+}
+
+// Failed counts a failed attempt of constraint ci that checked options
+// options and attributes it (Blame) to tree slot tree and resource res.
+func (t *Tally) Failed(ci int, options int64, tree, res int) {
+	t.attempt(ci, options).Conflicts++
+	t.Blame(tree, res)
+}
+
+// attempt counts one attempt of constraint ci that checked options
+// options and returns the constraint's counts.
+func (t *Tally) attempt(ci int, options int64) *ConCount {
 	cs := &t.Cons[ci]
 	if cs.Attempts == 0 {
 		t.TouchedCon = journal(t.TouchedCon, ci)
 	}
 	cs.Attempts++
 	cs.Options += options
-	if !ok {
-		cs.Conflicts++
-	}
+	return cs
 }
 
 // Blame attributes a failed attempt: tree is the tree slot of its first
 // unsatisfiable tree and res the resource blocking that tree's preferred
-// option. A negative or out-of-range index is unattributed.
+// option. A negative or out-of-range index is unattributed. Failed
+// calls it; an event stream that reports the attribution after the
+// attempt (obs.Local's Conflict) calls it alone.
 func (t *Tally) Blame(tree, res int) {
 	if uint(res) < uint(len(t.Res)) {
 		if t.Res[res] == 0 {

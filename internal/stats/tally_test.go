@@ -6,17 +6,16 @@ import (
 )
 
 // A tally journals each constraint, tree slot and resource on its first
-// touch only, ignores out-of-range blame, and Reset zeroes exactly what
-// the journals name, leaving selections to the caller.
+// touch only, ignores out-of-range blame, keeps selections and first
+// blocks only when asked, and Reset zeroes exactly what the journals
+// name, leaving selections to the caller.
 func TestTallyJournalsAndReset(t *testing.T) {
 	tl := NewTally(3, 4, 6, 2, true)
-	tl.Attempt(2, 3, true)
-	tl.Attempt(0, 1, false)
-	tl.Blame(3, 1)
-	tl.Attempt(2, 2, false)
+	tl.Succeeded(2, 3, []int32{5})
+	tl.Failed(0, 1, 3, 1)
+	tl.Failed(2, 2, -1, -1)
 	tl.Blame(3, 1)
 	tl.Blame(-1, 9)
-	tl.Selected[5]++
 	if want := (ConCount{Attempts: 2, Options: 5, Conflicts: 1}); tl.Cons[2] != want {
 		t.Fatalf("constraint 2 = %+v, want %+v", tl.Cons[2], want)
 	}
@@ -34,7 +33,10 @@ func TestTallyJournalsAndReset(t *testing.T) {
 	if tl.Selected[5] != 1 {
 		t.Fatal("Reset cleared a selection")
 	}
-	if m := NewTally(3, 4, 6, 2, false); m.Selected != nil || m.First != nil {
-		t.Fatal("a tally without slots keeps selections or first blocks")
+	m := NewTally(3, 4, 6, 2, false)
+	m.Succeeded(1, 2, []int32{5})
+	m.Failed(1, 1, 3, 0)
+	if m.Selected != nil || m.First != nil || m.Cons[1] != (ConCount{Attempts: 2, Options: 3, Conflicts: 1}) || m.Res[0] != 1 {
+		t.Fatalf("a tally without slots: %+v", m)
 	}
 }
