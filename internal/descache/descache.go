@@ -18,7 +18,8 @@
 //   - eviction is LRU by file modification time, which Get bumps on every
 //     hit; GC removes oldest-first until the store fits its byte budget.
 //     Entries under an older format's names (a4-, MDAR v4) are never read,
-//     so they age out first.
+//     so they age out first. GC also removes the temp file of a writer
+//     killed inside Put once it is older than staleTemp.
 //
 // Tuned layouts (mdreport -tune output) occupy a second slot per key:
 // "<key>.tuned-<fingerprint>-<profileaddr>.mdar", addressed by the base
@@ -112,6 +113,16 @@ func (s *Store) Dir() string { return s.dir }
 // MaxBytes returns the configured LRU budget (<= 0 when unbounded).
 func (s *Store) MaxBytes() int64 { return s.maxBytes }
 
+// tempPrefix begins the name of every temp file Put writes before its
+// rename. List and GC's budget never see these names (they glob *.mdar).
+const tempPrefix = ".descache-"
+
+// staleTemp is the age past which GC takes a temp file for the leftover
+// of a writer killed inside Put. A live Put holds its temp file for one
+// write, fsync and rename, far less than this, so GC never touches an
+// in-flight Put of another process.
+const staleTemp = time.Hour
+
 func (s *Store) entryPath(k Key) string {
 	return filepath.Join(s.dir, k.ID()+".mdar")
 }
@@ -151,7 +162,7 @@ func (s *Store) put(path string, arena []byte) (string, error) {
 	if _, err := lowlevel.OpenArena(arena); err != nil {
 		return "", fmt.Errorf("descache: refusing to store invalid arena: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".descache-*")
+	tmp, err := os.CreateTemp(s.dir, tempPrefix+"*")
 	if err != nil {
 		return "", fmt.Errorf("descache: %w", err)
 	}
@@ -325,17 +336,20 @@ func (s *Store) List(verify bool) ([]Info, error) {
 	return infos, nil
 }
 
-// GC enforces the LRU byte budget: when the store exceeds MaxBytes it
-// removes least-recently-used entries (oldest modification time first,
-// tuned slots included) until the remainder fits. Unbounded stores GC
-// nothing.
+// GC removes the temp files writers killed inside Put left behind (those
+// older than staleTemp), then enforces the LRU byte budget: when the
+// store exceeds MaxBytes it removes least-recently-used entries (oldest
+// modification time first, tuned slots included) until the remainder
+// fits. Unbounded stores evict no entry. evicted names every file
+// removed and freed sums their sizes.
 func (s *Store) GC() (evicted []string, freed int64, err error) {
-	if s.maxBytes <= 0 {
-		return nil, 0, nil
+	evicted, freed, err = s.reclaimTemps(time.Now().Add(-staleTemp))
+	if err != nil || s.maxBytes <= 0 {
+		return evicted, freed, err
 	}
 	infos, err := s.List(false)
 	if err != nil {
-		return nil, 0, err
+		return evicted, freed, err
 	}
 	var total int64
 	for _, in := range infos {
@@ -353,4 +367,25 @@ func (s *Store) GC() (evicted []string, freed int64, err error) {
 		total -= infos[i].Size
 	}
 	return evicted, freed, nil
+}
+
+// reclaimTemps removes the Put temp files last modified before cutoff.
+// A file another GC removes first is not an error.
+func (s *Store) reclaimTemps(cutoff time.Time) (removed []string, freed int64, err error) {
+	matches, err := filepath.Glob(filepath.Join(s.dir, tempPrefix+"*"))
+	if err != nil {
+		return nil, 0, fmt.Errorf("descache: %w", err)
+	}
+	for _, path := range matches {
+		fi, err := os.Stat(path)
+		if err != nil || !fi.ModTime().Before(cutoff) {
+			continue
+		}
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return removed, freed, fmt.Errorf("descache: gc: %w", err)
+		}
+		removed = append(removed, fi.Name())
+		freed += fi.Size()
+	}
+	return removed, freed, nil
 }

@@ -299,3 +299,45 @@ func TestAtomicPutLeavesNoTemp(t *testing.T) {
 		t.Fatalf("cache dir holds %v, want exactly one entry", names)
 	}
 }
+
+// TestGCReclaimsStaleTemps: a writer killed inside Put leaves its temp
+// file behind, which List never sees. GC removes such a file once it is
+// older than staleTemp, and leaves a fresh one (an in-flight Put of
+// another process) and every entry alone.
+func TestGCReclaimsStaleTemps(t *testing.T) {
+	arena := testArena(t, machines.K5, lowlevel.FormAndOr)
+	s, err := Open(t.TempDir(), int64(4*len(arena)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := s.Put(testKey(machines.K5), arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(s.Dir(), tempPrefix+"stale")
+	fresh := filepath.Join(s.Dir(), tempPrefix+"fresh")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, arena[:len(arena)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-staleTemp - time.Minute)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	evicted, freed, err := s.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evicted) != 1 || evicted[0] != filepath.Base(stale) || freed != int64(len(arena)/2) {
+		t.Fatalf("GC evicted %v (%d bytes), want only %s", evicted, freed, filepath.Base(stale))
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale temp survived GC: %v", err)
+	}
+	for _, p := range []string{fresh, entry} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("GC removed %s: %v", filepath.Base(p), err)
+		}
+	}
+}

@@ -95,7 +95,7 @@ func RunExtensions(p Params) (*ExtensionsReport, error) {
 		class := r.Intn(len(ll.Constraints))
 		for {
 			next, okA := a.TryIssue(st, class)
-			_, okR := pp.Place(ll.Constraints[class], cycle, &c)
+			_, okR, _ := pp.Place(ll.Constraints[class], cycle, &c)
 			if okA != okR {
 				return nil, fmt.Errorf("extensions: automaton and tables disagree")
 			}

@@ -72,7 +72,7 @@ func maxRegister(srcs, dests []int) (int, error) {
 	for _, list := range [2][]int{srcs, dests} {
 		for _, r := range list {
 			if r < 0 || r >= MaxRegister {
-				return 0, fmt.Errorf("register %d outside [0,%d)", r, MaxRegister)
+				return 0, errRegister(r)
 			}
 			if r > max {
 				max = r
@@ -80,6 +80,11 @@ func maxRegister(srcs, dests []int) (int, error) {
 		}
 	}
 	return max, nil
+}
+
+// errRegister names register r outside [0, MaxRegister).
+func errRegister(r int) error {
+	return fmt.Errorf("register %d outside [0,%d)", r, MaxRegister)
 }
 
 // Block is a basic block: a straight-line operation sequence, optionally
@@ -147,7 +152,9 @@ func (b *Block) Renumber() {
 // Timing provides flow-dependence distances with operand-level
 // precision: FlowDist may account for source-operand sample times and
 // forwarding paths (bypasses), not just producer latency. Operations are
-// named by their positions within the block.
+// named by their positions within the block. FlowDist must never be
+// negative (lowlevel.MDES.FlowDistance clamps at 0): the builder leaves
+// out the control edges that non-negative distances make implied.
 type Timing interface {
 	FlowDist(producer, consumer int) int
 }

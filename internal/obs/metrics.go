@@ -168,8 +168,8 @@ type localPhase struct {
 }
 
 // TimestampPeriod is the check-latency sampling period: the metrics view
-// times one attempt in every TimestampPeriod (Local.Start takes the
-// first clock reading, Local.Attempt the second) and the histogram
+// times one attempt in every TimestampPeriod (the probe helper's context
+// counts down to it and reads the clock around its probe) and the histogram
 // weights each sample by the period, so the latency distribution and
 // _sum extrapolate to all attempts while the per-Check clock cost drops
 // by the same factor. Counting accounting (attempts, options, checks,

@@ -310,7 +310,7 @@ func TestExplainConflictAttribution(t *testing.T) {
 	pb := NewProber(mustPlan(t, ll))
 	con := ll.Constraints[0]
 	var c stats.Counters
-	if _, ok := pb.Place(con, 0, &c); !ok {
+	if _, ok, _ := pb.Place(con, 0, &c); !ok {
 		t.Fatal("empty window placement failed")
 	}
 
@@ -323,7 +323,7 @@ func TestExplainConflictAttribution(t *testing.T) {
 	for _, place := range []bool{false, true} {
 		var ok bool
 		if place {
-			_, ok = pb.Place(con, 0, &c)
+			_, ok, _ = pb.Place(con, 0, &c)
 		} else {
 			_, ok = pb.Check(con, 0, &c)
 		}

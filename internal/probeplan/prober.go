@@ -117,14 +117,17 @@ func (p *Prober) Check(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 // the chosen options' words straight from the spans the probe just
 // walked, accounting exactly as Check, and returns the option chosen in
 // each tree. The choices live in the prober's scratch and stay valid
-// until its next Check or Place. A failed Place reserves nothing.
-func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) ([]int, bool) {
+// until its next Check or Place. A failed Place reserves nothing. Place
+// also returns the options the attempt checked, so a caller that needs
+// only those (resctx.Context.Place on an attempt no view records) makes
+// this one call.
+func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) ([]int, bool, int64) {
 	n, opts, ok := p.probe(con, issue, c)
 	if !ok {
 		if p.tally != nil {
 			p.tallyProbe(con.Index, n, opts, false)
 		}
-		return nil, false
+		return nil, false, opts
 	}
 	if t := p.tally; t != nil {
 		// tallyProbe's success share, inline: a placement is the
@@ -132,7 +135,7 @@ func (p *Prober) Place(con *lowlevel.Constraint, issue int, c *stats.Counters) (
 		t.Succeeded(con.Index, opts, p.picked[:n])
 	}
 	p.reserveOptions(p.picked[:n], issue)
-	return p.scratch[:n:n], true
+	return p.scratch[:n:n], true, opts
 }
 
 // probe is the one probing loop behind Check and Place. Each OR-tree is

@@ -11,9 +11,9 @@
 package sched
 
 import (
-	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"mdes/internal/ir"
@@ -339,15 +339,20 @@ func (s *Scheduler) cycleDriven(ctx context.Context, b *ir.Block, ax axis, res *
 	}
 	ar := &s.cx.Arena
 	order := ar.Ints(n)
-	for k := range order {
-		order[k] = bl.origin + ax.sign*k
-	}
-	// Stable, so equal priorities keep the axis order: the tie order.
-	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(bl.prio[y], bl.prio[x]) })
 	nwait := ar.Ints(n)
 	estart := ar.Ints(n)
-	for i := range nwait {
+	// Priority order, ties in axis order: each operation's key packs its
+	// negated priority above its axis position k, so the keys are unique
+	// and an unstable sort of them is the stable sort by priority.
+	shift := bits.Len(uint(n))
+	for k := range order {
+		i := bl.origin + ax.sign*k
+		order[k] = -bl.prio[i]<<shift | k
 		nwait[i] = len(bl.wait[i])
+	}
+	slices.Sort(order)
+	for k, key := range order {
+		order[k] = bl.origin + ax.sign*(key&(1<<shift-1))
 	}
 
 	// order holds the unplaced operations in priority order; each pass

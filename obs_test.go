@@ -423,3 +423,81 @@ func TestDisabledObservabilityAllocs(t *testing.T) {
 			engineAllocs, rawAllocs)
 	}
 }
+
+// The metrics view times one attempt in every obs.TimestampPeriod, the
+// first included, however the attempts reach the prober. An attempt
+// outside any block (a query's) folds into its phase at once, since no
+// BlockDone will fold it. A trace attached beside the metrics view still
+// records every attempt of every block.
+func TestMetricsSamplingThroughEngine(t *testing.T) {
+	machine, err := mdes.Builtin(mdes.K5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := mdes.Compile(machine, mdes.FormAndOr)
+	mdes.Optimize(compiled, mdes.LevelFull)
+	blocks := testBlocks(t, mdes.K5, 6000)
+	// timed is the number of attempts the phase timed: each sample
+	// carries TimestampPeriod weight in the histogram.
+	timed := func(p obs.PhaseSnapshot) int64 {
+		var n int64
+		for _, c := range p.CheckNs {
+			n += c
+		}
+		return n / obs.TimestampPeriod
+	}
+	periods := func(attempts int64) int64 {
+		return (attempts + obs.TimestampPeriod - 1) / obs.TimestampPeriod
+	}
+
+	metrics := mdes.NewMetrics(compiled)
+	eng, err := mdes.NewEngine(compiled, mdes.WithMetrics(metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, totals, err := eng.ScheduleBlocks(context.Background(), blocks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := metrics.Snapshot().Phases[obs.PhaseList]
+	if totals.Attempts < 4*obs.TimestampPeriod || list.Attempts != totals.Attempts {
+		t.Fatalf("list phase counted %d attempts, the run made %d", list.Attempts, totals.Attempts)
+	}
+	if got, want := timed(list), periods(totals.Attempts); got != want {
+		t.Fatalf("engine run timed %d of %d attempts, want %d", got, totals.Attempts, want)
+	}
+
+	q := eng.Query()
+	if _, err := q.MaxPerCycle("LD", 16); err != nil {
+		t.Fatal(err)
+	}
+	asked := q.Counters()
+	q.Close()
+	query := metrics.Snapshot().Phases[obs.PhaseQuery]
+	if asked.Attempts == 0 || query.Attempts != asked.Attempts || query.OptionsChecked != asked.OptionsChecked ||
+		query.ResourceChecks != asked.ResourceChecks || query.Conflicts != asked.Conflicts {
+		t.Fatalf("query phase %+v, query counters %+v", query, asked)
+	}
+
+	metrics = mdes.NewMetrics(compiled)
+	events := int64(0)
+	pool := observedPool(t, compiled, &obs.Views{MDES: compiled, Metrics: metrics, Trace: func(r *obs.BlockRecord) {
+		for _, e := range r.Events {
+			if e.Kind == "attempt" {
+				events++
+			}
+		}
+	}})
+	cx := pool.Get()
+	_, traced, err := sched.NewWithContext(compiled, cx).ScheduleAll(blocks)
+	cx.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced != totals || events != traced.Attempts {
+		t.Fatalf("traced run: %d attempt events, counters %+v, untraced %+v", events, traced, totals)
+	}
+	if got, want := timed(metrics.Snapshot().Phases[obs.PhaseList]), periods(traced.Attempts); got != want {
+		t.Fatalf("traced run timed %d of %d attempts, want %d", got, traced.Attempts, want)
+	}
+}
